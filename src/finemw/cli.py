@@ -281,7 +281,7 @@ def cmd_verify(args) -> int:
         else:
             for sel in ("zero", "full-torsion", "random-subgroup"):
                 rep = verify_finite_quotients(TowerSpec(M, sel, seed=args.seed),
-                                              n_max, expected=etype)
+                                              n_max, expected=etype, analysis=analysis)
                 rep["selector"] = sel
                 checks.append(rep)
     failed = [c for c in checks if c["verdict"] == "fail"]

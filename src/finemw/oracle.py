@@ -13,18 +13,24 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import FinemwError, ResourceLimitError, ValidationError
 from .padics import CoefficientRing
 from .polynomials import IwasawaPoly, cyclotomic, default_max_level, omega, weierstrass_divide
 from .presentations import ModulePresentation
 from .structure import (
     ElementaryType,
     TowerSpec,
+    analyze,
     verify_finite_quotients,
     verify_rank_identity,
 )
 
 GENERATOR_BUDGET = 4  # keeps level-n_max expansions to a few hundred rows
+
+
+class VerdictContradiction(FinemwError):
+    """A decided torsion-limit verdict disagrees with the recipe's ground truth."""
+
 
 #: Non-cyclotomic distinguished factors of degree <= 2, as integer coefficient
 #: rows (constant first) in the prime p.  All have roots of valuation >= 1/2,
@@ -220,11 +226,9 @@ def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
 
     ``checks="classify"`` runs the type-recovery round trip only; ``"full"``
     additionally verifies the rank identity and the finite-quotient component
-    multiplicities wherever their hypotheses hold.
+    multiplicities wherever their hypotheses hold.  A "yes" or "no"
+    torsion-limit verdict that contradicts the recipe fails the instance.
     """
-    from .presentations import coinvariants
-    from .structure import StructureAnalysis
-
     ring = CoefficientRing(p, 1, precision)
     if recipe is None:
         recipe = sample_recipe(seed, p)
@@ -233,9 +237,7 @@ def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
         M = obfuscate(build_elementary(recipe, ring), seed=seed ^ 0x5EED, steps=steps)
         truth = recipe.expected_type()
         full = checks == "full"
-        structures = [coinvariants(M, n, with_transforms=full)
-                      for n in range(n_max + 1)]
-        analysis = StructureAnalysis(M, n_max, structures=structures)
+        analysis = analyze(M, n_max)
         etype = analysis.classify()
         record["type"] = etype.as_dict()
         record["g_functor"] = etype.g_functor_vanishes
@@ -254,8 +256,13 @@ def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
                 for sel in selectors:
                     rep = verify_finite_quotients(TowerSpec(M, sel, seed=seed),
                                                   n_max, expected=truth,
-                                                  structures=structures)
+                                                  analysis=analysis)
                     record["checks"][f"finite_quotients[{sel}]"] = rep["verdict"]
+        verdict = etype.g_functor_vanishes
+        if verdict in ("yes", "no") and verdict != truth.g_functor_vanishes:
+            raise VerdictContradiction(
+                f"torsion-limit verdict {verdict!r} contradicts the recipe's "
+                f"{truth.g_functor_vanishes!r}")
         if any(v == "fail" for v in record["checks"].values()):
             record["status"] = "fail"
         elif etype.g_functor_vanishes == "undetermined":

@@ -125,10 +125,15 @@ def check_level_budget(pres: ModulePresentation, n: int):
     if pres.level_cap is not None and n > pres.level_cap:
         raise ResourceLimitError(
             f"presentation entries are only valid modulo omega_{pres.level_cap}")
+    budget = ROW_BUDGET_FACTOR * p**nmax
     rows = pres.generators * p**n
-    if rows > ROW_BUDGET_FACTOR * p**nmax:
+    if rows > budget:
+        raise ResourceLimitError(f"expansion needs {rows} rows > budget {budget}")
+    # relation columns are unbounded in JSON input; bound the entries they expand to
+    entries = rows * pres.num_relations * p**n
+    if entries > budget**2:
         raise ResourceLimitError(
-            f"expansion needs {rows} rows > budget {ROW_BUDGET_FACTOR * p**nmax}")
+            f"expansion needs {entries} entries > budget {budget**2}")
 
 
 def _wrap_vector(ring, h: IwasawaPoly):
@@ -233,12 +238,24 @@ class FinLevelModule:
         if len(col) != self.presentation.generators * full:
             raise ValidationError("extra column has wrong length")
         ring = self.ring
+        q, pn = self.q, ring.modulus
+        pad = (0,) * (ring.unramified_degree - 1)
         out = []
         for i in range(self.presentation.generators):
-            seg = [_as_coords(x, ring) for x in col[i * full:(i + 1) * full]]
-            poly = IwasawaPoly(ring, seg)
-            poly = weierstrass_divide(poly, self.modulus_poly)[1]
-            out.extend(poly.coefficient(t).coords for t in range(self.q))
+            seg = [x if isinstance(x, tuple) else (x,) + pad
+                   for x in col[i * full:(i + 1) * full]]
+            # long division by the monic modulus on integers, one coordinate at
+            # a time (its coefficients are rational integers): T^q = sum wrap_k T^k
+            rems = []
+            for coeffs in zip(*seg):
+                c = [int(x) for x in coeffs]
+                for t in range(full - 1, q - 1, -1):
+                    top = c[t] % pn
+                    if top:
+                        for k, w in enumerate(self._wrap):
+                            c[t - q + k] += top * w
+                rems.append([x % pn for x in c[:q]])
+            out.extend(zip(*rems))
         return out
 
     def has_deep_entries(self, threshold: int) -> bool:
@@ -452,10 +469,15 @@ def phi_component_ranks(M: ModulePresentation, n: int) -> list:
     """
     base = _level_smith(FinLevelModule(M, n))
     ranks = component_ranks_against(M, n)
-    if sum(ranks) != base.free_rank:
-        raise ValidationError(
-            f"component ranks {ranks} do not sum to free rank {base.free_rank} at level {n}")
+    check_component_sum(ranks, base.free_rank, n)
     return ranks
+
+
+def check_component_sum(ranks, free_rank: int, n: int):
+    """Component ranks must add up to the free rank; a mismatch is a precision failure."""
+    if sum(ranks) != free_rank:
+        raise ValidationError(
+            f"component ranks {ranks} do not sum to free rank {free_rank} at level {n}")
 
 
 def component_ranks_against(M: ModulePresentation, n: int, extra_columns=(),
@@ -499,9 +521,7 @@ def quotient_phi_component_ranks(M: ModulePresentation, n: int, extra_columns,
         base = _level_smith(FinLevelModule(M, n), extra_columns=tuple(extra_columns),
                             precision_cap=precision_cap)
         base_free_rank = base.free_rank
-    if sum(ranks) != base_free_rank:
-        raise ValidationError(
-            f"component ranks {ranks} do not sum to free rank {base_free_rank} at level {n}")
+    check_component_sum(ranks, base_free_rank, n)
     return ranks
 
 

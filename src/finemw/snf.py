@@ -91,12 +91,6 @@ class SmithResult:
     def torsion_order(self) -> int:
         return sum(e for e in self.exponents if e > 0)
 
-    def certified(self, session_precision=None) -> bool:
-        cap = self.precision_used
-        if session_precision is not None:
-            cap = min(cap, session_precision)
-        return all(e < cap - 2 for e in self.exponents)
-
     def certified_exponents(self, session_precision=None):
         cap = self.precision_used
         if session_precision is not None:
@@ -132,8 +126,10 @@ class SmithResult:
         """U*w: coordinates of an ambient vector in the diagonalized basis."""
         U, Uinv, V, Vinv = self._need_transforms()
         if self.engine == "int64":
-            return [int(x) for x in _matvec_mod(U, np.asarray(w, dtype=np.int64),
-                                                self.modulus)]
+            # callers pass Python ints beyond int64 (p-power scalings, T-action
+            # mod p^N); reduce before converting
+            w = np.asarray([int(x) % self.modulus for x in w], dtype=np.int64)
+            return [int(x) for x in _matvec_mod(U, w, self.modulus)]
         pn = self.modulus
         out = []
         for row in U:
@@ -164,9 +160,6 @@ class SmithResult:
             if not _is_zero_mod(y[k], pt):
                 return False
         return True
-
-    def diagonal_exponent_vector(self):
-        return list(self.exponents)
 
     def __repr__(self):
         return (f"SmithResult({self.nrows}x{self.ncols}, exps={self.exponents}, "
@@ -259,18 +252,6 @@ def _run_int64(mat, R, C, ring, track):
     exponents, U, Uinv, V, Vinv = snf_int64(A, p, m, track)
     transforms = (U, Uinv, V, Vinv) if track >= 1 else None
     return SmithResult(ring, "int64", W, R, C, exponents, transforms)
-
-
-def matrix_to_int64(mat_coords, p, W):
-    """Utility for callers that prebuild numpy matrices (degree-1 rings)."""
-    m = p**W
-    R = len(mat_coords)
-    C = len(mat_coords[0]) if R else 0
-    A = np.zeros((R, C), dtype=np.int64)
-    for i, row in enumerate(mat_coords):
-        for j, entry in enumerate(row):
-            A[i, j] = entry[0] % m
-    return A
 
 
 def _run_python(mat, R, C, ring, track, precision=None):

@@ -21,10 +21,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import presentations
 from .errors import ClassificationError, HypothesisError, ValidationError
 from .polynomials import IwasawaPoly, phi_degree, default_max_level
 from .presentations import (
     ModulePresentation,
+    check_component_sum,
+    check_level_budget,
     coinvariants,
     quotient_phi_component_ranks,
 )
@@ -76,22 +79,51 @@ class TowerSpec:
 
 
 class StructureAnalysis:
-    """Per-level coinvariant data for one presentation, computed once."""
+    """Per-level coinvariant data for one presentation, computed once.
 
-    def __init__(self, M: ModulePresentation, n_max: int, engine=None, structures=None):
+    The untracked level structures are reduced up front; transform-tracked
+    structures and the Phi_j-component ranks are reduced on first use and
+    cached, so every verifier sharing the analysis reuses them.
+    """
+
+    def __init__(self, M: ModulePresentation, n_max: int):
         if n_max < 2:
             raise ValidationError("structure analysis needs n_max >= 2")
+        check_level_budget(M, n_max)  # the largest expansion, refused before any work
         self.presentation = M
         self.n_max = n_max
-        if structures is not None:
-            if len(structures) < n_max + 1:
-                raise ValidationError("need structures for every level 0..n_max")
-            self.structures = list(structures[:n_max + 1])
-        else:
-            self.structures = [coinvariants(M, n, engine=engine) for n in range(n_max + 1)]
+        self.structures = [coinvariants(M, n) for n in range(n_max + 1)]
         self.ranks = [s.free_rank for s in self.structures]
         self.torsion_orders = [s.torsion_order for s in self.structures]
         self.certified = all(s.all_certified for s in self.structures)
+        self._tracked = {}
+        self._phi_ranks = None
+
+    def tracked(self, n: int):
+        """Level-n structure with Smith transforms, reduced at most once.
+
+        Submodule selectors draw generators from torsion summands only, so a
+        torsion-free level needs no transforms and its untracked structure
+        is returned instead.
+        """
+        structure = self.structures[n]
+        if not structure.torsion_exponents:
+            return structure
+        if n not in self._tracked:
+            self._tracked[n] = coinvariants(self.presentation, n, with_transforms=True)
+        return self._tracked[n]
+
+    def phi_ranks(self) -> list:
+        """Phi_j-component ranks c_0..c_{n_max} of the unquotiented module.
+
+        The expansion modulo Phi_j does not depend on the level n >= j, so
+        one pass at n_max serves every level: level n reads the prefix
+        c_0..c_n.
+        """
+        if self._phi_ranks is None:
+            self._phi_ranks = presentations.component_ranks_against(self.presentation,
+                                                                     self.n_max)
+        return self._phi_ranks
 
     @property
     def p(self):
@@ -146,14 +178,14 @@ class StructureAnalysis:
         denom = p**w0 * (p - 1) ** 2
         if second % denom:
             raise ClassificationError(
-                f"level {self.n_max}: torsion trend {corrected[w0:]} admits no integer "
+                f"level {self.n_max}: torsion trend {[a, b, c]} admits no integer "
                 f"mu", level=self.n_max)
         mu = second // denom
         lam = (c - b) - mu * (p ** (w0 + 2) - p ** (w0 + 1))
         nu = a - mu * p**w0 - lam * w0
         if mu < 0 or lam < 0 or nu < 0:
             raise ClassificationError(
-                f"level {self.n_max}: torsion trend {corrected[w0:]} fits no elementary "
+                f"level {self.n_max}: torsion trend {[a, b, c]} fits no elementary "
                 f"type (mu={mu}, lambda={lam}, nu={nu})", level=self.n_max)
         verdict = self._verdict(mu, lam)
         return ElementaryType(r, s, mu, lam, verdict)
@@ -388,24 +420,30 @@ def _junk_free_precision(smith) -> int:
 
 def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
                             expected: ElementaryType | None = None,
-                            structures=None) -> dict:
+                            analysis: StructureAnalysis | None = None) -> dict:
     """Check the component multiplicities of M_n / M'_n against the s_j.
 
     Hypotheses enforced: the module must classify as torsion (free rank 0)
     and every selected submodule generator must be a torsion element.  The
     quotient's Phi_j-component ranks are then computed genuinely from the
     augmented presentation and compared with s_j for every j <= n <= n_max.
+    A level where the selector picks no generator quotients by nothing, so
+    it reads the unquotiented ranks that ``analysis`` computes once.
 
-    ``structures`` may carry precomputed transform-tracked coinvariant
-    structures for levels 0..n_max to avoid repeated Smith reductions.
+    ``analysis`` shares the level structures, the transform-tracked
+    structures and the component ranks between checks of one presentation;
+    without it one is built for levels 0..n_max.
     """
     M = tower.presentation
+    if analysis is None:
+        analysis = analyze(M, n_max)
+    elif analysis.presentation is not M:
+        raise ValidationError("the analysis belongs to a different presentation")
     if n_max is None:
-        n_max = default_max_level(M.ring.prime)
-    if expected is None:
-        etype = analyze(M, n_max).classify()
-    else:
-        etype = expected
+        n_max = analysis.n_max
+    elif n_max > analysis.n_max:
+        raise ValidationError(f"the analysis stops at level {analysis.n_max} < {n_max}")
+    etype = analysis.classify() if expected is None else expected
     if etype.free_rank != 0:
         raise HypothesisError(
             f"module has free rank {etype.free_rank}; the finite-quotient check "
@@ -414,18 +452,22 @@ def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
     report = {"name": "finite_quotients", "selector": tower.selector, "verdict": "pass",
               "levels": [], "counterexample": None}
     for n in range(n_max + 1):
-        if structures is not None:
-            structure = structures[n]
+        if tower.selector == "zero":
+            structure = analysis.structures[n]
         else:
-            structure = coinvariants(M, n, with_transforms=True)
+            structure = analysis.tracked(n)
         cols = _selector_columns(structure, tower.selector, tower.seed, n)
         for col in cols:
             if not structure.smith.is_torsion_vector(col):
                 raise HypothesisError(
                     f"level {n}: selected submodule generator is not torsion")
-        cap = _junk_free_precision(structure.smith) if cols else None
-        comp = quotient_phi_component_ranks(M, n, cols, precision_cap=cap,
-                                            base_free_rank=structure.free_rank)
+        if cols:
+            comp = quotient_phi_component_ranks(
+                M, n, cols, precision_cap=_junk_free_precision(structure.smith),
+                base_free_rank=structure.free_rank)
+        else:
+            comp = analysis.phi_ranks()[:n + 1]
+            check_component_sum(comp, structure.free_rank, n)
         mults = []
         for j, cj in enumerate(comp):
             deg = phi_degree(p, j)

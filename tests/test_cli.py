@@ -6,7 +6,12 @@ import pytest
 from finemw.cli import main
 from finemw.padics import CoefficientRing
 from finemw.polynomials import IwasawaPoly, cyclotomic
-from finemw.presentations import cyclic_module, free_module, presentation_to_json
+from finemw.presentations import (
+    ModulePresentation,
+    cyclic_module,
+    free_module,
+    presentation_to_json,
+)
 
 RING = CoefficientRing(5, 1, 24)
 
@@ -121,6 +126,33 @@ def test_classify_free_rank_two(capsys, tmp_path, schema):
 def test_classify_exit_4_on_budget(capsys, phi1_file):
     code, _ = run_cli(["classify", "--file", phi1_file, "--n-max", "9"], capsys)
     assert code == 4
+
+
+def test_classify_exit_4_on_relation_entries(capsys, tmp_path):
+    # 4 generators at p = 7 pass the row budget at level 3, but 1000 relations
+    # would expand to 3.8 GB of int64; refused before any level is reduced
+    doc = {"p": 7, "precision": 24, "generators": 4,
+           "relations": [[[["1"]]] * 1000 for _ in range(4)]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code = main(["classify", "--file", str(path), "--n-max", "3"])
+    assert code == 4
+    assert "entries" in capsys.readouterr().err
+
+
+def test_classify_exit_3_when_torsion_trend_has_no_fit(capsys, tmp_path, schema):
+    # Lambda/(p, T^2) has torsion orders 1, 2, 2: no integer mu fits the trend
+    ring = CoefficientRing(5, 1, 24)
+    M = ModulePresentation(ring, 1, [[IwasawaPoly.constant(ring, 5),
+                                      IwasawaPoly.from_ints(ring, [0, 0, 1])]])
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(presentation_to_json(M)))
+    code, out = run_cli(["classify", "--file", str(path), "--n-max", "2"], capsys)
+    assert code == 3
+    doc = json.loads(out)
+    validate(doc, schema)
+    assert doc["status"] == "no-elementary-fit"
+    assert doc["error"] == "level 2: torsion trend [1, 2, 2] admits no integer mu"
 
 
 def test_classify_exit_2_on_malformed_json(capsys, tmp_path):

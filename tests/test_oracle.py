@@ -116,6 +116,47 @@ def test_run_instance_classify_and_full():
     assert all(v in ("pass", "skipped") for v in r["checks"].values())
 
 
+def test_run_instance_full_checks_with_scaled_generators_past_int64():
+    # the random-subgroup selector scales p = 7 generators past int64
+    r = run_instance(7, 2, 7000021, checks="full")
+    assert "error" not in r
+    assert r["status"] == "pass"
+    for sel in ("zero", "full-torsion", "random-subgroup"):
+        assert r["checks"][f"finite_quotients[{sel}]"] == "pass"
+
+
+class _MisstatedVerdict(ConstructionRecipe):
+    """A recipe whose ground truth claims the opposite torsion-limit verdict."""
+
+    def expected_type(self):
+        truth = super().expected_type()
+        truth.g_functor_vanishes = "no" if truth.g_functor_vanishes == "yes" else "yes"
+        return truth
+
+
+def test_run_instance_fails_a_verdict_contradicting_the_recipe():
+    recipe = ConstructionRecipe(seed=0, cyclo_multiplicities={1: 1})
+    honest = run_instance(5, 3, 0, recipe=recipe)
+    assert honest["status"] == "pass" and honest["g_functor"] == "yes"
+    assert set(honest) == {"seed", "recipe", "status", "checks", "type", "g_functor",
+                           "evidence"}
+    lying = _MisstatedVerdict(seed=0, cyclo_multiplicities={1: 1})
+    r = run_instance(5, 3, 0, recipe=lying)
+    assert r["status"] == "fail"
+    assert r["error"] == ("VerdictContradiction: torsion-limit verdict 'yes' "
+                          "contradicts the recipe's 'no'")
+    assert r["checks"]["type_recovery"] == "pass"
+
+
+def test_run_instance_keeps_undetermined_apart_from_failures():
+    # Lambda/Phi_2 leaves transient torsion at level 1: the verdict stays open,
+    # which contradicts nothing
+    recipe = _MisstatedVerdict(seed=0, cyclo_multiplicities={2: 1})
+    r = run_instance(5, 3, 0, recipe=recipe)
+    assert r["g_functor"] == "undetermined"
+    assert r["status"] == "undetermined" and "error" not in r
+
+
 def test_roundtrip_suite_empty():
     s = roundtrip_suite(5, 0, seed=0)
     assert s["passes"] == 0 and s["failures"] == 0 and s["records"] == []

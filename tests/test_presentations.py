@@ -5,9 +5,11 @@ import pytest
 
 from finemw.errors import ResourceLimitError, ValidationError
 from finemw.padics import CoefficientRing
-from finemw.polynomials import IwasawaPoly, cyclotomic, phi_degree
+from finemw.polynomials import IwasawaPoly, cyclotomic, phi_degree, weierstrass_divide
 from finemw.presentations import (
+    FinLevelModule,
     ModulePresentation,
+    check_level_budget,
     coinvariants,
     cyclic_module,
     direct_sum,
@@ -169,6 +171,27 @@ def test_t_apply_matches_exact_action():
     assert ours == exact
 
 
+def test_reduce_ambient_column_matches_weierstrass_remainder():
+    rng = random.Random(21)
+    for ring in (RING, RINGQ):
+        var = IwasawaPoly.variable(ring)
+        M = ModulePresentation(ring, 2, [[var], [var * var]])
+        d = ring.unramified_degree
+        for j in range(3):
+            fin = FinLevelModule(M, 2, component=j)
+            if d == 1:  # unreduced ints, as the T-action and p-power scalings give
+                col = [rng.randrange(3 * ring.modulus) for _ in range(50)]
+            else:
+                col = [tuple(rng.randrange(ring.modulus) for _ in range(d))
+                       for _ in range(50)]
+            expect = []
+            for i in range(2):
+                seg = IwasawaPoly(ring, [ring.element(x).coords for x in col[25 * i:25 * i + 25]])
+                rem = weierstrass_divide(seg, cyclotomic(ring, j))[1]
+                expect.extend(rem.coefficient(t).coords for t in range(fin.q))
+            assert fin.reduce_ambient_column(col) == expect
+
+
 def test_budget_errors():
     with pytest.raises(ResourceLimitError):
         expand_to_level(free_module(RING, 1), 5)
@@ -178,6 +201,20 @@ def test_budget_errors():
     capped = ModulePresentation(RING, 1, [[T]], level_cap=1)
     with pytest.raises(ResourceLimitError):
         expand_to_level(capped, 2)
+
+
+def test_budget_bounds_relation_entries():
+    # rows alone are within budget; 1000 relation columns would expand to
+    # 1372 x 343000 int64 entries (3.8 GB) at level 3
+    ring7 = CoefficientRing(7, 1, 24)
+    one = IwasawaPoly.constant(ring7, 1)
+    wide = ModulePresentation(ring7, 4, [[one] * 1000 for _ in range(4)])
+    with pytest.raises(ResourceLimitError, match="entries"):
+        check_level_budget(wide, 3)
+    check_level_budget(wide, 2)
+    # the largest corpus shape: 4 generators, 4 relations at the hard cap
+    square = ModulePresentation(RING, 4, [[T] * 4 for _ in range(4)])
+    check_level_budget(square, 4)
 
 
 def test_presentation_validation():

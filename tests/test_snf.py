@@ -296,3 +296,17 @@ def test_is_torsion_vector():
     assert res.is_torsion_vector([1, 0])
     assert not res.is_torsion_vector([0, 1])
     assert res.is_torsion_vector([3, 0])
+
+
+def test_reduce_vector_accepts_ints_beyond_int64():
+    # the random-subgroup selector scales generators by p-powers and the T-action
+    # reduces mod p^N, both past int64; only the residue mod p^W matters
+    ring = CoefficientRing(7, 1, 24)
+    rng = random.Random(11)
+    mat = [[rng.randrange(ring.modulus) for _ in range(6)] for _ in range(6)]
+    res = smith_normal_form(mat, ring, with_transforms=True, engine="int64")
+    w = [rng.randrange(res.modulus) for _ in range(6)]
+    big = [x * 7**13 + x + 5 * res.modulus for x in w]
+    scaled = [(x * 7**13 + x) % res.modulus for x in w]
+    assert max(big) > 2**63
+    assert res.reduce_vector(big) == res.reduce_vector(scaled)

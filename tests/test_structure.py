@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from finemw.errors import ClassificationError, HypothesisError, ValidationError
@@ -8,6 +10,7 @@ from finemw.presentations import (
     cyclic_module,
     direct_sum,
     free_module,
+    presentation_to_json,
 )
 from finemw.structure import (
     ElementaryType,
@@ -145,6 +148,82 @@ def test_verify_finite_quotients_random_selector_matches_full():
     mults = {sel: [l["multiplicities"] for l in rep["levels"]]
              for sel, rep in reps.items()}
     assert mults["zero"] == mults["full-torsion"] == mults["random-subgroup"]
+
+
+VERIFY_MODULES = {
+    "two_phi1": direct_sum(cyclic_module(RING, cyclotomic(RING, 1)),
+                           cyclic_module(RING, cyclotomic(RING, 1))),
+    "omega1": cyclic_module(RING, T * cyclotomic(RING, 1)),
+    "phi1_phi2": direct_sum(cyclic_module(RING, cyclotomic(RING, 1)),
+                            cyclic_module(RING, cyclotomic(RING, 2))),
+    "phi1_finite": direct_sum(cyclic_module(RING, cyclotomic(RING, 1)),
+                              finite_summand(RING, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_MODULES))
+def test_verify_finite_quotients_same_report_with_shared_analysis(name):
+    M = VERIFY_MODULES[name]
+    shared = analyze(M, 3)
+    etype = shared.classify()
+    for sel in ("zero", "full-torsion", "random-subgroup"):
+        alone = verify_finite_quotients(TowerSpec(M, sel, seed=3), 3)
+        assert verify_finite_quotients(TowerSpec(M, sel, seed=3), 3,
+                                       analysis=shared) == alone
+        assert verify_finite_quotients(TowerSpec(M, sel, seed=3), 3, expected=etype,
+                                       analysis=shared) == alone
+
+
+def test_verify_finite_quotients_rejects_a_foreign_analysis():
+    shared = analyze(VERIFY_MODULES["omega1"], 3)
+    with pytest.raises(ValidationError):
+        verify_finite_quotients(TowerSpec(VERIFY_MODULES["two_phi1"], "zero"), 3,
+                                analysis=shared)
+    with pytest.raises(ValidationError):
+        verify_finite_quotients(TowerSpec(VERIFY_MODULES["omega1"], "zero"), 4,
+                                analysis=shared)
+
+
+@pytest.mark.parametrize("name, torsion_levels, int64_tracked", [
+    ("phi1_phi2", [0, 1], 0),  # levels 2 and 3 are torsion-free
+    ("phi1_finite", [0, 1, 2, 3], 1),  # level 3 (250 x 375) runs the int64 kernel
+])
+def test_verify_reduces_each_distinct_matrix_once(name, torsion_levels, int64_tracked,
+                                                  monkeypatch, tmp_path, capsys):
+    from finemw import _kernels, presentations
+    from finemw.cli import main
+
+    reductions, kernel_calls = [], []
+    level_smith, snf_int64 = presentations._level_smith, _kernels.snf_int64
+
+    def counted_level_smith(fin, extra_columns=(), with_transforms=False, **kwargs):
+        reductions.append((fin.level, fin.component, len(tuple(extra_columns)),
+                           with_transforms))
+        return level_smith(fin, extra_columns, with_transforms, **kwargs)
+
+    def counted_snf_int64(A, p, m, track):
+        kernel_calls.append(track)
+        return snf_int64(A, p, m, track)
+
+    monkeypatch.setattr(presentations, "_level_smith", counted_level_smith)
+    monkeypatch.setattr(_kernels, "snf_int64", counted_snf_int64)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(presentation_to_json(VERIFY_MODULES[name])))
+    assert main(["verify", "--file", str(path), "--n-max", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    torsion = doc["checks"][0]["levels"]["torsion_orders"]
+    assert [n for n, t in enumerate(torsion) if t] == torsion_levels
+    assert [c["selector"] for c in doc["checks"][1:]] == ["zero", "full-torsion",
+                                                          "random-subgroup"]
+    assert all(c["verdict"] == "pass" for c in doc["checks"][1:])
+
+    plain = [r[0] for r in reductions if r[1] is None and not r[2] and not r[3]]
+    tracked = [r[0] for r in reductions if r[3]]
+    phi = [r[1] for r in reductions if r[1] is not None and not r[2]]
+    assert plain == [0, 1, 2, 3]
+    assert tracked == torsion_levels
+    assert sorted(phi) == [0, 1, 2, 3]
+    assert sum(1 for track in kernel_calls if track) == int64_tracked
 
 
 def test_verify_finite_quotients_rejects_free_modules():
