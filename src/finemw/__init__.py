@@ -16,6 +16,7 @@ from .errors import (
     NonUnitError,
     ResourceLimitError,
     SettingError,
+    UncertifiedError,
     ValidationError,
 )
 from .padics import CoefficientRing, RingElem, ZERO_AT_PRECISION, ring_arith, valuation

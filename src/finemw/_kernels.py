@@ -1,10 +1,17 @@
 """Low-level int64 Smith-form kernels for degree-1 coefficient rings.
 
-All arithmetic is exact in Z/p^W where W is chosen so that products of two
-reduced entries fit in int64.  The numba-jitted kernel is used when available;
-a vectorized numpy implementation with identical pivoting semantics is the
-fallback.  Pivot rule everywhere: globally minimal valuation, ties broken by
-lowest row index then lowest column index.
+All arithmetic is exact in Z/p^W, where W is chosen so that products of two
+reduced entries fit in int64.  Two numpy kernels share that working
+precision:
+
+* ``_snf_layered`` (divisor-only reductions) works one valuation layer at a
+  time.  ``_panel_factor`` finds a maximal set of unit pivots mod p in each
+  64-column panel by left-looking elimination, together with the inverse mod
+  p of the pivot block, and the trailing block takes one exact float64 BLAS
+  product per panel.
+* ``_snf_i64_numpy`` (reductions with transforms) pivots one entry at a time
+  on the globally minimal valuation, ties broken by lowest row index then
+  lowest column index; that order fixes the transforms.
 """
 
 from __future__ import annotations
@@ -16,20 +23,9 @@ import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised only on numba-less installs
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# There is no jitted kernel; the flag stays for callers that report which
+# Smith kernel runs (the benchmark harness's machine fingerprint).
+HAVE_NUMBA = False
 
 
 def int64_precision_cap(p: int) -> int:
@@ -39,119 +35,6 @@ def int64_precision_cap(p: int) -> int:
     while p ** (cap + 1) <= limit:
         cap += 1
     return cap
-
-
-@njit(cache=True)
-def _modinv_i64(a, m):
-    # extended Euclid; a is a unit mod m
-    old_r, r = a % m, m
-    old_s, s = 1, 0
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_s % m
-
-
-@njit(cache=True)
-def _snf_i64(A, p, m, exps, U, Uinv, V, Vinv, track):
-    R, C = A.shape
-    npiv = 0
-    kmax = R if R < C else C
-    for k in range(kmax):
-        # locate the minimum-valuation entry of the active block
-        best_v = -1
-        bi = -1
-        bj = -1
-        done = False
-        for i in range(k, R):
-            for j in range(k, C):
-                a = A[i, j]
-                if a != 0:
-                    v = 0
-                    while a % p == 0:
-                        a //= p
-                        v += 1
-                    if best_v == -1 or v < best_v:
-                        best_v = v
-                        bi = i
-                        bj = j
-                        if v == 0:
-                            done = True
-                            break
-            if done:
-                break
-        if best_v == -1:
-            break
-        # move pivot to (k, k)
-        if bi != k:
-            for c in range(C):
-                t = A[k, c]
-                A[k, c] = A[bi, c]
-                A[bi, c] = t
-            if track >= 1:
-                for c in range(U.shape[1]):
-                    t = U[k, c]
-                    U[k, c] = U[bi, c]
-                    U[bi, c] = t
-                for r in range(Uinv.shape[0]):
-                    t = Uinv[r, k]
-                    Uinv[r, k] = Uinv[r, bi]
-                    Uinv[r, bi] = t
-        if bj != k:
-            for r in range(R):
-                t = A[r, k]
-                A[r, k] = A[r, bj]
-                A[r, bj] = t
-            if track >= 2:
-                for r in range(V.shape[0]):
-                    t = V[r, k]
-                    V[r, k] = V[r, bj]
-                    V[r, bj] = t
-                for c in range(Vinv.shape[1]):
-                    t = Vinv[k, c]
-                    Vinv[k, c] = Vinv[bj, c]
-                    Vinv[bj, c] = t
-        pv = 1
-        for _ in range(best_v):
-            pv *= p
-        # normalize the pivot row by the inverse of the pivot's unit part
-        u = A[k, k] // pv
-        uinv = _modinv_i64(u % m, m)
-        for c in range(k, C):
-            A[k, c] = (A[k, c] * uinv) % m
-        if track >= 1:
-            for c in range(U.shape[1]):
-                U[k, c] = (U[k, c] * uinv) % m
-            for r in range(Uinv.shape[0]):
-                Uinv[r, k] = (Uinv[r, k] * u) % m
-        # clear the pivot column below
-        for r in range(k + 1, R):
-            a = A[r, k]
-            if a != 0:
-                q = a // pv
-                for c in range(k, C):
-                    A[r, c] = (A[r, c] - q * A[k, c]) % m
-                if track >= 1:
-                    for c in range(U.shape[1]):
-                        U[r, c] = (U[r, c] - q * U[k, c]) % m
-                    for rr in range(Uinv.shape[0]):
-                        Uinv[rr, k] = (Uinv[rr, k] + q * Uinv[rr, r]) % m
-        # clear the pivot row to the right; the pivot column is zero elsewhere,
-        # so these column operations only touch row k
-        for c in range(k + 1, C):
-            a = A[k, c]
-            if a != 0:
-                q = a // pv
-                A[k, c] = 0
-                if track >= 2:
-                    for r in range(V.shape[0]):
-                        V[r, c] = (V[r, c] - q * V[r, k]) % m
-                    for cc in range(Vinv.shape[1]):
-                        Vinv[k, cc] = (Vinv[k, cc] + q * Vinv[c, cc]) % m
-        exps[npiv] = best_v
-        npiv += 1
-    return npiv
 
 
 def _combine_mod(hi, lo, m):
@@ -174,7 +57,11 @@ def _vecmat_rows_mod(q, M, m):
 
 
 def _snf_i64_numpy(A, p, m, exps, U, Uinv, V, Vinv, track):
-    """Vectorized fallback with the same pivot semantics as _snf_i64."""
+    """Per-pivot kernel: minimal valuation first, ties by lowest row then column.
+
+    Fills ``exps`` and returns the pivot count; U, Uinv (track >= 1) and V,
+    Vinv (track >= 2) are updated in place so that U A V is diagonal.
+    """
     R, C = A.shape
     npiv = 0
     for k in range(min(R, C)):
@@ -327,16 +214,12 @@ def _mulmod(L, K, m):
     return -_mul_sub(L, _digits(K, m, h), m, h) % m
 
 
-def _residues(X, p):
-    """X mod p as float64 when p^2 < 2^53 (then ``_reduce`` is exact), else int64."""
-    return (X % p).astype(np.float64 if p * p < _EXACT else np.int64)
-
-
 def _reduce(Y, p):
-    """Y %= p in place, for integers of magnitude below p^2 + p.
+    """Y %= p in place, for integers of magnitude below 2^52.
 
-    For float64 arrays x - p floor(x / p) is exact and several times faster
-    than the int64 remainder.
+    For float64 arrays x - p floor(x / p) is exact there (the quotient is
+    rounded by less than half its distance to the next integer) and several
+    times faster than the int64 remainder.
     """
     if Y.dtype == np.float64:
         Y -= p * np.floor(Y / p)
@@ -344,49 +227,114 @@ def _reduce(Y, p):
         Y %= p
 
 
-def _panel_pivots(P, p):
-    """Rank profile mod p of the panel P (``_residues``, changed in place).
+def _residue_ops(p, inner):
+    """(dtype, mul, submul) for exact residue arithmetic mod p, inner dimension <= inner.
 
-    Returns parallel lists (rows, cols) of unit pivots, found column by column
-    with the lowest eligible row; pivot rows are zeroed once used.
+    mul(A, B) is (A @ B) mod p and submul(X0, A, B) is (X0 - A @ B) mod p,
+    for operands with entries in [0, p).  They run in float64 BLAS while
+    every partial sum stays below 2^52, where ``_reduce`` is exact too, and
+    otherwise in int64 through the split products of ``_mul_sub``: for
+    p = 2^31 - 1 already two products of residues overflow int64.
     """
+    if inner * (p - 1) ** 2 + p < 1 << 52:
+        def submul(X0, A, B):
+            Y = X0 - A @ B
+            _reduce(Y, p)
+            return Y
+
+        def mul(A, B):
+            Y = A @ B
+            _reduce(Y, p)
+            return Y
+
+        return np.float64, mul, submul
+    h = _split_bits(p, inner)
+
+    def submul(X0, A, B):
+        return _mul_sub(A, _digits(B, p, h), p, h, X0=X0)
+
+    def mul(A, B):
+        return -_mul_sub(A, _digits(B, p, h), p, h) % p
+
+    return np.int64, mul, submul
+
+
+def _unit_triangular_inverse(T, p, mul):
+    """Inverse mod p of a unit triangular T, as (I + N)(I + N^2)(I + N^4)...
+
+    N = I - T is nilpotent (N^s = 0 for s x s), so the inverse is the sum of
+    N^k for k < s; each factor I + N^span doubles the number of terms, which
+    takes O(log s) products.
+    """
+    s = T.shape[0]
+    eye = np.eye(s, dtype=T.dtype)
+    N = eye - T
+    _reduce(N, p)
+    X = eye + N
+    span = 2  # X is the sum of N^k for k < span
+    while span < s:
+        N = mul(N, N)
+        X += mul(X, N)
+        _reduce(X, p)
+        span *= 2
+    return X
+
+
+def _panel_factor(P, p):
+    """Rank profile mod p of the panel P and the inverse mod p of its pivot block.
+
+    P is an int64 panel; only its residues mod p matter.  Left-looking
+    elimination: the residual P[:, j] - L[:, :t] U[:t, j] of column j is
+    formed only when j is reached, by one mat-vec over the rows, and its
+    lowest nonzero row i becomes pivot t.  L[:, t] is that residual scaled
+    to L[i, t] = 1 and U[t] is the residual P[i] - L[i, :t] U[:t] of row i,
+    zero left of column j.  Nothing else touches the panel.
+
+    Returns parallel lists (rows, cols) of the unit pivots, found column by
+    column with the lowest eligible row, and Ginv, the inverse mod p of the
+    pivot block G = P[rows][:, cols] (None without pivots).  Pivot rows have
+    a zero residual after their pivot, so G = L[rows] U[:, cols] is unit
+    lower times upper triangular, and Ginv = U[:, cols]^-1 L[rows]^-1.
+    """
+    R, w = P.shape
+    dtype, mul, submul = _residue_ops(p, w)
+    P = np.asfortranarray((P % p).astype(dtype))
+    L = np.empty((R, w), dtype=dtype, order="F")
+    U = np.empty((w, w), dtype=dtype)
     rows, cols = [], []
-    for j in range(P.shape[1]):
-        col = P[:, j]
-        i = int(np.argmax(col != 0))
-        if col[i] == 0:
+    for j in range(w):
+        t = len(rows)
+        c = submul(P[:, j], L[:, :t], U[:t, j]) if t else P[:, j]
+        i = int(np.argmax(c != 0))
+        if not c[i]:
             continue
-        f = col * pow(int(col[i]), -1, p)
-        _reduce(f, p)
-        rest = P[:, j + 1:]
-        rest -= f[:, None] * P[i, j + 1:][None, :]
-        _reduce(rest, p)
+        np.multiply(c, pow(int(c[i]), -1, p), out=L[:, t])
+        _reduce(L[:, t], p)
+        U[t, :j] = 0
+        U[t, j:] = submul(P[i, j:], L[i, :t], U[:t, j:]) if t else P[i, j:]
         rows.append(i)
         cols.append(j)
-    return rows, cols
+    if not rows:
+        return rows, cols, None
+    s = len(rows)
+    Ubar = U[:s, cols]
+    # Ubar = (Ubar D^-1) D with D its diagonal, and Ubar D^-1 is unit upper
+    dinv = np.array([pow(int(d), -1, p) for d in np.diagonal(Ubar)], dtype=dtype)
+    Ubar = Ubar * dinv[None, :]
+    _reduce(Ubar, p)
+    Uinv = dinv[:, None] * _unit_triangular_inverse(Ubar, p, mul)
+    _reduce(Uinv, p)
+    return rows, cols, mul(Uinv, _unit_triangular_inverse(L[rows, :s], p, mul))
 
 
-def _inv_mod(G, p, m):
-    """Inverse mod m = p^w of G, whose leading principal minors are units mod p.
+def _inv_mod(G, Ginv, p, m):
+    """Inverse mod m = p^w of G, given its inverse Ginv mod p.
 
-    Gauss-Jordan elimination without row exchanges finds the inverse mod p;
-    Newton steps X <- X - X (G X - I) then double the p-adic precision of X
-    until it reaches m.
+    Newton steps X <- X - X (G X - I) double the p-adic precision of X until
+    it reaches m.
     """
     s = G.shape[0]
-    X = _residues(G, p)
-    for t in range(s):  # in place: column t becomes column t of the inverse
-        u = int(X[t, t])
-        assert u, "panel pivot block is singular mod p"
-        X[t, t] = 1
-        X[t] *= pow(u, -1, p)
-        _reduce(X[t], p)
-        f = X[:, t].copy()
-        f[t] = 0
-        X[:, t] = np.where(np.arange(s) == t, X[:, t], 0)
-        X -= f[:, None] * X[t][None, :]
-        _reduce(X, p)
-    X = X.astype(np.int64)
+    X = Ginv.astype(np.int64)
     h = _split_bits(m, s)
     eye = np.eye(s, dtype=np.int64)
     precision = p
@@ -409,7 +357,7 @@ def _unit_layer(X, p, m, h):
     done = 0
     while done < X.shape[1] and X.shape[0]:
         hi = min(done + PANEL, X.shape[1])
-        prow, pcol = _panel_pivots(_residues(X[:, done:hi], p), p)
+        prow, pcol, Ginv = _panel_factor(X[:, done:hi], p)
         if not prow:
             done = hi
             continue
@@ -418,7 +366,7 @@ def _unit_layer(X, p, m, h):
         rest = np.setdiff1d(np.arange(X.shape[0]), prow)
         keep = np.setdiff1d(np.arange(X.shape[1]), pcol)
         # K = G^-1 X[P, keep]; the Schur complement is X[rest, keep] - X[rest, Q] K
-        Ginv = _inv_mod(X[np.ix_(prow, pcol)], p, m)
+        Ginv = _inv_mod(X[np.ix_(prow, pcol)], Ginv, p, m)
         K = _digits(_mulmod(Ginv, X[np.ix_(prow, keep)], m), m, h)
         # Row i of the result comes from row rest[i] >= i, so compacting into
         # the leading rows in increasing chunks never overwrites a source row.
@@ -482,8 +430,7 @@ def snf_int64(A: np.ndarray, p: int, m: int, track: int):
     else:
         V = Vinv = np.zeros((1, 1), dtype=np.int64)
     if R and C:
-        kernel = _snf_i64 if HAVE_NUMBA else _snf_i64_numpy
-        npiv = kernel(A, p, m, exps, U, Uinv, V, Vinv, track)
+        npiv = _snf_i64_numpy(A, p, m, exps, U, Uinv, V, Vinv, track)
     else:
         npiv = 0
     exponents = [int(e) for e in exps[:npiv]]

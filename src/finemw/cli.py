@@ -1,7 +1,8 @@
 """Command-line entry points: predict, classify, verify, oracle.
 
 Exit codes: 0 success, 1 oracle-suite failures, 2 invalid input, 3 theorem
-hypothesis violated by the data, 4 resource budget exceeded.  All reports are
+hypothesis violated by the data, 4 resource budget exceeded, 5 level data not
+certified at its working precision (classification refused).  All reports are
 deterministic for fixed inputs and seeds (sorted keys, no timestamps) and can
 be emitted as JSON or text.  File writes go through a temp-file rename.
 """
@@ -23,6 +24,7 @@ from .errors import (
     InvalidRankTableError,
     ResourceLimitError,
     SettingError,
+    UncertifiedError,
     ValidationError,
 )
 from .oracle import roundtrip_suite
@@ -48,6 +50,7 @@ EXIT_SUITE_FAILURES = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_RESOURCE = 4
+EXIT_UNCERTIFIED = 5
 
 
 @dataclass(frozen=True)
@@ -385,6 +388,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except UncertifiedError as exc:
+        print(f"uncertified: {exc}", file=sys.stderr)
+        return EXIT_UNCERTIFIED
     except FinemwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,7 +1,8 @@
 """Exception taxonomy shared by the whole package.
 
 The CLI maps these onto exit codes: validation problems exit 2,
-hypothesis violations exit 3, resource-budget violations exit 4.
+hypothesis violations exit 3, resource-budget violations exit 4, level data
+that is not certified at its precision exits 5.
 """
 
 
@@ -47,3 +48,13 @@ class ClassificationError(FinemwError):
     def __init__(self, message, level=None):
         super().__init__(message)
         self.level = level
+
+
+class UncertifiedError(FinemwError):
+    """Level data was computed below the precision it needs.
+
+    Raised instead of fitting a type to coinvariants whose Smith reduction
+    ran at a reduced working precision on a matrix with entries or exponents
+    that deep, when the full-precision rerun was over its size limit:
+    summands may then be missing from the torsion and counted as free rank.
+    """

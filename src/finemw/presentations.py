@@ -177,6 +177,7 @@ class FinLevelModule:
             self.modulus_poly = cyclotomic(pres.ring, component)
         self.q = self.modulus_poly.degree()
         self._wrap = _wrap_vector(pres.ring, self.modulus_poly)
+        self._reduced = {}  # (i, j) -> reduced relation entry
 
     @property
     def nrows(self) -> int:
@@ -221,9 +222,13 @@ class FinLevelModule:
     # -- expanded matrices --------------------------------------------------
 
     def reduced_entry(self, i, j) -> IwasawaPoly:
-        f = self.presentation.relations[i][j]
-        if f.degree() >= self.q:
-            f = weierstrass_divide(f, self.modulus_poly)[1]
+        """Relation entry (i, j) reduced modulo the expansion modulus, divided once."""
+        f = self._reduced.get((i, j))
+        if f is None:
+            f = self.presentation.relations[i][j]
+            if f.degree() >= self.q:
+                f = weierstrass_divide(f, self.modulus_poly)[1]
+            self._reduced[i, j] = f
         return f
 
     def reduce_ambient_column(self, col):
@@ -385,6 +390,7 @@ class CoinvariantStructure:
     certified: list  # per exponent
     smith: object = None
     fin_level: object = None
+    rank_certified: bool = True  # False: deep summands may count as free rank
 
     @property
     def torsion_order(self) -> int:
@@ -393,7 +399,7 @@ class CoinvariantStructure:
 
     @property
     def all_certified(self) -> bool:
-        return all(self.certified)
+        return self.rank_certified and all(self.certified)
 
 
 def coinvariants(M: ModulePresentation, n: int, with_transforms: bool = False,
@@ -417,6 +423,7 @@ def _structure_from_smith(fin, smith) -> CoinvariantStructure:
         certified=[c for _, c in torsion],
         smith=smith,
         fin_level=fin,
+        rank_certified=smith.certified,
     )
 
 
@@ -446,9 +453,10 @@ def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
         result = SmithResult(ring, "int64", W, R, C, exps, transforms)
         suspicious = (any(e >= W - 2 for e in result.exponents)
                       or fin.has_deep_entries(W - 2))
-        if W < target and suspicious and R * C <= RETRY_SIZE_LIMIT:
-            engine = "python"
-        else:
+        if not (W < target and suspicious):
+            return result
+        if R * C > RETRY_SIZE_LIMIT:
+            result.certified = False
             return result
     rows = fin.matrix_coords(extra_columns=extra_columns)
     R = len(rows)

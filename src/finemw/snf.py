@@ -8,20 +8,21 @@ succeeds and the divisor valuations come out sorted.  Two engines:
   lowest row then column).  Used for small matrices and as the
   certification fallback.
 * ``int64``: numpy kernels for degree-1 rings at a reduced working
-  precision p^W with W = min(N, int64 cap).  Divisor-only reductions use
-  the valuation-layered kernel of ``_kernels`` on every machine; reductions
-  with transforms keep that per-pivot rule (numba-jitted when numba is
-  installed).  The exponents are the Smith invariants mod p^W either way.
-  Exponents below W - 2 are identical to the full-precision answer;
-  anything at or above that threshold triggers a fallback or an
-  "uncertified" flag.
+  precision p^W with W = min(N, int64 cap).  Divisor-only reductions run
+  the valuation-layered kernel of ``_kernels``, whose unit pivots come from
+  a left-looking panel factorisation; reductions with transforms run its
+  per-pivot kernel.  The exponents are the Smith invariants mod p^W either
+  way.  Exponents below W - 2 are identical to the full-precision answer.
+  An exponent at or above that threshold, or an input entry that deep,
+  triggers a full-precision rerun when the matrix is small enough, and
+  otherwise marks the result uncertified (``SmithResult.certified``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import int64_precision_cap, snf_int64
+from ._kernels import _mulmod, int64_precision_cap, snf_int64
 from .errors import ValidationError
 from .padics import CoefficientRing, RingElem, _int_valuation
 
@@ -61,7 +62,7 @@ class SmithResult:
     """
 
     def __init__(self, ring, engine, precision_used, nrows, ncols, exponents,
-                 transforms=None):
+                 transforms=None, certified=True):
         self.ring = ring
         self.engine = engine
         self.precision_used = precision_used
@@ -70,6 +71,10 @@ class SmithResult:
         self.exponents = list(exponents)
         self._transforms = transforms
         self.modulus = ring.prime**precision_used
+        # False when a reduced-precision run met entries or exponents at its
+        # certification threshold and no full-precision rerun was made: then
+        # summands deeper than the working precision may count as free rank
+        self.certified = certified
 
     # -- structure ------------------------------------------------------------
 
@@ -129,7 +134,7 @@ class SmithResult:
             # callers pass Python ints beyond int64 (p-power scalings, T-action
             # mod p^N); reduce before converting
             w = np.asarray([int(x) % self.modulus for x in w], dtype=np.int64)
-            return [int(x) for x in _matvec_mod(U, w, self.modulus)]
+            return [int(x) for x in _mulmod(U, w[:, None], self.modulus)[:, 0]]
         pn = self.modulus
         out = []
         for row in U:
@@ -199,24 +204,15 @@ def _is_zero_mod(x, modulus):
     return int(x) % modulus == 0
 
 
-def _matvec_mod(M, w, m):
-    """(M @ w) % m with int64 matrices, splitting w to avoid overflow."""
-    w = w % m
-    lo = w & 0xFFFF
-    hi = w >> 16
-    acc_lo = (M * lo[None, :] % m).sum(axis=1) % m if M.size else np.zeros(M.shape[0], np.int64)
-    acc_hi = (M * hi[None, :] % m).sum(axis=1) % m if M.size else np.zeros(M.shape[0], np.int64)
-    return (acc_hi % m * (1 << 16) + acc_lo) % m
-
-
 def smith_normal_form(rows, ring: CoefficientRing, with_transforms: bool = False,
                       engine: str | None = None) -> SmithResult:
     """Diagonalize a matrix over the coefficient ring by unimodular transforms.
 
     ``rows`` is a sequence of rows of RingElem/int/coordinate entries.  The
-    returned exponents are sorted ascending; torsion exponents at or above the
-    certification threshold force a full-precision rerun when the matrix is
-    small enough, otherwise they are reported uncertified.
+    returned exponents are sorted ascending.  An int64 run whose exponents or
+    input entries reach the certification threshold is redone at full
+    precision when the matrix is small enough; otherwise the result has
+    ``certified`` False.
     """
     mat, R, C = _normalize_rows(rows, ring)
     if engine is None:
@@ -232,9 +228,10 @@ def smith_normal_form(rows, ring: CoefficientRing, with_transforms: bool = False
         wprec = result.precision_used
         suspicious = (any(e >= wprec - 2 for e in result.exponents)
                       or _has_deep_entries(mat, ring.prime, wprec - 2))
-        if (wprec < ring.precision_exponent and suspicious
-                and R * C <= RETRY_SIZE_LIMIT):
-            result = _run_python(mat, R, C, ring, track)
+        if wprec < ring.precision_exponent and suspicious:
+            if R * C <= RETRY_SIZE_LIMIT:
+                return _run_python(mat, R, C, ring, track)
+            result.certified = False
         return result
     if engine == "python":
         return _run_python(mat, R, C, ring, track)

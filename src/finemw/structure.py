@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from . import presentations
-from .errors import ClassificationError, HypothesisError, ValidationError
+from .errors import ClassificationError, HypothesisError, UncertifiedError, ValidationError
 from .polynomials import IwasawaPoly, phi_degree, default_max_level
 from .presentations import (
     ModulePresentation,
@@ -145,6 +145,12 @@ class StructureAnalysis:
         return ms
 
     def classify(self) -> ElementaryType:
+        """Fit the elementary type; uncertified level data is refused, not fitted."""
+        if not self.certified:
+            levels = [s.level for s in self.structures if not s.all_certified]
+            raise UncertifiedError(
+                f"levels {levels} are not certified at their working precision; "
+                "refusing to classify")
         p = self.p
         ms = self.multiplicities()
         r = ms[self.n_max]

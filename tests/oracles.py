@@ -79,6 +79,32 @@ def rank_q(rows):
     return rank
 
 
+def column_rank_profile_mod_p(rows, p):
+    """Indices of the columns independent of all earlier ones, over Z/p.
+
+    Textbook Gauss-Jordan elimination on Python ints, column by column; the
+    length of the result is the rank mod p.
+    """
+    mat = [[x % p for x in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    profile = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        profile.append(c)
+        r += 1
+    return profile
+
+
 def integer_smith_p_exponents(rows, p):
     """p-valuations of the nonzero invariant factors of an exact integer matrix.
 

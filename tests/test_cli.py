@@ -9,6 +9,7 @@ from finemw.polynomials import IwasawaPoly, cyclotomic
 from finemw.presentations import (
     ModulePresentation,
     cyclic_module,
+    direct_sum,
     free_module,
     presentation_to_json,
 )
@@ -138,6 +139,20 @@ def test_classify_exit_4_on_relation_entries(capsys, tmp_path):
     code = main(["classify", "--file", str(path), "--n-max", "3"])
     assert code == 4
     assert "entries" in capsys.readouterr().err
+
+
+def test_classify_exit_5_on_uncertified_levels(capsys, tmp_path):
+    # Lambda/(7^12) + (Lambda/Phi_1)^3: level 3 runs at 7^11, where the 7^12
+    # summands vanish, and is too large to redo at full precision
+    ring = CoefficientRing(7, 1, 24)
+    M = direct_sum(cyclic_module(ring, IwasawaPoly.constant(ring, 7**12)),
+                   *[cyclic_module(ring, cyclotomic(ring, 1))] * 3)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(presentation_to_json(M)))
+    code = main(["classify", "--file", str(path), "--n-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert "not certified" in captured.err
 
 
 def test_classify_exit_3_when_torsion_trend_has_no_fit(capsys, tmp_path, schema):

@@ -5,9 +5,9 @@ import pytest
 
 from finemw.padics import CoefficientRing
 from finemw.snf import smith_normal_form
-from finemw._kernels import (HAVE_NUMBA, PANEL, _mulmod, _snf_i64_numpy, _split_bits,
-                             int64_precision_cap, snf_int64)
-from oracles import integer_smith_p_exponents
+from finemw._kernels import (PANEL, _inv_mod, _mulmod, _panel_factor, _snf_i64_numpy,
+                             _split_bits, int64_precision_cap, snf_int64)
+from oracles import column_rank_profile_mod_p, integer_smith_p_exponents
 
 RING = CoefficientRing(5, 1, 24)
 RING10 = CoefficientRing(5, 1, 10)
@@ -158,24 +158,48 @@ def test_exact_split_product_worst_case(p, W):
         _split_bits(m, 2**23)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba kernel not available")
-def test_numba_and_numpy_kernels_agree():
-    rng = random.Random(13)
-    p, W = 5, 10
-    m = p**W
-    for _ in range(25):
-        R, C = rng.randrange(1, 8), rng.randrange(1, 8)
-        A = np.array([[rng.randrange(m) for _ in range(C)] for _ in range(R)],
-                     dtype=np.int64)
-        e1, *t1 = snf_int64(A.copy(), p, m, 2)
-        exps2 = np.empty(min(R, C), dtype=np.int64)
-        U = np.eye(R, dtype=np.int64)
-        Ui = np.eye(R, dtype=np.int64)
-        V = np.eye(C, dtype=np.int64)
-        Vi = np.eye(C, dtype=np.int64)
-        B = A.copy()
-        n2 = _snf_i64_numpy(B, p, m, exps2, U, Ui, V, Vi, 2)
-        assert e1 == [int(x) for x in exps2[:n2]]
+def _panel_cases(p, rng):
+    """Panels with R < w, R > w, all zeros, leading zero columns and rank deficiency."""
+    def panel(R, w):
+        return rng.integers(0, p, size=(R, w), dtype=np.int64) * rng.integers(1, 4)
+
+    yield panel(5, PANEL)
+    yield panel(3 * PANEL // 2, PANEL)
+    yield panel(PANEL, PANEL)
+    yield np.zeros((9, 7), dtype=np.int64)
+    A = panel(40, 20)
+    A[:, :6] = 0
+    yield A
+    A = panel(50, PANEL)  # rank <= 20: combinations of 20 rows, and dependent columns
+    A[20:] = rng.integers(0, 3, size=(30, 20)) @ (A[:20] % p) % p
+    A[:, 40:] = A[:, :24] * 3 % p
+    yield A
+    yield p * rng.integers(0, 3, size=(8, 8)) + np.eye(8, dtype=np.int64)  # only residues count
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 2**31 - 1])
+def test_panel_factor_rank_profile_and_pivot_block_inverse(p):
+    rng = np.random.default_rng(p % 1000)
+    for P in _panel_cases(p, rng):
+        rows, cols, Ginv = _panel_factor(P.copy(), p)
+        assert cols == column_rank_profile_mod_p(P.tolist(), p)
+        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+        if not rows:
+            assert Ginv is None
+            continue
+        G = P[np.ix_(rows, cols)].astype(object)
+        assert ((G @ Ginv.astype(np.int64).astype(object)) % p
+                == np.eye(len(rows), dtype=object)).all()
+
+
+def test_pivot_block_inverse_lifts_to_the_working_precision():
+    rng = np.random.default_rng(3)
+    p, m = 7, 7**11
+    P = rng.integers(0, m, size=(80, PANEL))
+    rows, cols, Ginv = _panel_factor(P, p)
+    G = P[np.ix_(rows, cols)]
+    X = _inv_mod(G, Ginv, p, m)
+    assert ((G.astype(object) @ X.astype(object)) % m == np.eye(len(rows), dtype=object)).all()
 
 
 def _check_uav(matrix, ring, engine):
@@ -310,3 +334,31 @@ def test_reduce_vector_accepts_ints_beyond_int64():
     scaled = [(x * 7**13 + x) % res.modulus for x in w]
     assert max(big) > 2**63
     assert res.reduce_vector(big) == res.reduce_vector(scaled)
+
+
+def test_reduce_vector_matches_python_int_product():
+    ring = CoefficientRing(7, 1, 24)
+    rng = random.Random(12)
+    R = 70
+    mat = [[rng.randrange(ring.modulus) * 7 ** rng.choice((0, 0, 1)) for _ in range(R + 3)]
+           for _ in range(R)]
+    res = smith_normal_form(mat, ring, with_transforms=True, engine="int64")
+    U = res.transforms[0]
+    for _ in range(3):
+        w = [rng.randrange(-2**80, 2**80) for _ in range(R)]
+        expect = [sum(int(U[i, j]) * x for j, x in enumerate(w)) % res.modulus
+                  for i in range(R)]
+        assert res.reduce_vector(w) == expect
+
+
+def test_oversized_suspicious_reduction_is_uncertified():
+    # a 5^15 entry vanishes at the int64 working precision 5^13; too large to
+    # redo at full precision, so the result must not claim to be certified
+    ring = CoefficientRing(5, 1, 24)
+    n = 250
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    mat[0][0] = 5**15
+    res = smith_normal_form(mat, ring, engine="int64")
+    assert res.precision_used == 13 and res.rank == n - 1
+    assert not res.certified
+    assert smith_normal_form([[5**15]], ring, engine="int64").certified

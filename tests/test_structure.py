@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from finemw.errors import ClassificationError, HypothesisError, ValidationError
+from finemw.errors import (ClassificationError, HypothesisError, UncertifiedError,
+                           ValidationError)
 from finemw.padics import CoefficientRing
 from finemw.polynomials import IwasawaPoly, cyclotomic
 from finemw.presentations import (
@@ -14,6 +15,7 @@ from finemw.presentations import (
 )
 from finemw.structure import (
     ElementaryType,
+    StructureAnalysis,
     TowerSpec,
     analyze,
     classify_elementary,
@@ -297,3 +299,25 @@ def test_classification_over_quadratic_coefficients():
     assert t.free_rank == 0
     assert t.cyclo_multiplicities == {1: 1}
     assert t.mu == 0 and t.residual_lambda == 1
+
+
+def deep_summand_module():
+    """Lambda/(7^12) + (Lambda/Phi_1)^3 at p = 7: the 7^12 summands vanish at
+    the int64 working precision 7^11 of the 1372-row level-3 matrix."""
+    ring = CoefficientRing(7, 1, 24)
+    return direct_sum(cyclic_module(ring, IwasawaPoly.constant(ring, 7**12)),
+                      *[cyclic_module(ring, cyclotomic(ring, 1))] * 3)
+
+
+def test_unrerun_reduced_precision_level_is_uncertified():
+    analysis = StructureAnalysis(deep_summand_module(), 3)
+    top = analysis.structures[3]
+    # the summands lost at 7^11 show up as free rank; the data must say so
+    assert top.smith.precision_used == 11 and top.free_rank == 361
+    assert not top.all_certified and not analysis.certified
+    assert all(s.all_certified for s in analysis.structures[:3])
+    assert analysis.evidence()["certified"] is False
+    with pytest.raises(UncertifiedError, match=r"levels \[3\]"):
+        analysis.classify()
+    with pytest.raises(UncertifiedError):
+        verify_rank_identity(analysis.presentation, analysis=analysis)
