@@ -1,17 +1,22 @@
 """Low-level int64 Smith-form kernels for degree-1 coefficient rings.
 
-All arithmetic is exact in Z/p^W, where W is chosen so that products of two
-reduced entries fit in int64.  Two numpy kernels share that working
-precision:
+All arithmetic is exact in Z/m for a prime power m = p^w whose residues fit
+in int64.  Two numpy kernels:
 
 * ``_snf_layered`` (divisor-only reductions) works one valuation layer at a
   time.  ``_panel_factor`` finds a maximal set of unit pivots mod p in each
   64-column panel by left-looking elimination, together with the inverse mod
-  p of the pivot block, and the trailing block takes one exact float64 BLAS
-  product per panel.
+  p of the pivot block, and the trailing block takes one exact product per
+  panel.  Products run in float64 BLAS on digit splits (``_exact_split``):
+  one operand in base-2^h digits and the other whole where that is exact
+  (two products for p = 5, 7 at the reduced working precision p^W), and
+  otherwise both operands in base-p^a digits, which reaches the ring's own
+  p^N for p <= 5 at N = 24 (``exact_products``).
 * ``_snf_i64_numpy`` (reductions with transforms) pivots one entry at a time
   on the globally minimal valuation, ties broken by lowest row index then
-  lowest column index; that order fixes the transforms.
+  lowest column index; that order fixes the transforms.  It needs the
+  products of two residues to fit int64, so it runs at p^W with W at most
+  ``int64_precision_cap(p)``.
 """
 
 from __future__ import annotations
@@ -174,44 +179,131 @@ def _split_bits(m, inner):
     return h
 
 
-def _digits(K, m, h):
-    """Base-2^h digits of K (entries in [0, m)) as float64 arrays, low first."""
-    mask = (1 << h) - 1
-    out = []
-    shift = 0
-    while shift == 0 or (m - 1) >> shift:
-        out.append(((K >> shift) & mask).astype(np.float64))
-        shift += h
-    return out
+class _BitSplit:
+    """Exact products mod m with one operand whole, the other in base-2^h digits.
 
-
-def _mul_sub(L, digits, m, h, X0=None):
-    """Exact (X0 - L @ K) % m, K given by its ``_digits``; X0 defaults to 0.
-
-    Entries of L, K and X0 lie in [0, m).  Each digit product runs in float64
-    BLAS and is exact by ``_split_bits``; the low one is subtracted unreduced
-    and the others after one reduction, so the result takes two int64 passes
-    of ``%`` for two digits.
+    h comes from ``_split_bits``.  The low digit product is subtracted
+    unreduced and the others after one reduction, so two digits take two
+    int64 passes of ``%``.
     """
-    Lf = L.astype(np.float64)
-    acc = (Lf @ digits[0]).astype(np.int64)
-    if X0 is None:
-        np.negative(acc, out=acc)
-    else:
-        np.subtract(X0, acc, out=acc)
-    for d, D in enumerate(digits[1:], 1):
-        t = (Lf @ D).astype(np.int64)
-        t %= m
-        t <<= h * d
-        acc -= t
-    acc %= m
-    return acc
+
+    def __init__(self, m, inner):
+        self.m = m
+        self.h = _split_bits(m, inner)
+        self.products = -(-max(1, (m - 1).bit_length()) // self.h)
+
+    def digits(self, K):
+        """Base-2^h digits of K (entries in [0, m)) as float64 arrays, low first."""
+        mask = (1 << self.h) - 1
+        return [((K >> (self.h * d)) & mask).astype(np.float64) for d in range(self.products)]
+
+    def mul_sub(self, L, digits, X0=None):
+        """Exact (X0 - L @ K) % m, K given by its ``digits``; X0 defaults to 0."""
+        Lf = L.astype(np.float64)
+        acc = (Lf @ digits[0]).astype(np.int64)
+        if X0 is None:
+            np.negative(acc, out=acc)
+        else:
+            np.subtract(X0, acc, out=acc)
+        for d, D in enumerate(digits[1:], 1):
+            t = (Lf @ D).astype(np.int64)
+            t %= self.m
+            t <<= self.h * d
+            acc -= t
+        acc %= self.m
+        return acc
 
 
-def _mulmod(L, K, m):
-    """Exact (L @ K) % m for int64 operands with entries in [0, m)."""
-    h = _split_bits(m, max(1, L.shape[1]))
-    return -_mul_sub(L, _digits(K, m, h), m, h) % m
+class _PadicSplit:
+    """Exact products mod m = p^w with both operands in base-p^a digits.
+
+    L K = sum over i, j of L_i K_j p^(a(i+j)), and mod p^w only the pairs
+    with a(i+j) < w are left: 6 products for 3 digits.  Each digit product
+    runs in float64 BLAS, exact while inner (p^a - 1)^2 < 2^53.  The
+    products with one s = i + j are summed in int64 and reduced mod
+    p^(w - a s) before they are scaled by p^(a s), so every scaled term stays
+    below m; X0, the unreduced s = 0 term and the others must sum below 2^63.
+    """
+
+    def __init__(self, p, m, inner):
+        w = 0
+        while p**w < m:
+            w += 1
+        a = 0
+        while inner * (p ** (a + 1) - 1) ** 2 < _EXACT:
+            a += 1
+        ndigits = -(-w // a) if a else 0
+        if (p**w != m or not a
+                or m + _EXACT + (ndigits - 1) * (m - 1) >= 1 << 63):
+            raise OverflowError(f"no exact p-adic split product mod {m} "
+                                f"with inner dimension {inner}")
+        self.m = m
+        self.base = p**a
+        self.ndigits = ndigits
+        # t_s (the s-th group) is reduced mod p^(w - a s), then scaled by p^(a s)
+        self.scales = [(p ** (w - a * s), p ** (a * s)) for s in range(ndigits)]
+        self.products = ndigits * (ndigits + 1) // 2
+
+    def digits(self, K):
+        """Base-p^a digits of K (entries in [0, m)) as float64 arrays, low first."""
+        out = []
+        for _ in range(self.ndigits - 1):
+            K, r = np.divmod(K, self.base)
+            out.append(r.astype(np.float64))
+        out.append(K.astype(np.float64))
+        return out
+
+    def mul_sub(self, L, digits, X0=None):
+        """Exact (X0 - L @ K) % m, K given by its ``digits``; X0 defaults to 0."""
+        Ld = self.digits(L)
+        acc = None
+        for s, (mod, scale) in enumerate(self.scales):
+            t = (Ld[0] @ digits[s]).astype(np.int64)
+            for i in range(1, s + 1):
+                t += (Ld[i] @ digits[s - i]).astype(np.int64)
+            if s:
+                t %= mod
+                t *= scale
+            if acc is None:
+                acc = -t if X0 is None else X0 - t
+            else:
+                acc -= t
+        acc %= self.m
+        return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_split(m, inner, p):
+    """The exact product scheme mod m = p^w with the fewest BLAS products.
+
+    Products have inner dimension <= inner and operands with entries in
+    [0, m).  Ties go to the one-sided bit split.  Raises OverflowError when
+    neither split is exact.
+    """
+    splits = []
+    for make in (lambda: _BitSplit(m, inner), lambda: _PadicSplit(p, m, inner)):
+        try:
+            splits.append(make())
+        except OverflowError:
+            pass
+    if not splits:
+        raise OverflowError(f"no exact product mod {m} with inner dimension {inner}")
+    return min(splits, key=lambda split: split.products)
+
+
+def exact_products(p: int, m: int) -> bool:
+    """True when the layered kernel's products are exact mod m = p^w."""
+    try:
+        _exact_split(m, PANEL, p)
+    except OverflowError:
+        return False
+    return True
+
+
+def _mulmod(L, K, m, p):
+    """Exact (L @ K) % m for int64 operands with entries in [0, m), m = p^w."""
+    split = _exact_split(m, max(1, L.shape[1]), p)
+    return -split.mul_sub(L, split.digits(K)) % m
 
 
 def _reduce(Y, p):
@@ -233,8 +325,8 @@ def _residue_ops(p, inner):
     mul(A, B) is (A @ B) mod p and submul(X0, A, B) is (X0 - A @ B) mod p,
     for operands with entries in [0, p).  They run in float64 BLAS while
     every partial sum stays below 2^52, where ``_reduce`` is exact too, and
-    otherwise in int64 through the split products of ``_mul_sub``: for
-    p = 2^31 - 1 already two products of residues overflow int64.
+    otherwise in int64 through exact split products: for p = 2^31 - 1
+    already two products of residues overflow int64.
     """
     if inner * (p - 1) ** 2 + p < 1 << 52:
         def submul(X0, A, B):
@@ -248,13 +340,13 @@ def _residue_ops(p, inner):
             return Y
 
         return np.float64, mul, submul
-    h = _split_bits(p, inner)
+    split = _exact_split(p, inner, p)
 
     def submul(X0, A, B):
-        return _mul_sub(A, _digits(B, p, h), p, h, X0=X0)
+        return split.mul_sub(A, split.digits(B), X0=X0)
 
     def mul(A, B):
-        return -_mul_sub(A, _digits(B, p, h), p, h) % p
+        return -split.mul_sub(A, split.digits(B)) % p
 
     return np.int64, mul, submul
 
@@ -335,22 +427,23 @@ def _inv_mod(G, Ginv, p, m):
     """
     s = G.shape[0]
     X = Ginv.astype(np.int64)
-    h = _split_bits(m, s)
+    split = _exact_split(m, s, p)
     eye = np.eye(s, dtype=np.int64)
     precision = p
     while precision < m:
-        excess = -_mul_sub(G, _digits(X, m, h), m, h, X0=eye) % m  # G X - I
-        X = _mul_sub(X, _digits(excess, m, h), m, h, X0=X)
+        excess = -split.mul_sub(G, split.digits(X), X0=eye) % m  # G X - I
+        X = split.mul_sub(X, split.digits(excess), X0=X)
         precision *= precision
     return X
 
 
-def _unit_layer(X, p, m, h):
+def _unit_layer(X, p, m, split):
     """Eliminate a maximal set of unit pivots of X over Z/m, panel by panel.
 
-    X is updated in place.  Returns (S, count): S is a leading view of X's
-    buffer holding the Schur complement, every entry of which is divisible
-    by p, and count is the number of pivots.  Columns left of ``done`` have
+    X is updated in place and ``split`` forms its exact products mod m.
+    Returns (S, count): S is a leading view of X's buffer holding the Schur
+    complement, every entry of which is divisible by p, and count is the
+    number of pivots.  Columns left of ``done`` have
     no unit on the remaining rows; they still take every later update.
     """
     count = 0
@@ -367,14 +460,14 @@ def _unit_layer(X, p, m, h):
         keep = np.setdiff1d(np.arange(X.shape[1]), pcol)
         # K = G^-1 X[P, keep]; the Schur complement is X[rest, keep] - X[rest, Q] K
         Ginv = _inv_mod(X[np.ix_(prow, pcol)], Ginv, p, m)
-        K = _digits(_mulmod(Ginv, X[np.ix_(prow, keep)], m), m, h)
+        K = split.digits(_mulmod(Ginv, X[np.ix_(prow, keep)], m, p))
         # Row i of the result comes from row rest[i] >= i, so compacting into
         # the leading rows in increasing chunks never overwrites a source row.
         step = max(1, _CHUNK // max(1, keep.size))
         for a in range(0, rest.size, step):
             src = rest[a:a + step]
-            X[a:a + src.size, :keep.size] = _mul_sub(
-                X[np.ix_(src, pcol)], K, m, h, X0=X[np.ix_(src, keep)])
+            X[a:a + src.size, :keep.size] = split.mul_sub(
+                X[np.ix_(src, pcol)], K, X0=X[np.ix_(src, keep)])
         X = X[:rest.size, :keep.size]
         count += prow.size
         done = hi - prow.size
@@ -390,16 +483,17 @@ def _snf_layered(A, p, m):
     panel, and what remains is divisible by p: it is divided by p and the
     next layer works mod p^(W-k-1).  Each pivot of layer k contributes
     exponent k, so the exponents come out nondecreasing, as with the per-pivot
-    kernel.  A is overwritten.
+    kernel.  A is overwritten.  Raises OverflowError unless ``exact_products``
+    admits m.
     """
-    if m * m >= 1 << 63:
-        raise OverflowError(f"modulus {m} too large for int64 residues")
+    if m > 1:
+        _exact_split(m, PANEL, p)  # then every later layer's products are exact too
     exps = []
     X = A
     k = 0
     _single_blas_thread()
     while m > 1 and X.size:
-        X, count = _unit_layer(X, p, m, _split_bits(m, PANEL))
+        X, count = _unit_layer(X, p, m, _exact_split(m, PANEL, p))
         exps.extend([k] * count)
         if not X.any():
             break

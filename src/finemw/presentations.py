@@ -286,7 +286,7 @@ class FinLevelModule:
         g = self.presentation.generators
         c = self.presentation.num_relations
         q = self.q
-        wrap = np.array([w % m for w in self._wrap], dtype=np.int64)
+        wrap = [w % m for w in self._wrap]
         blocks = []
         for j in range(c):
             col_block = np.zeros((g * q, q), dtype=np.int64)
@@ -339,11 +339,17 @@ class FinLevelModule:
 
 
 def _mult_matrix_int64(f, q, wrap, m):
-    """q x q multiplication-by-f matrix on O[T]/(modulus), entries mod m."""
-    col = np.zeros(q, dtype=np.int64)
+    """q x q multiplication-by-f matrix on O[T]/(modulus), entries mod m.
+
+    Columns are f T^k.  Each step adds top * wrap, a product of two residues:
+    int64 while that cannot overflow, Python integers beyond (m >= 2^31.5).
+    """
+    dtype = np.int64 if (m - 1) ** 2 + m < 1 << 63 else object
+    wrap = np.array(wrap, dtype=dtype)
+    col = np.zeros(q, dtype=dtype)
     for t in range(min(q, f.degree() + 1)):
         col[t] = f.coefficient(t).coords[0] % m
-    M = np.empty((q, q), dtype=np.int64)
+    M = np.empty((q, q), dtype=dtype)
     M[:, 0] = col
     for k in range(1, q):
         top = int(col[q - 1])
@@ -405,8 +411,6 @@ class CoinvariantStructure:
 def coinvariants(M: ModulePresentation, n: int, with_transforms: bool = False,
                  engine: str | None = None) -> CoinvariantStructure:
     """Smith-reduce the expanded relation matrix at level n."""
-    from .snf import SmithResult, smith_normal_form  # local import to avoid cycle
-
     fin = FinLevelModule(M, n)
     smith = _level_smith(fin, with_transforms=with_transforms, engine=engine)
     return _structure_from_smith(fin, smith)
@@ -429,7 +433,8 @@ def _structure_from_smith(fin, smith) -> CoinvariantStructure:
 
 def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
                  engine=None, precision_cap=None):
-    from .snf import PURE_SIZE_LIMIT, RETRY_SIZE_LIMIT, SmithResult, _run_python
+    from .snf import (PURE_SIZE_LIMIT, RETRY_SIZE_LIMIT, SmithResult, _run_python,
+                      full_precision_int64)
     from ._kernels import snf_int64
 
     ring = fin.ring
@@ -441,12 +446,22 @@ def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
             raise ValidationError(f"working precision {precision_cap} too low")
         target = min(target, precision_cap)
     track = 1 if with_transforms else 0
+
+    def matrix(W):
+        return fin.matrix_int64(W, extra_columns=extra_columns)
+
     if engine is None:
-        engine = "python" if (ring.unramified_degree > 1 or size <= PURE_SIZE_LIMIT) else "int64"
+        if ring.unramified_degree > 1 or size <= PURE_SIZE_LIMIT:
+            full = full_precision_int64(ring, target, track, matrix)
+            if full is not None:
+                return full
+            engine = "python"
+        else:
+            engine = "int64"
     if engine == "int64":
         p = ring.prime
         W = min(target, int64_precision_cap(p))
-        A = fin.matrix_int64(W, extra_columns=extra_columns)
+        A = matrix(W)
         R, C = A.shape
         exps, U, Uinv, V, Vinv = snf_int64(A, p, p**W, track)
         transforms = (U, Uinv, V, Vinv) if with_transforms else None
@@ -455,6 +470,9 @@ def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
                       or fin.has_deep_entries(W - 2))
         if not (W < target and suspicious):
             return result
+        full = full_precision_int64(ring, target, track, matrix)
+        if full is not None:
+            return full
         if R * C > RETRY_SIZE_LIMIT:
             result.certified = False
             return result

@@ -5,29 +5,37 @@ succeeds and the divisor valuations come out sorted.  Two engines:
 
 * ``python``: exact arithmetic at the ring's full precision p^N, any
   unramified degree, one pivot at a time (global minimum valuation, ties by
-  lowest row then column).  Used for small matrices and as the
-  certification fallback.
-* ``int64``: numpy kernels for degree-1 rings at a reduced working
-  precision p^W with W = min(N, int64 cap).  Divisor-only reductions run
-  the valuation-layered kernel of ``_kernels``, whose unit pivots come from
-  a left-looking panel factorisation; reductions with transforms run its
-  per-pivot kernel.  The exponents are the Smith invariants mod p^W either
-  way.  Exponents below W - 2 are identical to the full-precision answer.
-  An exponent at or above that threshold, or an input entry that deep,
-  triggers a full-precision rerun when the matrix is small enough, and
-  otherwise marks the result uncertified (``SmithResult.certified``).
+  lowest row then column).  Used for small matrices that the int64 engine
+  cannot reduce at p^N (degree 2, transforms, p^N beyond int64) and as the
+  certification fallback for those.
+* ``int64``: numpy kernels for degree-1 rings.  A divisor-only reduction
+  that must be exact runs the valuation-layered kernel of ``_kernels`` at
+  the full precision p^N itself when its split products are exact mod p^N
+  (``full_precision_int64``: p <= 5 at N = 24): small matrices, and reruns
+  of suspicious results at any size.  Large matrices run at a reduced
+  working precision p^W with W = min(N, int64 cap): the layered kernel for
+  divisor-only reductions, its per-pivot kernel for reductions with
+  transforms.  The exponents are the Smith invariants mod p^W; exponents
+  below W - 2 are identical to the full-precision answer.  An exponent at
+  or above that threshold, or an input entry that deep, triggers a
+  full-precision rerun when one of the routes above applies (the Python
+  engine only up to ``RETRY_SIZE_LIMIT`` entries), and otherwise marks the
+  result uncertified (``SmithResult.certified``).  A deep invariant behind
+  entries that all look shallow (a unit block with determinant p^k, k >= W)
+  passes that test unnoticed and counts as free rank.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _mulmod, int64_precision_cap, snf_int64
+from . import _kernels
+from ._kernels import _mulmod, exact_products, int64_precision_cap, snf_int64
 from .errors import ValidationError
 from .padics import CoefficientRing, RingElem, _int_valuation
 
 PURE_SIZE_LIMIT = 4096  # entries; at or below this always run full precision
-RETRY_SIZE_LIMIT = 60000  # entries; below this an uncertified fast run is redone
+RETRY_SIZE_LIMIT = 60000  # entries; below this a suspicious run is redone by the Python engine
 
 
 def _normalize_rows(rows, ring):
@@ -134,7 +142,8 @@ class SmithResult:
             # callers pass Python ints beyond int64 (p-power scalings, T-action
             # mod p^N); reduce before converting
             w = np.asarray([int(x) % self.modulus for x in w], dtype=np.int64)
-            return [int(x) for x in _mulmod(U, w[:, None], self.modulus)[:, 0]]
+            product = _mulmod(U, w[:, None], self.modulus, self.ring.prime)
+            return [int(x) for x in product[:, 0]]
         pn = self.modulus
         out = []
         for row in U:
@@ -179,12 +188,6 @@ def _coords_of(x, ring):
     return ring.element(int(x)).coords
 
 
-def _is_zero_entry(x):
-    if isinstance(x, tuple):
-        return all(c == 0 for c in x)
-    return int(x) == 0
-
-
 def _has_deep_entries(mat, p, threshold) -> bool:
     """True if some nonzero full-precision entry vanishes to depth >= threshold."""
     if threshold <= 0:
@@ -209,26 +212,35 @@ def smith_normal_form(rows, ring: CoefficientRing, with_transforms: bool = False
     """Diagonalize a matrix over the coefficient ring by unimodular transforms.
 
     ``rows`` is a sequence of rows of RingElem/int/coordinate entries.  The
-    returned exponents are sorted ascending.  An int64 run whose exponents or
-    input entries reach the certification threshold is redone at full
-    precision when the matrix is small enough; otherwise the result has
-    ``certified`` False.
+    returned exponents are sorted ascending.  A small matrix runs at full
+    precision.  An int64 run whose exponents or input entries reach the
+    certification threshold is redone at full precision when
+    ``full_precision_int64`` applies or the matrix is small enough for the
+    Python engine; otherwise the result has ``certified`` False.
     """
     mat, R, C = _normalize_rows(rows, ring)
+    N = ring.precision_exponent
+    track = 2 if with_transforms else 0
+
+    def matrix(W):
+        return _int64_matrix(mat, R, C, ring.prime**W)
+
     if engine is None:
         if ring.unramified_degree > 1 or R * C <= PURE_SIZE_LIMIT:
-            engine = "python"
-        else:
-            engine = "int64"
-    track = 2 if with_transforms else 0
+            return (full_precision_int64(ring, N, track, matrix)
+                    or _run_python(mat, R, C, ring, track))
+        engine = "int64"
     if engine == "int64":
         if ring.unramified_degree != 1:
             raise ValidationError("int64 engine requires unramified degree 1")
-        result = _run_int64(mat, R, C, ring, track)
+        result = _run_int64(matrix, R, C, ring, track)
         wprec = result.precision_used
         suspicious = (any(e >= wprec - 2 for e in result.exponents)
                       or _has_deep_entries(mat, ring.prime, wprec - 2))
-        if wprec < ring.precision_exponent and suspicious:
+        if wprec < N and suspicious:
+            full = full_precision_int64(ring, N, track, matrix)
+            if full is not None:
+                return full
             if R * C <= RETRY_SIZE_LIMIT:
                 return _run_python(mat, R, C, ring, track)
             result.certified = False
@@ -238,15 +250,36 @@ def smith_normal_form(rows, ring: CoefficientRing, with_transforms: bool = False
     raise ValidationError(f"unknown engine {engine!r}")
 
 
-def _run_int64(mat, R, C, ring, track):
+def full_precision_int64(ring, target, track, matrix):
+    """Divisor-only reduction at p^target by the layered kernel, or None.
+
+    Applies to degree-1 rings without transforms when ``exact_products``
+    admits p^target; ``matrix(W)`` must return the int64 matrix mod p^W.
+    The result is exact at p^target: engine "int64", ``precision_used``
+    target, certified.
+    """
     p = ring.prime
-    W = min(ring.precision_exponent, int64_precision_cap(p))
-    m = p**W
+    m = p**target
+    if ring.unramified_degree != 1 or track or not exact_products(p, m):
+        return None
+    A = matrix(target)
+    R, C = A.shape
+    exponents = _kernels.snf_int64(A, p, m, 0)[0]
+    return SmithResult(ring, "int64", target, R, C, exponents)
+
+
+def _int64_matrix(mat, R, C, m):
     A = np.zeros((R, C), dtype=np.int64)
     for i, row in enumerate(mat):
         for j, entry in enumerate(row):
             A[i, j] = entry[0] % m
-    exponents, U, Uinv, V, Vinv = snf_int64(A, p, m, track)
+    return A
+
+
+def _run_int64(matrix, R, C, ring, track):
+    p = ring.prime
+    W = min(ring.precision_exponent, int64_precision_cap(p))
+    exponents, U, Uinv, V, Vinv = snf_int64(matrix(W), p, p**W, track)
     transforms = (U, Uinv, V, Vinv) if track >= 1 else None
     return SmithResult(ring, "int64", W, R, C, exponents, transforms)
 

@@ -230,3 +230,44 @@ def poly_matrix_det(mat, mul, add, sub, zero, one):
         term = mul(mat[0][j], poly_matrix_det(minor, mul, add, sub, zero, one))
         det = add(det, term) if j % 2 == 0 else sub(det, term)
     return det
+
+
+def smith_exponents_mod_prime_power(rows, p, w):
+    """Exponents of the nonzero Smith divisors over Z/p^w, sorted.
+
+    Python integers, any prime: pivot on an entry of minimal valuation, clear
+    its column by row operations, then drop its row and column (the rest of
+    the pivot row is divisible by the pivot, so column operations clear it
+    without touching other rows).
+    """
+    m = p**w
+    A = [[x % m for x in row] for row in rows]
+
+    def valuation(x):
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    exps = []
+    while A and A[0]:
+        best = None
+        for i, row in enumerate(A):
+            for j, x in enumerate(row):
+                if x:
+                    v = valuation(x)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            break
+        v, i, j = best
+        pivot_row = A.pop(i)
+        unit_inv = pow(pivot_row.pop(j) // p**v, -1, m)
+        for row in A:
+            x = row.pop(j)
+            if x:
+                f = x // p**v * unit_inv % m
+                row[:] = [(a - f * b) % m for a, b in zip(row, pivot_row)]
+        exps.append(v)
+    return sorted(exps)

@@ -1,0 +1,57 @@
+"""Report bytes of ``classify`` and ``verify`` on fixed corpus modules, pinned by sha256.
+
+The modules are criterion-1 corpus draws (``sample_recipe(2024 * 1000003 + i)``,
+``build_elementary``, ``obfuscate`` with 24 steps), so a change to the Smith
+kernels, the expansions or the report emission that moves a single report
+byte fails here.  The digests were recorded before the full-precision
+layered route for small reductions existed; reports must not depend on the
+Smith engine.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from finemw.cli import main
+from finemw.oracle import build_elementary, obfuscate, sample_recipe
+from finemw.padics import CoefficientRing
+from finemw.presentations import presentation_to_json
+
+CORPUS_SEED = 2024 * 1_000_003
+
+# (p, corpus draw, n_max, command) -> sha256 of the report on stdout
+DIGESTS = {
+    (5, 0, 3, "classify"): "0d3264b9be6eb846529c5fad15d005c5b7f1d8be5007468c0fc1026f033a97aa",
+    (5, 0, 3, "verify"): "99115013d40ec83906b88fd099cdc548f7ce8e4fb489ca5df8dff477ade1c934",
+    (5, 1, 3, "classify"): "aa97055466212ab14e9c5f139ee8ec135b7f6a1b2d0b9261dea79027405b2a23",
+    (5, 1, 3, "verify"): "6a4774e6330a7adefb3191c586655939719e6781eaf94272858f699938292e2d",
+    (5, 8, 3, "classify"): "3afa678e63b2f267e7066d6f6bbb0ea8c48febc57e7f1a61af7efb7ccca06466",
+    (5, 8, 3, "verify"): "594010e8d72c22ff42a88f5383aaef7f6aeeec647ccbded3dcdb31b294b1e4fa",
+    (7, 0, 2, "classify"): "1b61718dc16ebe6b67439dde3559a532186831638214bd20d06c381b09ddc933",
+    (7, 0, 2, "verify"): "0fddcf2d1b9446bd78f0e3f4611fe6bfd1338d47ea7dbcf438cd690cb7b4da0e",
+    (7, 8, 2, "classify"): "d595ecab70d4eb664f9a977a7baf62606e6d5655deba7d196be3d3d2fb63ffb9",
+    (7, 8, 2, "verify"): "2cf782487ef5d6fc65aee7979ba133c6888ec7fd3bb58d4a23fa6b1619276c96",
+}
+
+
+def corpus_module_json(p, draw):
+    recipe = sample_recipe(CORPUS_SEED + draw, p)
+    M = build_elementary(recipe, CoefficientRing(p, 1, 24))
+    M = obfuscate(M, seed=recipe.seed ^ 0x5EED, steps=24)
+    return json.dumps(presentation_to_json(M), sort_keys=True)
+
+
+def report_digest(p, draw, n_max, command, directory, capsys):
+    path = directory / f"p{p}-{draw}.json"
+    path.write_text(corpus_module_json(p, draw))
+    code = main([command, "--file", str(path), "--n-max", str(n_max)])
+    out = capsys.readouterr().out
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p, draw, n_max, command", sorted(DIGESTS))
+def test_report_digest(p, draw, n_max, command, tmp_path, capsys):
+    digest = report_digest(p, draw, n_max, command, tmp_path, capsys)
+    assert digest == DIGESTS[p, draw, n_max, command]

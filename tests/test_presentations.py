@@ -192,6 +192,52 @@ def test_reduce_ambient_column_matches_weierstrass_remainder():
             assert fin.reduce_ambient_column(col) == expect
 
 
+def test_matrix_int64_at_full_precision_matches_coords():
+    # at p^24 > 2^31 the products top * wrap of two residues leave int64
+    rng = random.Random(23)
+
+    def poly(degree):
+        return IwasawaPoly(RING, [[rng.randrange(RING.modulus)] for _ in range(degree + 1)])
+
+    M = ModulePresentation(RING, 2, [[poly(3), poly(30), poly(0)],
+                                     [poly(1), IwasawaPoly(RING, []), poly(27)]])
+    for level in range(3):
+        for component in [None] + list(range(level + 1)):
+            fin = FinLevelModule(M, level, component=component)
+            width = 2 * 5**level
+            extra = [[rng.randrange(3 * RING.modulus) for _ in range(width)] for _ in range(2)]
+            for columns in ((), extra):
+                coords = [[x[0] for x in row] for row in fin.matrix_coords(extra_columns=columns)]
+                assert fin.matrix_int64(24, extra_columns=columns).tolist() == coords
+
+
+def test_small_reductions_route_by_exact_int64_products(monkeypatch):
+    from finemw import _kernels, snf
+
+    calls = []
+    snf_int64, run_python = _kernels.snf_int64, snf._run_python
+
+    def counted_snf_int64(A, p, m, track):
+        calls.append(("int64", p, m, track))
+        return snf_int64(A, p, m, track)
+
+    def counted_run_python(*args, **kwargs):
+        calls.append(("python", args[3].prime))
+        return run_python(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "snf_int64", counted_snf_int64)
+    monkeypatch.setattr(snf, "_run_python", counted_run_python)
+    s = coinvariants(cyclic_module(RING, cyclotomic(RING, 1)), 2)
+    assert calls == [("int64", 5, 5**24, 0)]
+    assert s.smith.engine == "int64" and s.smith.precision_used == 24 and s.all_certified
+    assert s.free_rank == 4 and s.torsion_exponents == []
+    calls.clear()
+    ring7 = CoefficientRing(7, 1, 24)  # 7^24 admits no exact int64 products
+    s = coinvariants(cyclic_module(ring7, cyclotomic(ring7, 1)), 1)
+    assert calls == [("python", 7)]
+    assert s.free_rank == 6 and s.torsion_exponents == []
+
+
 def test_budget_errors():
     with pytest.raises(ResourceLimitError):
         expand_to_level(free_module(RING, 1), 5)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from finemw.padics import CoefficientRing
-from finemw.snf import smith_normal_form
-from finemw._kernels import (PANEL, _inv_mod, _mulmod, _panel_factor, _snf_i64_numpy,
-                             _split_bits, int64_precision_cap, snf_int64)
-from oracles import column_rank_profile_mod_p, integer_smith_p_exponents
+from finemw.snf import _run_python, smith_normal_form
+from finemw._kernels import (PANEL, _exact_split, _inv_mod, _mulmod, _panel_factor,
+                             _snf_i64_numpy, _split_bits, exact_products,
+                             int64_precision_cap, snf_int64)
+from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents,
+                     smith_exponents_mod_prime_power)
 
 RING = CoefficientRing(5, 1, 24)
 RING10 = CoefficientRing(5, 1, 10)
@@ -149,13 +151,82 @@ def test_exact_split_product_worst_case(p, W):
     L = np.full((3, PANEL), m - 1, dtype=np.int64)
     K = np.full((PANEL, 5), m - 1, dtype=np.int64)
     exact = (L.astype(object) @ K.astype(object)) % m
-    assert (_mulmod(L, K, m) == exact).all()
+    assert (_mulmod(L, K, m, p) == exact).all()
     rng = np.random.default_rng(p)
     L = rng.integers(m - 2**20, m, size=(4, PANEL))
     K = rng.integers(m - 2**20, m, size=(PANEL, 6))
-    assert (_mulmod(L, K, m) == (L.astype(object) @ K.astype(object)) % m).all()
+    assert (_mulmod(L, K, m, p) == (L.astype(object) @ K.astype(object)) % m).all()
     with pytest.raises(OverflowError):  # no digit width keeps this inner dimension exact
         _split_bits(m, 2**23)
+
+
+# (p, largest w with exact int64 products mod p^w at the panel width)
+LARGEST_ADMITTED = [(2, 61), (3, 38), (5, 26), (7, 21)]
+
+
+@pytest.mark.parametrize("p, w", [(5, 24)] + LARGEST_ADMITTED)
+def test_exact_padic_product_worst_case(p, w):
+    """Moduli too large for a whole float64 operand: both operands split."""
+    m = p**w
+    assert exact_products(p, m)
+    L = np.full((3, PANEL), m - 1, dtype=np.int64)
+    K = np.full((PANEL, 5), m - 1, dtype=np.int64)
+    exact = (L.astype(object) @ K.astype(object)) % m
+    assert (_mulmod(L, K, m, p) == exact).all()
+    split = _exact_split(m, PANEL, p)
+    X0 = np.full((3, 5), m - 1, dtype=np.int64)
+    assert (split.mul_sub(L, split.digits(K), X0=X0) == (X0.astype(object) - exact) % m).all()
+    rng = np.random.default_rng(w)
+    L = rng.integers(m - m // 7, m, size=(4, PANEL))
+    K = rng.integers(0, m, size=(PANEL, 6))
+    assert (_mulmod(L, K, m, p) == (L.astype(object) @ K.astype(object)) % m).all()
+
+
+@pytest.mark.parametrize("p, w", LARGEST_ADMITTED)
+def test_no_exact_product_beyond_the_largest_admitted_modulus(p, w):
+    m = p ** (w + 1)
+    assert not exact_products(p, m)
+    with pytest.raises(OverflowError):
+        _mulmod(np.ones((2, PANEL), dtype=np.int64), np.ones((PANEL, 2), dtype=np.int64), m, p)
+    with pytest.raises(OverflowError):
+        snf_int64(np.eye(3, dtype=np.int64), p, m, 0)
+
+
+def _full_precision_cases(rng, p, w):
+    b = PANEL
+    for R, C in ((9, b - 1), (12, b + 1), (8, 2 * b + 1), (b + 1, 10), (b + 1, b + 1)):
+        yield _layered_case(rng, R, C, p, w)
+    mat = _layered_case(rng, 10, 2 * b + 3, p, w)  # an all-zero middle panel
+    for row in mat:
+        row[b:2 * b] = [0] * b
+    yield mat
+    yield [[0] * 5 for _ in range(4)]
+    # a hidden deep invariant: the block has determinant p^(w - 4)
+    n = 6
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    mat[2][3] = mat[3][2] = 1
+    mat[3][3] = 1 + p ** (w - 4)
+    yield mat
+
+
+@pytest.mark.parametrize("p, w", [(2, 24), (3, 24), (5, 24), (7, 21)])
+def test_layered_kernel_at_full_precision_matches_python_engine(p, w):
+    # coefficient rings need p >= 5; for p = 2, 3 a Python-int oracle stands in
+    rng = random.Random(p * 100 + w)
+    for mat in _full_precision_cases(rng, p, w):
+        R, C = len(mat), len(mat[0])
+        exps = snf_int64(np.array(mat, dtype=np.int64), p, p**w, 0)[0]
+        if p >= 5:
+            ring = CoefficientRing(p, 1, w)
+            pure = _run_python([[(x,) for x in row] for row in mat], R, C, ring, 0)
+            assert exps == pure.exponents
+        assert exps == smith_exponents_mod_prime_power(mat, p, w)
+
+
+def test_hidden_deep_invariant_found_at_full_precision():
+    res = smith_normal_form([[1, 1], [1, 1 + 5**20]], RING)
+    assert res.exponents == [0, 20] and res.free_rank == 0
+    assert res.engine == "int64" and res.precision_used == 24 and res.certified
 
 
 def _panel_cases(p, rng):
@@ -299,11 +370,11 @@ def test_certification_flags():
 
 
 def test_deep_exponent_triggers_full_precision_retry():
-    # p^15 is invisible at the int64 working precision (5^13) but the small
-    # size forces the full-precision rerun
+    # p^15 is invisible at the int64 working precision (5^13); the suspicious
+    # result is redone at the ring's precision 5^24
     res = smith_normal_form([[5**15]], RING, engine="int64")
-    assert res.engine == "python"
     assert res.exponents == [15]
+    assert res.precision_used == 24 and res.certified
 
 
 def test_int64_cap_values():
@@ -352,13 +423,20 @@ def test_reduce_vector_matches_python_int_product():
 
 
 def test_oversized_suspicious_reduction_is_uncertified():
-    # a 5^15 entry vanishes at the int64 working precision 5^13; too large to
-    # redo at full precision, so the result must not claim to be certified
-    ring = CoefficientRing(5, 1, 24)
+    # a 7^13 entry vanishes at the int64 working precision 7^11; 7^24 admits
+    # no exact int64 products and the matrix is too large for the Python
+    # rerun, so the result must not claim to be certified
+    ring = CoefficientRing(7, 1, 24)
     n = 250
     mat = [[int(i == j) for j in range(n)] for i in range(n)]
-    mat[0][0] = 5**15
+    mat[0][0] = 7**13
     res = smith_normal_form(mat, ring, engine="int64")
-    assert res.precision_used == 13 and res.rank == n - 1
+    assert res.precision_used == 11 and res.rank == n - 1
     assert not res.certified
-    assert smith_normal_form([[5**15]], ring, engine="int64").certified
+    small = smith_normal_form([[7**13]], ring, engine="int64")
+    assert small.engine == "python" and small.exponents == [13] and small.certified
+    # at p = 5 the same case is redone exactly at 5^24, at any size
+    mat[0][0] = 5**15
+    res = smith_normal_form(mat, RING, engine="int64")
+    assert res.precision_used == 24 and res.certified
+    assert res.exponents == [0] * (n - 1) + [15]
