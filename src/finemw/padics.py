@@ -19,10 +19,6 @@ from .errors import NonUnitError, ValidationError
 ZERO_AT_PRECISION = math.inf
 
 
-def _poly_mod_p(coeffs, p):
-    return [c % p for c in coeffs]
-
-
 def _poly_trim(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

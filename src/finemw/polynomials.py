@@ -132,12 +132,6 @@ class IwasawaPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "IwasawaPoly":
-        """Multiply by T^k."""
-        if self.is_zero():
-            return self
-        return IwasawaPoly(self.ring, [0] * k + [c for c in self.coefficients])
-
     def evaluate(self, x) -> RingElem:
         x = self.ring.element(x)
         acc = self.ring.zero()
@@ -236,10 +230,6 @@ def weierstrass_divide(f: IwasawaPoly, g: IwasawaPoly):
         for j in range(dg + 1):
             rem[i - dg + j] = rem[i - dg + j] - c * g.coefficient(j)
     return IwasawaPoly(ring, quo), IwasawaPoly(ring, rem[:dg])
-
-
-def poly_mod(f: IwasawaPoly, g: IwasawaPoly) -> IwasawaPoly:
-    return weierstrass_divide(f, g)[1]
 
 
 class CharIdealRendering:

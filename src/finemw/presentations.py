@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import int64_precision_cap
+from . import snf
 from .errors import ResourceLimitError, ValidationError
 from .padics import CoefficientRing
 from .polynomials import (
@@ -63,19 +63,6 @@ class ModulePresentation:
     @property
     def num_relations(self) -> int:
         return len(self.relations[0]) if self.relations else 0
-
-    def relation_column(self, j):
-        return [self.relations[i][j] for i in range(self.generators)]
-
-    def with_extra_relations(self, columns) -> "ModulePresentation":
-        """New presentation with extra relation columns appended."""
-        rows = [list(r) for r in self.relations] or [[] for _ in range(self.generators)]
-        for col in columns:
-            if len(col) != self.generators:
-                raise ValidationError("relation column has wrong length")
-            for i, entry in enumerate(col):
-                rows[i].append(entry)
-        return ModulePresentation(self.ring, self.generators, rows, self.level_cap)
 
 
 def cyclic_module(ring, poly: IwasawaPoly) -> ModulePresentation:
@@ -217,7 +204,7 @@ class FinLevelModule:
         for _ in range(self.q):
             tv = self.t_apply(cur)
             cur = [_entry_add(a, b, self.ring) for a, b in zip(cur, tv)]
-        return all(_entry_eq(a, b) for a, b in zip(cur, vec))
+        return all(a == b for a, b in zip(cur, vec))
 
     # -- expanded matrices --------------------------------------------------
 
@@ -263,26 +250,12 @@ class FinLevelModule:
             out.extend(zip(*rems))
         return out
 
-    def has_deep_entries(self, threshold: int) -> bool:
-        """True if a relation coefficient is nonzero yet p^threshold-divisible."""
-        if threshold <= 0:
-            return True
-        pt = self.ring.prime**threshold
-        for i in range(self.presentation.generators):
-            for j in range(self.presentation.num_relations):
-                for coeff in self.reduced_entry(i, j).coefficients:
-                    if any(c and c % pt == 0 for c in coeff.coords):
-                        return True
-        return False
-
-    def matrix_int64(self, working_exponent=None, extra_columns=()):
+    def matrix_int64(self, working_exponent, extra_columns=()):
         """Relation block plus optional columns as int64 mod p^W; degree 1 only."""
         ring = self.ring
         if ring.unramified_degree != 1:
             raise ValidationError("int64 expansion requires unramified degree 1")
-        p = ring.prime
-        W = working_exponent or min(ring.precision_exponent, int64_precision_cap(p))
-        m = p**W
+        m = ring.prime**working_exponent
         g = self.presentation.generators
         c = self.presentation.num_relations
         q = self.q
@@ -373,10 +346,6 @@ def _entry_add(a, b, ring):
     return (int(a) + int(b)) % pn
 
 
-def _entry_eq(a, b):
-    return a == b
-
-
 def expand_to_level(M: ModulePresentation, n: int) -> FinLevelModule:
     """Realize M_{Gamma_n} = M / omega_n M over the coefficient ring."""
     return FinLevelModule(M, n)
@@ -408,11 +377,11 @@ class CoinvariantStructure:
         return self.rank_certified and all(self.certified)
 
 
-def coinvariants(M: ModulePresentation, n: int, with_transforms: bool = False,
-                 engine: str | None = None) -> CoinvariantStructure:
+def coinvariants(M: ModulePresentation, n: int,
+                 with_transforms: bool = False) -> CoinvariantStructure:
     """Smith-reduce the expanded relation matrix at level n."""
     fin = FinLevelModule(M, n)
-    smith = _level_smith(fin, with_transforms=with_transforms, engine=engine)
+    smith = _level_smith(fin, with_transforms=with_transforms)
     return _structure_from_smith(fin, smith)
 
 
@@ -432,55 +401,49 @@ def _structure_from_smith(fin, smith) -> CoinvariantStructure:
 
 
 def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
-                 engine=None, precision_cap=None):
-    from .snf import (PURE_SIZE_LIMIT, RETRY_SIZE_LIMIT, SmithResult, _run_python,
-                      full_precision_int64)
-    from ._kernels import snf_int64
+                 precision_cap=None):
+    """Smith reduction of a level expansion quotiented by ambient columns.
 
-    ring = fin.ring
-    g, c, q = fin.presentation.generators, fin.presentation.num_relations, fin.q
-    size = g * q * max(1, c * q + len(tuple(extra_columns)))
-    target = ring.precision_exponent
+    Runs ``snf.reduce`` with U tracked when ``with_transforms`` is set, aiming
+    at an answer exact at p^min(N, precision_cap).
+    """
+    target = None
     if precision_cap is not None:
         if precision_cap < 4:
             raise ValidationError(f"working precision {precision_cap} too low")
-        target = min(target, precision_cap)
-    track = 1 if with_transforms else 0
+        target = min(fin.ring.precision_exponent, precision_cap)
+    return snf.reduce(_LevelSource(fin, extra_columns), fin.ring,
+                      1 if with_transforms else 0, target)
 
-    def matrix(W):
-        return fin.matrix_int64(W, extra_columns=extra_columns)
 
-    if engine is None:
-        if ring.unramified_degree > 1 or size <= PURE_SIZE_LIMIT:
-            full = full_precision_int64(ring, target, track, matrix)
-            if full is not None:
-                return full
-            engine = "python"
-        else:
-            engine = "int64"
-    if engine == "int64":
-        p = ring.prime
-        W = min(target, int64_precision_cap(p))
-        A = matrix(W)
-        R, C = A.shape
-        exps, U, Uinv, V, Vinv = snf_int64(A, p, p**W, track)
-        transforms = (U, Uinv, V, Vinv) if with_transforms else None
-        result = SmithResult(ring, "int64", W, R, C, exps, transforms)
-        suspicious = (any(e >= W - 2 for e in result.exponents)
-                      or fin.has_deep_entries(W - 2))
-        if not (W < target and suspicious):
-            return result
-        full = full_precision_int64(ring, target, track, matrix)
-        if full is not None:
-            return full
-        if R * C > RETRY_SIZE_LIMIT:
-            result.certified = False
-            return result
-    rows = fin.matrix_coords(extra_columns=extra_columns)
-    R = len(rows)
-    C = len(rows[0]) if rows and rows[0] else 0
-    return _run_python(rows, R, C, ring, track,
-                       precision=None if target == ring.precision_exponent else target)
+class _LevelSource:
+    """A level expansion and its quotient columns as a Smith source.
+
+    The columns are reduced into the expansion's basis once, here.  The
+    deep-entry test scans the relation coefficients and every coordinate of
+    the reduced columns.
+    """
+
+    def __init__(self, fin: FinLevelModule, extra_columns):
+        self.fin = fin
+        self.columns = [fin.reduce_ambient_column(col) for col in extra_columns]
+        self.shape = (fin.nrows, fin.presentation.num_relations * fin.q + len(self.columns))
+
+    def matrix_int64(self, working_exponent):
+        return self.fin.matrix_int64(working_exponent, extra_columns=self.columns)
+
+    def coordinate_rows(self):
+        return self.fin.matrix_coords(extra_columns=self.columns)
+
+    def coords(self):
+        fin = self.fin
+        for i in range(fin.presentation.generators):
+            for j in range(fin.presentation.num_relations):
+                for coeff in fin.reduced_entry(i, j).coefficients:
+                    yield from coeff.coords
+        for col in self.columns:
+            for entry in col:
+                yield from entry
 
 
 def phi_component_ranks(M: ModulePresentation, n: int) -> list:

@@ -1,28 +1,34 @@
 """Smith normal form over the coefficient ring (a complete DVR with uniformizer p).
 
 Because the ring is local, pivoting on a minimum-valuation entry always
-succeeds and the divisor valuations come out sorted.  Two engines:
+succeeds and the divisor valuations come out sorted.
 
-* ``python``: exact arithmetic at the ring's full precision p^N, any
-  unramified degree, one pivot at a time (global minimum valuation, ties by
-  lowest row then column).  Used for small matrices that the int64 engine
-  cannot reduce at p^N (degree 2, transforms, p^N beyond int64) and as the
-  certification fallback for those.
-* ``int64``: numpy kernels for degree-1 rings.  A divisor-only reduction
-  that must be exact runs the valuation-layered kernel of ``_kernels`` at
-  the full precision p^N itself when its split products are exact mod p^N
-  (``full_precision_int64``: p <= 5 at N = 24): small matrices, and reruns
-  of suspicious results at any size.  Large matrices run at a reduced
-  working precision p^W with W = min(N, int64 cap): the layered kernel for
-  divisor-only reductions, its per-pivot kernel for reductions with
-  transforms.  The exponents are the Smith invariants mod p^W; exponents
-  below W - 2 are identical to the full-precision answer.  An exponent at
-  or above that threshold, or an input entry that deep, triggers a
-  full-precision rerun when one of the routes above applies (the Python
-  engine only up to ``RETRY_SIZE_LIMIT`` entries), and otherwise marks the
-  result uncertified (``SmithResult.certified``).  A deep invariant behind
-  entries that all look shallow (a unit block with determinant p^k, k >= W)
-  passes that test unnoticed and counts as free rank.
+Every reduction takes one route, ``reduce(source, ring, track, target)``.  A
+source hides the matrix format: it gives the shape, the int64 matrix mod
+p^W, the full-precision coordinate rows and the coordinates the deep-entry
+test scans.  ``smith_normal_form`` wraps coordinate rows; ``presentations``
+wraps a level expansion together with its quotient columns.  The route aims
+at an answer exact at p^target, by default the ring's precision p^N:
+
+* A matrix of at most ``PURE_SIZE_LIMIT`` entries, and any matrix over a
+  degree-2 ring, is reduced at p^target.  A divisor-only reduction over a
+  degree-1 ring runs the valuation-layered kernel of ``_kernels`` there when
+  its split products are exact mod p^target (``full_precision_int64``:
+  p <= 5 at N = 24).  Everything else runs the Python engine
+  (``_run_python``: exact coordinate arithmetic, any unramified degree, one
+  pivot at a time at the global minimum valuation, ties by lowest row then
+  column).
+* A larger matrix runs the int64 kernels at the reduced working precision
+  p^W, W = min(target, int64 cap): the layered kernel without transforms,
+  the per-pivot kernel with them.  Exponents below W - 2 equal the
+  full-precision answer.  An exponent at or above that threshold, or a
+  nonzero source coordinate that deep (``has_deep_entries``), makes the
+  result suspicious.  A suspicious result is redone at p^target by the
+  layered kernel where it applies, else by the Python engine up to
+  ``RETRY_SIZE_LIMIT`` entries; beyond that it is returned with
+  ``certified`` False.  A deep invariant behind entries that all look
+  shallow (a unit block with determinant p^k, k >= W) passes that test
+  unnoticed and counts as free rank.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._kernels import _mulmod, exact_products, int64_precision_cap, snf_int64
+from ._kernels import _mulmod, exact_products, int64_precision_cap
+from ._kernels import snf_int64  # noqa: F401  perfbench's BINDINGS resolves snf.snf_int64
 from .errors import ValidationError
 from .padics import CoefficientRing, RingElem, _int_valuation
 
@@ -188,17 +195,12 @@ def _coords_of(x, ring):
     return ring.element(int(x)).coords
 
 
-def _has_deep_entries(mat, p, threshold) -> bool:
-    """True if some nonzero full-precision entry vanishes to depth >= threshold."""
+def has_deep_entries(coords, p, threshold) -> bool:
+    """True if some nonzero coordinate in ``coords`` is divisible by p^threshold."""
     if threshold <= 0:
         return True
     pt = p**threshold
-    for row in mat:
-        for entry in row:
-            for c in entry:
-                if c and c % pt == 0:
-                    return True
-    return False
+    return any(c and c % pt == 0 for c in coords)
 
 
 def _is_zero_mod(x, modulus):
@@ -207,81 +209,90 @@ def _is_zero_mod(x, modulus):
     return int(x) % modulus == 0
 
 
-def smith_normal_form(rows, ring: CoefficientRing, with_transforms: bool = False,
-                      engine: str | None = None) -> SmithResult:
+def smith_normal_form(rows, ring: CoefficientRing,
+                      with_transforms: bool = False) -> SmithResult:
     """Diagonalize a matrix over the coefficient ring by unimodular transforms.
 
     ``rows`` is a sequence of rows of RingElem/int/coordinate entries.  The
-    returned exponents are sorted ascending.  A small matrix runs at full
-    precision.  An int64 run whose exponents or input entries reach the
-    certification threshold is redone at full precision when
-    ``full_precision_int64`` applies or the matrix is small enough for the
-    Python engine; otherwise the result has ``certified`` False.
+    returned exponents are sorted ascending; ``reduce`` chooses the engine
+    and the working precision.
     """
     mat, R, C = _normalize_rows(rows, ring)
-    N = ring.precision_exponent
-    track = 2 if with_transforms else 0
-
-    def matrix(W):
-        return _int64_matrix(mat, R, C, ring.prime**W)
-
-    if engine is None:
-        if ring.unramified_degree > 1 or R * C <= PURE_SIZE_LIMIT:
-            return (full_precision_int64(ring, N, track, matrix)
-                    or _run_python(mat, R, C, ring, track))
-        engine = "int64"
-    if engine == "int64":
-        if ring.unramified_degree != 1:
-            raise ValidationError("int64 engine requires unramified degree 1")
-        result = _run_int64(matrix, R, C, ring, track)
-        wprec = result.precision_used
-        suspicious = (any(e >= wprec - 2 for e in result.exponents)
-                      or _has_deep_entries(mat, ring.prime, wprec - 2))
-        if wprec < N and suspicious:
-            full = full_precision_int64(ring, N, track, matrix)
-            if full is not None:
-                return full
-            if R * C <= RETRY_SIZE_LIMIT:
-                return _run_python(mat, R, C, ring, track)
-            result.certified = False
-        return result
-    if engine == "python":
-        return _run_python(mat, R, C, ring, track)
-    raise ValidationError(f"unknown engine {engine!r}")
+    return reduce(_RowSource(mat, R, C, ring.prime), ring, 2 if with_transforms else 0)
 
 
-def full_precision_int64(ring, target, track, matrix):
+class _RowSource:
+    """Coordinate rows, as ``_normalize_rows`` returns them, as a Smith source."""
+
+    def __init__(self, rows, nrows, ncols, p):
+        self.rows = rows
+        self.shape = (nrows, ncols)
+        self.p = p
+
+    def matrix_int64(self, working_exponent):
+        m = self.p**working_exponent
+        A = np.zeros(self.shape, dtype=np.int64)
+        for i, row in enumerate(self.rows):
+            for j, entry in enumerate(row):
+                A[i, j] = entry[0] % m
+        return A
+
+    def coordinate_rows(self):
+        return self.rows
+
+    def coords(self):
+        return (c for row in self.rows for entry in row for c in entry)
+
+
+def reduce(source, ring: CoefficientRing, track: int, target: int | None = None) -> SmithResult:
+    """Smith-reduce ``source`` over ``ring``, aiming at an answer exact at p^target.
+
+    ``source`` has ``shape`` (R, C), ``matrix_int64(W)`` (the matrix mod
+    p^W, degree 1 only), ``coordinate_rows()`` (full-precision coordinate
+    tuples) and ``coords()`` (the coordinates the deep-entry test scans).
+    ``track`` is 0 for divisors only, 1 to track U and U^-1, 2 to track V
+    and V^-1 as well.  ``target`` defaults to the ring's precision N.
+    """
+    p, N = ring.prime, ring.precision_exponent
+    target = N if target is None else target
+    R, C = source.shape
+    reduced = None
+    # a matrix without columns still costs R entries (R^2 with transforms) in
+    # the Python engine, so its size counts one column
+    if ring.unramified_degree == 1 and R * max(C, 1) > PURE_SIZE_LIMIT:
+        W = min(target, int64_precision_cap(p))
+        A = source.matrix_int64(W)
+        exponents, U, Uinv, V, Vinv = _kernels.snf_int64(A, p, p**W, track)
+        reduced = SmithResult(ring, "int64", W, R, C, exponents,
+                              (U, Uinv, V, Vinv) if track else None)
+        suspicious = W < target and (any(e >= W - 2 for e in exponents)
+                                     or has_deep_entries(source.coords(), p, W - 2))
+        if not suspicious:
+            return reduced
+    full = full_precision_int64(source, ring, target, track)
+    if full is not None:
+        return full
+    if reduced is not None and R * C > RETRY_SIZE_LIMIT:
+        reduced.certified = False
+        return reduced
+    return _run_python(source.coordinate_rows(), R, C, ring, track,
+                       precision=None if target == N else target)
+
+
+def full_precision_int64(source, ring, target, track):
     """Divisor-only reduction at p^target by the layered kernel, or None.
 
     Applies to degree-1 rings without transforms when ``exact_products``
-    admits p^target; ``matrix(W)`` must return the int64 matrix mod p^W.
-    The result is exact at p^target: engine "int64", ``precision_used``
-    target, certified.
+    admits p^target.  The result is exact at p^target: engine "int64",
+    ``precision_used`` target, certified.
     """
     p = ring.prime
     m = p**target
     if ring.unramified_degree != 1 or track or not exact_products(p, m):
         return None
-    A = matrix(target)
-    R, C = A.shape
-    exponents = _kernels.snf_int64(A, p, m, 0)[0]
+    exponents = _kernels.snf_int64(source.matrix_int64(target), p, m, 0)[0]
+    R, C = source.shape
     return SmithResult(ring, "int64", target, R, C, exponents)
-
-
-def _int64_matrix(mat, R, C, m):
-    A = np.zeros((R, C), dtype=np.int64)
-    for i, row in enumerate(mat):
-        for j, entry in enumerate(row):
-            A[i, j] = entry[0] % m
-    return A
-
-
-def _run_int64(matrix, R, C, ring, track):
-    p = ring.prime
-    W = min(ring.precision_exponent, int64_precision_cap(p))
-    exponents, U, Uinv, V, Vinv = snf_int64(matrix(W), p, p**W, track)
-    transforms = (U, Uinv, V, Vinv) if track >= 1 else None
-    return SmithResult(ring, "int64", W, R, C, exponents, transforms)
 
 
 def _run_python(mat, R, C, ring, track, precision=None):

@@ -9,6 +9,7 @@ from finemw.polynomials import IwasawaPoly, cyclotomic, phi_degree, weierstrass_
 from finemw.presentations import (
     FinLevelModule,
     ModulePresentation,
+    _level_smith,
     check_level_budget,
     coinvariants,
     cyclic_module,
@@ -21,6 +22,7 @@ from finemw.presentations import (
     quotient_structure,
     transition_check,
 )
+from finemw.snf import smith_normal_form
 from oracles import component_rank_oracle, expand_exact, integer_smith_p_exponents
 
 RING = CoefficientRing(5, 1, 24)
@@ -312,6 +314,55 @@ def test_quotient_structure_kills_torsion():
     q = quotient_structure(M, 0, [gen], precision_cap=20)
     assert q.torsion_exponents == []
     assert q.free_rank == 0
+
+
+def test_deep_quotient_columns_are_not_counted_as_free_rank():
+    # 7^15 vanishes at the int64 working precision 7^11, so the 98 x 98
+    # reduction must see that its quotient columns are deep and rerun at 7^24
+    ring7 = CoefficientRing(7, 1, 24)
+    cols = [[7**15 * int(i == k) for i in range(98)] for k in range(98)]
+    q = quotient_structure(free_module(ring7, 2), 2, cols)
+    assert q.free_rank == 0
+    assert q.torsion_exponents == [15] * 98
+    assert q.all_certified
+
+
+def _route_case(p, level, generators, relations, deep, seed):
+    """A random level expansion with two quotient columns; ``deep`` scales
+    the second column by p^15, below the int64 working precision."""
+    ring = CoefficientRing(p, 1, 24)
+    rng = random.Random(seed)
+
+    def poly():
+        return IwasawaPoly(ring, [[rng.randrange(ring.modulus)] for _ in range(p + 2)])
+
+    M = ModulePresentation(ring, generators,
+                           [[poly() for _ in range(relations)] for _ in range(generators)])
+    fin = FinLevelModule(M, level)
+    cols = [[rng.randrange(ring.modulus) for _ in range(fin.nrows)] for _ in range(2)]
+    if deep:
+        cols[1] = [x * p**15 for x in cols[1]]
+    return fin, cols
+
+
+@pytest.mark.parametrize("p, level, generators, relations, deep, precision", [
+    (5, 1, 2, 1, False, 24),  # small: full precision
+    (7, 1, 2, 1, False, 24),
+    (5, 3, 2, 1, False, 13),  # large, not suspicious: the int64 working precision
+    (7, 2, 2, 1, False, 11),
+    (5, 3, 2, 1, True, 24),  # large and suspicious: rerun at full precision
+    (7, 2, 2, 1, True, 24),
+])
+def test_level_and_row_reductions_take_the_same_route(p, level, generators, relations,
+                                                      deep, precision):
+    fin, cols = _route_case(p, level, generators, relations, deep, seed=p * 10 + level)
+    ours = _level_smith(fin, cols)
+    rows = smith_normal_form(fin.matrix_coords(cols), fin.ring)
+    assert ours.precision_used == precision
+    assert ours.exponents == rows.exponents
+    assert ours.free_rank == rows.free_rank
+    assert ours.precision_used == rows.precision_used
+    assert ours.certified == rows.certified
 
 
 def test_quadratic_phi_component_ranks():

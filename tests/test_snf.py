@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from finemw.padics import CoefficientRing
-from finemw.snf import _run_python, smith_normal_form
+from finemw import snf
+from finemw.snf import _normalize_rows, _run_python, smith_normal_form
 from finemw._kernels import (PANEL, _exact_split, _inv_mod, _mulmod, _panel_factor,
                              _snf_i64_numpy, _split_bits, exact_products,
                              int64_precision_cap, snf_int64)
@@ -52,14 +53,24 @@ def test_matches_integer_smith_oracle():
         assert sorted(ours.exponents) == oracle
 
 
-def test_engine_agreement_on_random_matrices():
+def _large_route(monkeypatch):
+    """Send every matrix, however small, down the reduced-precision int64 route."""
+    monkeypatch.setattr(snf, "PURE_SIZE_LIMIT", 0)
+
+
+def _python_engine(mat, ring, track=0):
+    return _run_python(*_normalize_rows(mat, ring), ring, track)
+
+
+def test_engine_agreement_on_random_matrices(monkeypatch):
+    _large_route(monkeypatch)
     rng = random.Random(11)
     for _ in range(30):
         R, C = rng.randrange(1, 7), rng.randrange(1, 7)
         mat = [[rng.randrange(0, 5**9) * 5 ** rng.choice((0, 0, 0, 1, 2))
                 for _ in range(C)] for _ in range(R)]
-        pure = smith_normal_form(mat, RING10, engine="python")
-        fast = smith_normal_form(mat, RING10, engine="int64")
+        pure = _python_engine(mat, RING10)
+        fast = smith_normal_form(mat, RING10)
         assert pure.exponents == fast.exponents
     # Widths around the panel width of the layered kernel, with rank
     # deficiency, rows scaled by p^k (several valuation layers), a leading
@@ -68,14 +79,14 @@ def test_engine_agreement_on_random_matrices():
     b = PANEL
     for R, C in ((9, b - 1), (12, b), (12, b + 1), (8, 2 * b + 1), (b + 1, 10), (b + 1, b + 1)):
         mat = _layered_case(rng, R, C, 5, 10)
-        pure = smith_normal_form(mat, RING10, engine="python")
-        fast = smith_normal_form(mat, RING10, engine="int64")
+        pure = _python_engine(mat, RING10)
+        fast = smith_normal_form(mat, RING10)
         assert pure.exponents == fast.exponents
     # Shapes too large for the Python engine: the per-pivot kernel and the
     # exact integer Smith form of a disguised block-diagonal matrix.
     for R, C in ((b - 1, 2 * b + 1), (2 * b + 1, 2 * b + 1), (2 * b + 1, b), (3 * b + 5, 3 * b + 2)):
         mat, expected = _disguised_blocks(rng, R, C, 5, 10)
-        fast = smith_normal_form(mat, RING10, engine="int64")
+        fast = smith_normal_form(mat, RING10)
         assert fast.exponents == _per_pivot_exponents(np.array(mat, dtype=np.int64), 5, 5**10)
         assert fast.exponents == expected
     # A prime whose square passes 2^53 takes the int64 residue path.
@@ -273,12 +284,11 @@ def test_pivot_block_inverse_lifts_to_the_working_precision():
     assert ((G.astype(object) @ X.astype(object)) % m == np.eye(len(rows), dtype=object)).all()
 
 
-def _check_uav(matrix, ring, engine):
-    res = smith_normal_form(matrix, ring, with_transforms=True, engine=engine)
+def _check_uav(matrix, res):
     U, Uinv, V, Vinv = res.transforms
     m = res.modulus
     R, C = res.nrows, res.ncols
-    if engine == "int64":
+    if res.engine == "int64":
         Ui = U.astype(object)
         Vi = V.astype(object)
         A = np.array(matrix, dtype=object) % m
@@ -313,15 +323,18 @@ def test_transforms_diagonalize_pure():
     for _ in range(25):
         R, C = rng.randrange(1, 5), rng.randrange(1, 5)
         mat = [[rng.randrange(RING10.modulus) for _ in range(C)] for _ in range(R)]
-        _check_uav(mat, RING10, "python")
+        _check_uav(mat, _python_engine(mat, RING10, track=2))
 
 
-def test_transforms_diagonalize_int64():
+def test_transforms_diagonalize_int64(monkeypatch):
+    _large_route(monkeypatch)
     rng = random.Random(5)
     for _ in range(25):
         R, C = rng.randrange(1, 6), rng.randrange(1, 6)
         mat = [[rng.randrange(RING10.modulus) for _ in range(C)] for _ in range(R)]
-        _check_uav(mat, RING10, "int64")
+        res = smith_normal_form(mat, RING10, with_transforms=True)
+        assert res.engine == "int64"
+        _check_uav(mat, res)
 
 
 def test_unimodular_invariance_100_conjugations():
@@ -369,10 +382,11 @@ def test_certification_flags():
     assert deep.certified_exponents() == [True]
 
 
-def test_deep_exponent_triggers_full_precision_retry():
+def test_deep_exponent_triggers_full_precision_retry(monkeypatch):
     # p^15 is invisible at the int64 working precision (5^13); the suspicious
     # result is redone at the ring's precision 5^24
-    res = smith_normal_form([[5**15]], RING, engine="int64")
+    _large_route(monkeypatch)
+    res = smith_normal_form([[5**15]], RING)
     assert res.exponents == [15]
     assert res.precision_used == 24 and res.certified
 
@@ -393,13 +407,14 @@ def test_is_torsion_vector():
     assert res.is_torsion_vector([3, 0])
 
 
-def test_reduce_vector_accepts_ints_beyond_int64():
+def test_reduce_vector_accepts_ints_beyond_int64(monkeypatch):
     # the random-subgroup selector scales generators by p-powers and the T-action
     # reduces mod p^N, both past int64; only the residue mod p^W matters
+    _large_route(monkeypatch)
     ring = CoefficientRing(7, 1, 24)
     rng = random.Random(11)
     mat = [[rng.randrange(ring.modulus) for _ in range(6)] for _ in range(6)]
-    res = smith_normal_form(mat, ring, with_transforms=True, engine="int64")
+    res = smith_normal_form(mat, ring, with_transforms=True)
     w = [rng.randrange(res.modulus) for _ in range(6)]
     big = [x * 7**13 + x + 5 * res.modulus for x in w]
     scaled = [(x * 7**13 + x) % res.modulus for x in w]
@@ -407,13 +422,14 @@ def test_reduce_vector_accepts_ints_beyond_int64():
     assert res.reduce_vector(big) == res.reduce_vector(scaled)
 
 
-def test_reduce_vector_matches_python_int_product():
+def test_reduce_vector_matches_python_int_product(monkeypatch):
+    _large_route(monkeypatch)
     ring = CoefficientRing(7, 1, 24)
     rng = random.Random(12)
     R = 70
     mat = [[rng.randrange(ring.modulus) * 7 ** rng.choice((0, 0, 1)) for _ in range(R + 3)]
            for _ in range(R)]
-    res = smith_normal_form(mat, ring, with_transforms=True, engine="int64")
+    res = smith_normal_form(mat, ring, with_transforms=True)
     U = res.transforms[0]
     for _ in range(3):
         w = [rng.randrange(-2**80, 2**80) for _ in range(R)]
@@ -422,21 +438,22 @@ def test_reduce_vector_matches_python_int_product():
         assert res.reduce_vector(w) == expect
 
 
-def test_oversized_suspicious_reduction_is_uncertified():
+def test_oversized_suspicious_reduction_is_uncertified(monkeypatch):
     # a 7^13 entry vanishes at the int64 working precision 7^11; 7^24 admits
     # no exact int64 products and the matrix is too large for the Python
     # rerun, so the result must not claim to be certified
+    _large_route(monkeypatch)
     ring = CoefficientRing(7, 1, 24)
     n = 250
     mat = [[int(i == j) for j in range(n)] for i in range(n)]
     mat[0][0] = 7**13
-    res = smith_normal_form(mat, ring, engine="int64")
+    res = smith_normal_form(mat, ring)
     assert res.precision_used == 11 and res.rank == n - 1
     assert not res.certified
-    small = smith_normal_form([[7**13]], ring, engine="int64")
+    small = smith_normal_form([[7**13]], ring)
     assert small.engine == "python" and small.exponents == [13] and small.certified
     # at p = 5 the same case is redone exactly at 5^24, at any size
     mat[0][0] = 5**15
-    res = smith_normal_form(mat, RING, engine="int64")
+    res = smith_normal_form(mat, RING)
     assert res.precision_used == 24 and res.certified
     assert res.exponents == [0] * (n - 1) + [15]
