@@ -1,26 +1,22 @@
-"""Low-level int64 Smith-form kernels for degree-1 coefficient rings.
+"""The int64 Smith-form kernel for degree-1 coefficient rings.
 
 All arithmetic is exact in Z/m for a prime power m = p^w whose residues fit
-in int64.  Two numpy kernels:
-
-* ``_snf_layered`` (divisor-only reductions) works one valuation layer at a
-  time.  ``_panel_factor`` finds a maximal set of unit pivots mod p in each
-  64-column panel by left-looking elimination, together with the inverse mod
-  p of the pivot block, and the trailing block takes one exact product per
-  panel.  Products run in float64 BLAS on digit splits (``_exact_split``):
-  one operand in base-2^h digits and the other whole where that is exact
-  (two products for p = 5, 7 at the reduced working precision p^W), and
-  otherwise both operands in base-p^a digits, which reaches the ring's own
-  p^N for p <= 5 at N = 24 (``exact_products``).
-* ``_snf_i64_numpy`` (reductions with transforms) pivots one entry at a time
-  on the globally minimal valuation, ties broken by lowest row index then
-  lowest column index; that order fixes the transforms.  It needs the
-  products of two residues to fit int64, so it runs at p^W with W at most
-  ``int64_precision_cap(p)``.
+in int64.  ``_snf_layered`` works one valuation layer at a time.
+``_panel_factor`` finds a maximal set of unit pivots mod p in each 64-column
+panel by left-looking elimination, together with the inverse mod p of the
+pivot block, and the trailing block takes one exact product per panel.
+Products run in float64 BLAS on digit splits (``_exact_split``): one operand
+in base-2^h digits and the other whole where that is exact (two products for
+p = 5, 7 at the reduced working precision p^W), and otherwise both operands
+in base-p^a digits, which reaches the ring's own p^N for p <= 5 at N = 24
+(``exact_products``).  A tracked reduction also keeps each panel's row
+operation as thin factors (``RowTransform``), from which U w and the columns
+of U^-1 are applied; no R x R transform is formed.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 import glob
@@ -34,7 +30,11 @@ HAVE_NUMBA = False
 
 
 def int64_precision_cap(p: int) -> int:
-    """Largest W with p^(2W) < 2^63, so q*entry never overflows."""
+    """Largest W with p^(2W) < 2^63: the reduced working precision of ``snf.reduce``.
+
+    The kernel's split products stay exact well above it (``exact_products``);
+    the cap only fixes W for reductions that cannot run at p^N.
+    """
     cap = 1
     limit = 3037000499  # floor(sqrt(2^63 - 1))
     while p ** (cap + 1) <= limit:
@@ -42,91 +42,7 @@ def int64_precision_cap(p: int) -> int:
     return cap
 
 
-def _combine_mod(hi, lo, m):
-    return (hi % m * (1 << 16) + lo % m) % m
-
-
-def _matvec_cols_mod(M, q, m):
-    """(M @ q) % m without overflow: q is split into 16-bit halves."""
-    q = q % m
-    lo = (M * (q & 0xFFFF)[None, :] % m).sum(axis=1)
-    hi = (M * (q >> 16)[None, :] % m).sum(axis=1)
-    return _combine_mod(hi, lo, m)
-
-
-def _vecmat_rows_mod(q, M, m):
-    q = q % m
-    lo = ((q & 0xFFFF)[:, None] * M % m).sum(axis=0)
-    hi = ((q >> 16)[:, None] * M % m).sum(axis=0)
-    return _combine_mod(hi, lo, m)
-
-
-def _snf_i64_numpy(A, p, m, exps, U, Uinv, V, Vinv, track):
-    """Per-pivot kernel: minimal valuation first, ties by lowest row then column.
-
-    Fills ``exps`` and returns the pivot count; U, Uinv (track >= 1) and V,
-    Vinv (track >= 2) are updated in place so that U A V is diagonal.
-    """
-    R, C = A.shape
-    npiv = 0
-    for k in range(min(R, C)):
-        act = A[k:, k:]
-        if not (act != 0).any():
-            break
-        mask = act % p != 0  # a nonzero residue mod p is a nonzero entry
-        v = 0
-        if not mask.any():
-            B = act.copy()
-            while True:
-                B //= p
-                v += 1
-                mask = (B % p != 0) & (B != 0)
-                if mask.any():
-                    break
-            del B
-        flat = int(np.argmax(mask))
-        bi, bj = k + flat // (C - k), k + flat % (C - k)
-        if bi != k:
-            A[[k, bi], :] = A[[bi, k], :]
-            if track >= 1:
-                U[[k, bi], :] = U[[bi, k], :]
-                Uinv[:, [k, bi]] = Uinv[:, [bi, k]]
-        if bj != k:
-            A[:, [k, bj]] = A[:, [bj, k]]
-            if track >= 2:
-                V[:, [k, bj]] = V[:, [bj, k]]
-                Vinv[[k, bj], :] = Vinv[[bj, k], :]
-        pv = p**v
-        u = int(A[k, k]) // pv
-        uinv = pow(u % m, -1, m)
-        A[k, k:] = (A[k, k:] * uinv) % m
-        if track >= 1:
-            U[k, :] = (U[k, :] * uinv) % m
-            Uinv[:, k] = (Uinv[:, k] * u) % m
-        col = A[k + 1:, k]
-        if col.size and (col != 0).any():
-            q = col // pv
-            blk = A[k + 1:, k:]
-            blk -= q[:, None] * A[k, k:][None, :]
-            blk %= m
-            if track >= 1:
-                blk = U[k + 1:, :]
-                blk -= q[:, None] * U[k, :][None, :]
-                blk %= m
-                Uinv[:, k] = (Uinv[:, k] + _matvec_cols_mod(Uinv[:, k + 1:], q, m)) % m
-        row = A[k, k + 1:]
-        if row.size and (row != 0).any():
-            q = row // pv
-            A[k, k + 1:] = 0
-            if track >= 2:
-                V[:, k + 1:] = (V[:, k + 1:] - V[:, k][:, None] * q[None, :]) % m
-                Vinv[k, :] = (Vinv[k, :] + _vecmat_rows_mod(q, Vinv[k + 1:, :], m)) % m
-        exps[npiv] = v
-        npiv += 1
-    return npiv
-
-
-# -- valuation-layered kernel (divisors only) ---------------------------------
+# -- valuation-layered kernel -------------------------------------------------
 
 PANEL = 64  # columns per pivot panel; the inner dimension of every product
 _CHUNK = 1 << 16  # entries per row chunk of the trailing update
@@ -437,7 +353,7 @@ def _inv_mod(G, Ginv, p, m):
     return X
 
 
-def _unit_layer(X, p, m, split):
+def _unit_layer(X, p, m, split, transform=None):
     """Eliminate a maximal set of unit pivots of X over Z/m, panel by panel.
 
     X is updated in place and ``split`` forms its exact products mod m.
@@ -445,6 +361,7 @@ def _unit_layer(X, p, m, split):
     complement, every entry of which is divisible by p, and count is the
     number of pivots.  Columns left of ``done`` have
     no unit on the remaining rows; they still take every later update.
+    A ``transform`` records each panel's row operation.
     """
     count = 0
     done = 0
@@ -458,8 +375,14 @@ def _unit_layer(X, p, m, split):
         pcol = np.asarray(pcol) + done
         rest = np.setdiff1d(np.arange(X.shape[0]), prow)
         keep = np.setdiff1d(np.arange(X.shape[1]), pcol)
+        G = X[np.ix_(prow, pcol)]
+        if transform is None:
+            Ginv = _inv_mod(G, Ginv, p, m)
+        else:
+            Ginv = _inv_mod(G, Ginv, p, transform.modulus)
+            transform.record(prow, rest, X[np.ix_(rest, pcol)], G, Ginv)
+            Ginv = Ginv % m
         # K = G^-1 X[P, keep]; the Schur complement is X[rest, keep] - X[rest, Q] K
-        Ginv = _inv_mod(X[np.ix_(prow, pcol)], Ginv, p, m)
         K = split.digits(_mulmod(Ginv, X[np.ix_(prow, keep)], m, p))
         # Row i of the result comes from row rest[i] >= i, so compacting into
         # the leading rows in increasing chunks never overwrites a source row.
@@ -474,7 +397,7 @@ def _unit_layer(X, p, m, split):
     return X, count
 
 
-def _snf_layered(A, p, m):
+def _snf_layered(A, p, m, transform=None):
     """Smith exponents of A over Z/m (m = p^W), one valuation layer at a time.
 
     At layer k the working matrix holds the current Schur complement divided
@@ -482,9 +405,9 @@ def _snf_layered(A, p, m):
     column panel at a time, the trailing block takes one exact product per
     panel, and what remains is divisible by p: it is divided by p and the
     next layer works mod p^(W-k-1).  Each pivot of layer k contributes
-    exponent k, so the exponents come out nondecreasing, as with the per-pivot
-    kernel.  A is overwritten.  Raises OverflowError unless ``exact_products``
-    admits m.
+    exponent k, so the exponents come out nondecreasing.  A is overwritten,
+    and a ``transform`` records the row operations.  Raises OverflowError
+    unless ``exact_products`` admits m.
     """
     if m > 1:
         _exact_split(m, PANEL, p)  # then every later layer's products are exact too
@@ -493,7 +416,7 @@ def _snf_layered(A, p, m):
     k = 0
     _single_blas_thread()
     while m > 1 and X.size:
-        X, count = _unit_layer(X, p, m, _exact_split(m, PANEL, p))
+        X, count = _unit_layer(X, p, m, _exact_split(m, PANEL, p), transform)
         exps.extend([k] * count)
         if not X.any():
             break
@@ -503,31 +426,77 @@ def _snf_layered(A, p, m):
     return exps
 
 
-def snf_int64(A: np.ndarray, p: int, m: int, track: int):
-    """Run the int64 Smith kernel in place; returns (exponents, U, Uinv, V, Vinv).
+class RowTransform:
+    """The row transform U of a tracked layered reduction, as panel factors.
 
-    track: 0 = divisors only, 1 = row transforms (U, U^-1), 2 = full.
-    Divisor-only runs use the valuation-layered kernel; tracked runs keep the
-    per-pivot kernel, whose pivot order fixes the transforms.
+    A panel with pivot rows P, pivot columns Q and remaining rows F (original
+    row ids) acts on a vector w by t = G^-1 w_P, w_F -= L t, w_P = t, where
+    G = X[P, Q] and L = X[F, Q] are read off the working matrix of its layer
+    k.  U A then has the pivot rows in the order found, scaled to p^k on
+    their pivot columns, followed by the rows left, which vanish mod p^W.
+    G^-1 is kept exact mod p^W, not only mod p^(W-k), so U^-1 U = I mod p^W:
+    column k of U^-1, which replays the factors backwards as w_P = G t,
+    w_F += L t, is mapped by U to the unit vector e_k exactly.
+    """
+
+    def __init__(self, nrows, p, modulus):
+        self.p = p
+        self.modulus = modulus
+        self.panels = []  # (P, F, L, G, Ginv)
+        self.ends = []  # pivots found up to and including each panel
+        self.pivots = []
+        self.rows = np.arange(nrows)  # original ids of the working rows
+
+    def record(self, prow, rest, L, G, Ginv):
+        P = self.rows[prow]
+        self.rows = self.rows[rest]
+        self.panels.append((P, self.rows, L, G, Ginv))
+        self.pivots.extend(P.tolist())
+        self.ends.append(len(self.pivots))
+
+    def _mul(self, M, v):
+        return _mulmod(M, v[:, None], self.modulus, self.p)[:, 0]
+
+    def reduce_vector(self, w):
+        """U w for a vector of Python ints, as Python ints."""
+        m = self.modulus
+        # callers pass ints beyond int64 (p-power scalings, the T-action mod
+        # p^N); reduce before converting
+        y = np.asarray([int(x) % m for x in w], dtype=np.int64)
+        for P, F, L, G, Ginv in self.panels:
+            t = self._mul(Ginv, y[P])
+            y[F] = (y[F] - self._mul(L, t)) % m
+            y[P] = t
+        return [int(x) for x in y[self.pivots + self.rows.tolist()]]
+
+    def generator_column(self, k):
+        """Column k of U^-1, as Python ints.
+
+        A pivot row is untouched by the panels after its own, so only its
+        panel and those before it are replayed.
+        """
+        m = self.modulus
+        y = np.zeros(len(self.pivots) + self.rows.size, dtype=np.int64)
+        if k < len(self.pivots):
+            y[self.pivots[k]] = 1
+            last = bisect.bisect_right(self.ends, k)
+        else:
+            y[self.rows[k - len(self.pivots)]] = 1
+            last = len(self.panels) - 1
+        for P, F, L, G, Ginv in reversed(self.panels[:last + 1]):
+            t = y[P]
+            y[F] = (y[F] + self._mul(L, t)) % m
+            y[P] = self._mul(G, t)
+        return [int(x) for x in y]
+
+
+def snf_int64(A: np.ndarray, p: int, m: int, track: bool):
+    """Run the layered kernel on A in place; returns (exponents, transform).
+
+    ``transform`` is the ``RowTransform`` of the reduction when ``track`` is
+    set, else None.
     """
     R, C = A.shape
-    track = int(track)
-    if track == 0:
-        exponents = _snf_layered(A, p, m) if R and C else []
-        return exponents, None, None, None, None
-    exps = np.empty(min(R, C) if min(R, C) else 1, dtype=np.int64)
-    U = np.eye(R, dtype=np.int64)
-    Uinv = np.eye(R, dtype=np.int64)
-    if track >= 2:
-        V = np.eye(C, dtype=np.int64)
-        Vinv = np.eye(C, dtype=np.int64)
-    else:
-        V = Vinv = np.zeros((1, 1), dtype=np.int64)
-    if R and C:
-        npiv = _snf_i64_numpy(A, p, m, exps, U, Uinv, V, Vinv, track)
-    else:
-        npiv = 0
-    exponents = [int(e) for e in exps[:npiv]]
-    return (exponents, U, Uinv,
-            V if track >= 2 else None,
-            Vinv if track >= 2 else None)
+    transform = RowTransform(R, p, m) if track else None
+    exponents = _snf_layered(A, p, m, transform) if R and C else []
+    return exponents, transform

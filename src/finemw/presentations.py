@@ -413,7 +413,7 @@ def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
             raise ValidationError(f"working precision {precision_cap} too low")
         target = min(fin.ring.precision_exponent, precision_cap)
     return snf.reduce(_LevelSource(fin, extra_columns), fin.ring,
-                      1 if with_transforms else 0, target)
+                      with_transforms, target)
 
 
 class _LevelSource:

@@ -18,17 +18,16 @@ at an answer exact at p^target, by default the ring's precision p^N:
   (``_run_python``: exact coordinate arithmetic, any unramified degree, one
   pivot at a time at the global minimum valuation, ties by lowest row then
   column).
-* A larger matrix runs the int64 kernels at the reduced working precision
-  p^W, W = min(target, int64 cap): the layered kernel without transforms,
-  the per-pivot kernel with them.  Exponents below W - 2 equal the
-  full-precision answer.  An exponent at or above that threshold, or a
-  nonzero source coordinate that deep (``has_deep_entries``), makes the
-  result suspicious.  A suspicious result is redone at p^target by the
-  layered kernel where it applies, else by the Python engine up to
-  ``RETRY_SIZE_LIMIT`` entries; beyond that it is returned with
-  ``certified`` False.  A deep invariant behind entries that all look
-  shallow (a unit block with determinant p^k, k >= W) passes that test
-  unnoticed and counts as free rank.
+* A larger matrix runs the layered int64 kernel at the reduced working
+  precision p^W, W = min(target, int64 cap), with or without the row
+  transform.  Exponents below W - 2 equal the full-precision answer.  An
+  exponent at or above that threshold, or a nonzero source coordinate that
+  deep (``has_deep_entries``), makes the result suspicious.  A suspicious
+  result is redone at p^target by the layered kernel where it applies, else
+  by the Python engine up to ``RETRY_SIZE_LIMIT`` entries; beyond that it is
+  returned with ``certified`` False.  A deep invariant behind entries that
+  all look shallow (a unit block with determinant p^k, k >= W) passes that
+  test unnoticed and counts as free rank.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._kernels import _mulmod, exact_products, int64_precision_cap
+from ._kernels import exact_products, int64_precision_cap
 from ._kernels import snf_int64  # noqa: F401  perfbench's BINDINGS resolves snf.snf_int64
 from .errors import ValidationError
 from .padics import CoefficientRing, RingElem, _int_valuation
@@ -69,7 +68,7 @@ def _normalize_rows(rows, ring):
 
 
 class SmithResult:
-    """Outcome of a Smith reduction: divisor exponents plus optional transforms.
+    """Outcome of a Smith reduction: divisor exponents plus an optional row transform.
 
     ``exponents`` lists the p-valuations of the nonzero diagonal divisors in
     nondecreasing order (units contribute exponent 0).  The cokernel of the
@@ -77,14 +76,14 @@ class SmithResult:
     """
 
     def __init__(self, ring, engine, precision_used, nrows, ncols, exponents,
-                 transforms=None, certified=True):
+                 transform=None, certified=True):
         self.ring = ring
         self.engine = engine
         self.precision_used = precision_used
         self.nrows = nrows
         self.ncols = ncols
         self.exponents = list(exponents)
-        self._transforms = transforms
+        self._transform = transform
         self.modulus = ring.prime**precision_used
         # False when a reduced-precision run met entries or exponents at its
         # certification threshold and no full-precision rerun was made: then
@@ -121,57 +120,39 @@ class SmithResult:
     def torsion_positions(self):
         return [k for k, e in enumerate(self.exponents) if e > 0]
 
+    @property
+    def junk_free_precision(self) -> int:
+        """Exponent below which transform-derived vectors are exact.
+
+        Divisions by p^v during the reduction mean the tracked transform
+        only agrees with an exact lift modulo p^(W - max exponent); two more
+        digits are kept as a buffer.  Torsion membership is tested, and
+        quotients by generator columns are reduced, at this precision.
+        """
+        return self.precision_used - (max(self.exponents, default=0) + 2)
+
     # -- transform access -----------------------------------------------------
 
-    def _need_transforms(self):
-        if self._transforms is None:
+    def _need_transform(self):
+        if self._transform is None:
             raise ValidationError("run smith_normal_form with with_transforms=True")
-        return self._transforms
-
-    @property
-    def transforms(self):
-        """(U, Uinv, V, Vinv) with U*A*V diagonal; engine-native arrays."""
-        return self._need_transforms()
+        return self._transform
 
     def generator_column(self, k):
         """Column of U^-1 giving the ambient vector of cokernel summand k."""
-        U, Uinv, V, Vinv = self._need_transforms()
-        if self.engine == "int64":
-            return [int(x) for x in Uinv[:, k]]
-        if self.ring.unramified_degree == 1:
-            return [row[k][0] for row in Uinv]
-        return [row[k] for row in Uinv]
+        return self._need_transform().generator_column(k)
 
     def reduce_vector(self, w):
         """U*w: coordinates of an ambient vector in the diagonalized basis."""
-        U, Uinv, V, Vinv = self._need_transforms()
-        if self.engine == "int64":
-            # callers pass Python ints beyond int64 (p-power scalings, T-action
-            # mod p^N); reduce before converting
-            w = np.asarray([int(x) % self.modulus for x in w], dtype=np.int64)
-            product = _mulmod(U, w[:, None], self.modulus, self.ring.prime)
-            return [int(x) for x in product[:, 0]]
-        pn = self.modulus
-        out = []
-        for row in U:
-            acc = tuple(0 for _ in range(self.ring.unramified_degree))
-            for u, x in zip(row, w):
-                acc = tuple((a + b) % pn
-                            for a, b in zip(acc, self.ring._mul_coords(u, _coords_of(x, self.ring))))
-            out.append(acc)
-        return out
+        return self._need_transform().reduce_vector(w)
 
     def is_torsion_vector(self, w) -> bool:
         """True when w lies in the torsion part of the cokernel.
 
-        Free coordinates of U*w must vanish.  Divisions by p^v during the
-        reduction mean the tracked transform only agrees with an exact lift
-        modulo p^(W - max exponent), so vanishing is tested at that certified
-        threshold (minus the usual two-digit buffer) rather than at full
-        working precision.
+        Free coordinates of U*w must vanish, tested modulo
+        p^``junk_free_precision`` rather than at full working precision.
         """
-        slack = max(self.exponents, default=0) + 2
-        threshold = self.precision_used - slack
+        threshold = self.junk_free_precision
         if threshold <= 0:
             raise ValidationError(
                 "torsion membership undecidable: exponents too close to precision")
@@ -185,6 +166,33 @@ class SmithResult:
     def __repr__(self):
         return (f"SmithResult({self.nrows}x{self.ncols}, exps={self.exponents}, "
                 f"free={self.free_rank}, engine={self.engine})")
+
+
+class _PythonTransform:
+    """U and U^-1 of the Python engine, as rows of coordinate tuples."""
+
+    def __init__(self, ring, modulus, U, Uinv):
+        self.ring = ring
+        self.modulus = modulus
+        self.U = U
+        self.Uinv = Uinv
+
+    def generator_column(self, k):
+        if self.ring.unramified_degree == 1:
+            return [row[k][0] for row in self.Uinv]
+        return [row[k] for row in self.Uinv]
+
+    def reduce_vector(self, w):
+        pn = self.modulus
+        w = [_coords_of(x, self.ring) for x in w]
+        out = []
+        for row in self.U:
+            acc = [0] * self.ring.unramified_degree
+            for u, x in zip(row, w):
+                for i, c in enumerate(self.ring._mul_coords(u, x)):
+                    acc[i] += c
+            out.append(tuple(a % pn for a in acc))
+        return out
 
 
 def _coords_of(x, ring):
@@ -218,7 +226,7 @@ def smith_normal_form(rows, ring: CoefficientRing,
     and the working precision.
     """
     mat, R, C = _normalize_rows(rows, ring)
-    return reduce(_RowSource(mat, R, C, ring.prime), ring, 2 if with_transforms else 0)
+    return reduce(_RowSource(mat, R, C, ring.prime), ring, with_transforms)
 
 
 class _RowSource:
@@ -244,14 +252,14 @@ class _RowSource:
         return (c for row in self.rows for entry in row for c in entry)
 
 
-def reduce(source, ring: CoefficientRing, track: int, target: int | None = None) -> SmithResult:
+def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None) -> SmithResult:
     """Smith-reduce ``source`` over ``ring``, aiming at an answer exact at p^target.
 
     ``source`` has ``shape`` (R, C), ``matrix_int64(W)`` (the matrix mod
     p^W, degree 1 only), ``coordinate_rows()`` (full-precision coordinate
     tuples) and ``coords()`` (the coordinates the deep-entry test scans).
-    ``track`` is 0 for divisors only, 1 to track U and U^-1, 2 to track V
-    and V^-1 as well.  ``target`` defaults to the ring's precision N.
+    ``track`` asks for the row transform U (``reduce_vector``) and U^-1
+    (``generator_column``).  ``target`` defaults to the ring's precision N.
     """
     p, N = ring.prime, ring.precision_exponent
     target = N if target is None else target
@@ -262,9 +270,8 @@ def reduce(source, ring: CoefficientRing, track: int, target: int | None = None)
     if ring.unramified_degree == 1 and R * max(C, 1) > PURE_SIZE_LIMIT:
         W = min(target, int64_precision_cap(p))
         A = source.matrix_int64(W)
-        exponents, U, Uinv, V, Vinv = _kernels.snf_int64(A, p, p**W, track)
-        reduced = SmithResult(ring, "int64", W, R, C, exponents,
-                              (U, Uinv, V, Vinv) if track else None)
+        exponents, transform = _kernels.snf_int64(A, p, p**W, track)
+        reduced = SmithResult(ring, "int64", W, R, C, exponents, transform)
         suspicious = W < target and (any(e >= W - 2 for e in exponents)
                                      or has_deep_entries(source.coords(), p, W - 2))
         if not suspicious:
@@ -290,7 +297,7 @@ def full_precision_int64(source, ring, target, track):
     m = p**target
     if ring.unramified_degree != 1 or track or not exact_products(p, m):
         return None
-    exponents = _kernels.snf_int64(source.matrix_int64(target), p, m, 0)[0]
+    exponents = _kernels.snf_int64(source.matrix_int64(target), p, m, False)[0]
     R, C = source.shape
     return SmithResult(ring, "int64", target, R, C, exponents)
 
@@ -303,17 +310,11 @@ def _run_python(mat, R, C, ring, track, precision=None):
     if precision is not None:
         mat = [[tuple(c % pn for c in entry) for entry in row] for row in mat]
     zero = tuple(0 for _ in range(d))
-    track = 2 if track is True else int(track)
     A = [list(row) for row in mat]
-    U = Uinv = V = Vinv = None
-    if track >= 1:
+    if track:
         one = ring.one().coords
         U = [[one if i == j else zero for j in range(R)] for i in range(R)]
         Uinv = [[one if i == j else zero for j in range(R)] for i in range(R)]
-    if track >= 2:
-        one = ring.one().coords
-        V = [[one if i == j else zero for j in range(C)] for i in range(C)]
-        Vinv = [[one if i == j else zero for j in range(C)] for i in range(C)]
 
     def mul(a, b):
         return tuple(c % pn for c in ring._mul_coords(a, b))
@@ -326,11 +327,6 @@ def _run_python(mat, R, C, ring, track, precision=None):
         for c in range(start, len(row_dst)):
             prod = mul(q, row_src[c])
             row_dst[c] = tuple((a - b) % pn for a, b in zip(row_dst[c], prod))
-
-    def add_scaled(row_dst, row_src, q, start=0):
-        for c in range(start, len(row_dst)):
-            prod = mul(q, row_src[c])
-            row_dst[c] = tuple((a + b) % pn for a, b in zip(row_dst[c], prod))
 
     exponents = []
     for k in range(min(R, C)):
@@ -349,23 +345,19 @@ def _run_python(mat, R, C, ring, track, precision=None):
         v, bi, bj = best
         if bi != k:
             A[k], A[bi] = A[bi], A[k]
-            if track >= 1:
+            if track:
                 U[k], U[bi] = U[bi], U[k]
                 for r in range(R):
                     Uinv[r][k], Uinv[r][bi] = Uinv[r][bi], Uinv[r][k]
         if bj != k:
             for r in range(R):
                 A[r][k], A[r][bj] = A[r][bj], A[r][k]
-            if track >= 2:
-                for r in range(C):
-                    V[r][k], V[r][bj] = V[r][bj], V[r][k]
-                Vinv[k], Vinv[bj] = Vinv[bj], Vinv[k]
         pv = p**v
         unit = tuple(c // pv for c in A[k][k])
         uinv = ring._inv_coords(unit)
         for c in range(k, C):
             A[k][c] = mul(A[k][c], uinv)
-        if track >= 1:
+        if track:
             for c in range(R):
                 U[k][c] = mul(U[k][c], uinv)
             for r in range(R):
@@ -374,21 +366,11 @@ def _run_python(mat, R, C, ring, track, precision=None):
             if any(A[r][k]):
                 q = tuple(c // pv for c in A[r][k])
                 sub_scaled(A[r], A[k], q, start=k)
-                if track >= 1:
+                if track:
                     sub_scaled(U[r], U[k], q)
                     for rr in range(R):
                         prod = mul(q, Uinv[rr][r])
                         Uinv[rr][k] = tuple((a + b) % pn for a, b in zip(Uinv[rr][k], prod))
-        for c in range(k + 1, C):
-            if any(A[k][c]):
-                q = tuple(x // pv for x in A[k][c])
-                A[k][c] = zero
-                if track >= 2:
-                    # V: col_c -= q * col_k ; Vinv: row_k += q * row_c
-                    for r in range(C):
-                        prod = mul(q, V[r][k])
-                        V[r][c] = tuple((a - b) % pn for a, b in zip(V[r][c], prod))
-                    add_scaled(Vinv[k], Vinv[c], q)
         exponents.append(v)
-    transforms = (U, Uinv, V, Vinv) if track >= 1 else None
-    return SmithResult(ring, "python", N, R, C, exponents, transforms)
+    transform = _PythonTransform(ring, pn, U, Uinv) if track else None
+    return SmithResult(ring, "python", N, R, C, exponents, transform)

@@ -320,8 +320,7 @@ class _TorsionSpan:
         self.exps = [smith.exponents[k] for k in self.positions]
         self.cap = max(self.exps, default=1)
         self.modulus = p**self.cap
-        junk_free = smith.precision_used - (max(smith.exponents, default=0) + 2)
-        if self.cap >= junk_free:
+        if self.cap >= smith.junk_free_precision:
             raise ValidationError(
                 "torsion span tracking undecidable: exponents too close to precision")
         self.by_pos = {}  # pivot position -> (pivot valuation, vector)
@@ -418,12 +417,6 @@ def _selector_columns(structure, selector, seed, level):
     return columns
 
 
-def _junk_free_precision(smith) -> int:
-    """Transform-derived columns are exact only modulo p^(W - max exponent);
-    quotient reductions must run strictly below that depth."""
-    return smith.precision_used - (max(smith.exponents, default=0) + 2)
-
-
 def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
                             expected: ElementaryType | None = None,
                             analysis: StructureAnalysis | None = None) -> dict:
@@ -469,7 +462,7 @@ def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
                     f"level {n}: selected submodule generator is not torsion")
         if cols:
             comp = quotient_phi_component_ranks(
-                M, n, cols, precision_cap=_junk_free_precision(structure.smith),
+                M, n, cols, precision_cap=structure.smith.junk_free_precision,
                 base_free_rank=structure.free_rank)
         else:
             comp = analysis.phi_ranks()[:n + 1]

@@ -7,8 +7,7 @@ from finemw.padics import CoefficientRing
 from finemw import snf
 from finemw.snf import _normalize_rows, _run_python, smith_normal_form
 from finemw._kernels import (PANEL, _exact_split, _inv_mod, _mulmod, _panel_factor,
-                             _snf_i64_numpy, _split_bits, exact_products,
-                             int64_precision_cap, snf_int64)
+                             _split_bits, exact_products, int64_precision_cap, snf_int64)
 from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents,
                      smith_exponents_mod_prime_power)
 
@@ -58,7 +57,7 @@ def _large_route(monkeypatch):
     monkeypatch.setattr(snf, "PURE_SIZE_LIMIT", 0)
 
 
-def _python_engine(mat, ring, track=0):
+def _python_engine(mat, ring, track=False):
     return _run_python(*_normalize_rows(mat, ring), ring, track)
 
 
@@ -82,19 +81,20 @@ def test_engine_agreement_on_random_matrices(monkeypatch):
         pure = _python_engine(mat, RING10)
         fast = smith_normal_form(mat, RING10)
         assert pure.exponents == fast.exponents
-    # Shapes too large for the Python engine: the per-pivot kernel and the
+    # Shapes too large for the Python engine: the Python-int oracle and the
     # exact integer Smith form of a disguised block-diagonal matrix.
     for R, C in ((b - 1, 2 * b + 1), (2 * b + 1, 2 * b + 1), (2 * b + 1, b), (3 * b + 5, 3 * b + 2)):
         mat, expected = _disguised_blocks(rng, R, C, 5, 10)
         fast = smith_normal_form(mat, RING10)
-        assert fast.exponents == _per_pivot_exponents(np.array(mat, dtype=np.int64), 5, 5**10)
+        assert fast.exponents == smith_exponents_mod_prime_power(mat, 5, 10)
         assert fast.exponents == expected
     # A prime whose square passes 2^53 takes the int64 residue path.
     big = 2**31 - 1
     A = np.array([[rng.randrange(big) * rng.randrange(2) for _ in range(b + 6)]
                   for _ in range(b + 3)], dtype=np.int64)
     A[-4:] = A[:4] * 3 % big
-    assert snf_int64(A.copy(), big, big, 0)[0] == _per_pivot_exponents(A, big, big)
+    assert snf_int64(A.copy(), big, big, False)[0] == smith_exponents_mod_prime_power(
+        A.tolist(), big, 1)
 
 
 def _layered_case(rng, R, C, p, W):
@@ -116,11 +116,12 @@ def _layered_case(rng, R, C, p, W):
     return mat
 
 
-def _disguised_blocks(rng, R, C, p, W):
+def _disguised_blocks(rng, R, C, p, W, max_exponent=None):
     """L D U mod p^W for block-diagonal integer D and unit-triangular L, U.
 
     Returns the matrix and its Smith exponents mod p^W, read off the blocks
-    of D with the integer Smith oracle.
+    of D with the integer Smith oracle.  With ``max_exponent`` no block is
+    made deep on purpose, and blocks with a deeper invariant are redrawn.
     """
     D = np.zeros((R, C), dtype=np.int64)
     expected = []
@@ -129,12 +130,15 @@ def _disguised_blocks(rng, R, C, p, W):
         size = min(rng.randrange(1, 7), min(R, C) - pos)
         block = [[rng.randrange(-9, 10) * p ** rng.choice((0, 0, 1, 2)) for _ in range(size)]
                  for _ in range(size)]
-        if rng.random() < 0.3:  # depth >= W - 2
+        if max_exponent is None and rng.random() < 0.3:  # depth >= W - 2
             block[0] = [x * p ** (W - 2) for x in block[0]]
         if rng.random() < 0.2:  # rank deficiency
             block[-1] = [0] * size
+        block_exponents = integer_smith_p_exponents(block, p)
+        if max_exponent is not None and max(block_exponents, default=0) > max_exponent:
+            continue
         D[pos:pos + size, pos:pos + size] = block
-        expected.extend(e for e in integer_smith_p_exponents(block, p) if e < W)
+        expected.extend(e for e in block_exponents if e < W)
         pos += size
 
     def unit_triangular(n, lower):
@@ -144,14 +148,6 @@ def _disguised_blocks(rng, R, C, p, W):
     A = unit_triangular(R, True) @ D @ unit_triangular(C, False)
     A = A[rng.sample(range(R), R)][:, rng.sample(range(C), C)] % p**W
     return A.tolist(), sorted(expected)
-
-
-def _per_pivot_exponents(A, p, m):
-    R, C = A.shape
-    exps = np.empty(min(R, C), dtype=np.int64)
-    z = np.zeros((1, 1), dtype=np.int64)
-    n = _snf_i64_numpy(A, p, m, exps, z, z, z, z, 0)
-    return [int(e) for e in exps[:n]]
 
 
 @pytest.mark.parametrize("p, W", [(5, 13), (7, 11)])
@@ -200,7 +196,7 @@ def test_no_exact_product_beyond_the_largest_admitted_modulus(p, w):
     with pytest.raises(OverflowError):
         _mulmod(np.ones((2, PANEL), dtype=np.int64), np.ones((PANEL, 2), dtype=np.int64), m, p)
     with pytest.raises(OverflowError):
-        snf_int64(np.eye(3, dtype=np.int64), p, m, 0)
+        snf_int64(np.eye(3, dtype=np.int64), p, m, False)
 
 
 def _full_precision_cases(rng, p, w):
@@ -226,10 +222,10 @@ def test_layered_kernel_at_full_precision_matches_python_engine(p, w):
     rng = random.Random(p * 100 + w)
     for mat in _full_precision_cases(rng, p, w):
         R, C = len(mat), len(mat[0])
-        exps = snf_int64(np.array(mat, dtype=np.int64), p, p**w, 0)[0]
+        exps = snf_int64(np.array(mat, dtype=np.int64), p, p**w, False)[0]
         if p >= 5:
             ring = CoefficientRing(p, 1, w)
-            pure = _run_python([[(x,) for x in row] for row in mat], R, C, ring, 0)
+            pure = _run_python([[(x,) for x in row] for row in mat], R, C, ring, False)
             assert exps == pure.exponents
         assert exps == smith_exponents_mod_prime_power(mat, p, w)
 
@@ -284,38 +280,40 @@ def test_pivot_block_inverse_lifts_to_the_working_precision():
     assert ((G.astype(object) @ X.astype(object)) % m == np.eye(len(rows), dtype=object)).all()
 
 
+def _ints(vector):
+    """Coordinates of a degree-1 result as ints (the Python engine gives 1-tuples)."""
+    return [x[0] if isinstance(x, tuple) else int(x) for x in vector]
+
+
+def _dense_u(res):
+    """U as a list of rows, built column by column from ``reduce_vector``."""
+    R = res.nrows
+    columns = [_ints(res.reduce_vector([int(i == j) for i in range(R)])) for j in range(R)]
+    return [list(row) for row in zip(*columns)]
+
+
 def _check_uav(matrix, res):
-    U, Uinv, V, Vinv = res.transforms
-    m = res.modulus
-    R, C = res.nrows, res.ncols
-    if res.engine == "int64":
-        Ui = U.astype(object)
-        Vi = V.astype(object)
-        A = np.array(matrix, dtype=object) % m
-        D = (Ui @ A @ Vi) % m
-        get = lambda i, j: int(D[i, j])
-        UU = (Ui @ Uinv.astype(object)) % m
-        uget = lambda i, j: int(UU[i, j])
-    else:
-        Ui = [[x[0] for x in row] for row in U]
-        Vi = [[x[0] for x in row] for row in V]
-        Uii = [[x[0] for x in row] for row in Uinv]
+    """U A = D V^-1 for some unimodular V, checked on U alone.
 
-        def matmul(X, Y):
-            return [[sum(X[i][t] * Y[t][j] for t in range(len(Y))) % m
-                     for j in range(len(Y[0]))] for i in range(len(X))]
-
-        D = matmul(matmul(Ui, [list(r) for r in matrix]), Vi)
-        get = lambda i, j: D[i][j]
-        UU = matmul(Ui, Uii)
-        uget = lambda i, j: UU[i][j]
-    for i in range(R):
-        for j in range(C):
-            expect = pow(5, res.exponents[i], m) if (i == j and i < res.rank) else 0
-            assert get(i, j) == expect
-    for i in range(R):
-        for j in range(R):
-            assert uget(i, j) == (1 if i == j else 0)
+    Rows of U A past the rank vanish, row i is divisible by p^(e_i), and the
+    rows divided by p^(e_i) are independent mod p; U^-1 comes from
+    ``generator_column`` and U maps its column k to e_k.
+    """
+    p, m = res.ring.prime, res.modulus
+    R = res.nrows
+    U = _dense_u(res)
+    UA = [[sum(u * a for u, a in zip(row, column)) % m for column in zip(*matrix)]
+          for row in U] if matrix and matrix[0] else [[] for _ in range(R)]
+    for row in UA[res.rank:]:
+        assert not any(row)
+    scaled = []
+    for row, e in zip(UA, res.exponents):
+        assert all(x % p**e == 0 for x in row)
+        scaled.append([x // p**e % p for x in row])
+    if scaled:
+        assert len(column_rank_profile_mod_p([list(c) for c in zip(*scaled)], p)) == res.rank
+    for k in range(R):
+        assert _ints(res.reduce_vector(res.generator_column(k))) == [int(i == k) for i in range(R)]
 
 
 def test_transforms_diagonalize_pure():
@@ -323,7 +321,7 @@ def test_transforms_diagonalize_pure():
     for _ in range(25):
         R, C = rng.randrange(1, 5), rng.randrange(1, 5)
         mat = [[rng.randrange(RING10.modulus) for _ in range(C)] for _ in range(R)]
-        _check_uav(mat, _python_engine(mat, RING10, track=2))
+        _check_uav(mat, _python_engine(mat, RING10, track=True))
 
 
 def test_transforms_diagonalize_int64(monkeypatch):
@@ -430,12 +428,43 @@ def test_reduce_vector_matches_python_int_product(monkeypatch):
     mat = [[rng.randrange(ring.modulus) * 7 ** rng.choice((0, 0, 1)) for _ in range(R + 3)]
            for _ in range(R)]
     res = smith_normal_form(mat, ring, with_transforms=True)
-    U = res.transforms[0]
+    assert res.engine == "int64"
+    U = _dense_u(res)
     for _ in range(3):
         w = [rng.randrange(-2**80, 2**80) for _ in range(R)]
-        expect = [sum(int(U[i, j]) * x for j, x in enumerate(w)) % res.modulus
+        expect = [sum(U[i][j] * x for j, x in enumerate(w)) % res.modulus
                   for i in range(R)]
         assert res.reduce_vector(w) == expect
+
+
+@pytest.mark.parametrize("p, W", [(5, 13), (7, 11)])
+def test_tracked_layered_transforms(p, W, monkeypatch):
+    """Tracked reductions spanning several panels and valuation layers."""
+    _large_route(monkeypatch)
+    ring = CoefficientRing(p, 1, W)
+    rng = random.Random(p * W)
+    for R, C in ((70, 73), (140, 100), (100, 150)):
+        mat, expected = _disguised_blocks(rng, R, C, p, W, max_exponent=3)
+        res = smith_normal_form(mat, ring, with_transforms=True)
+        assert res.engine == "int64" and res.precision_used == W
+        assert res.exponents == expected == smith_exponents_mod_prime_power(mat, p, W)
+        assert res.rank < R and max(res.exponents) >= 2
+        _check_uav(mat, res)
+        pure = _python_engine(mat, ring, track=True)
+        assert pure.exponents == res.exponents
+        # the Python engine's U w costs R^2 ring products: a sample of the
+        # summands, with the deepest torsion ones and some free ones
+        ks = rng.sample(range(R), 12) + res.torsion_positions[-4:] + list(range(res.rank, R))[:4]
+        vectors = []
+        for r in (res, pure):
+            for k in ks:
+                unit = rng.randrange(1, p) * rng.choice((1, p + 1))
+                vectors.append([x * unit for x in _ints(r.generator_column(k))])
+        vectors += [[rng.randrange(p**W) for _ in range(R)] for _ in range(20)]
+        vectors += [[x * p ** (W - 2) for x in v] for v in vectors[-5:]]
+        verdicts = [res.is_torsion_vector(v) for v in vectors]
+        assert verdicts == [pure.is_torsion_vector(v) for v in vectors]
+        assert True in verdicts and False in verdicts
 
 
 def test_oversized_suspicious_reduction_is_uncertified(monkeypatch):
