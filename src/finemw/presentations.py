@@ -7,6 +7,14 @@ columns over the coefficient ring and the coinvariants M/omega_n M become the
 cokernel of an ordinary matrix, which Smith reduction then diagonalizes.  The
 omega_n multiples of the generators reduce to exact zero columns in this
 basis, so they are kept implicit.
+
+Every reduction modulo omega_n or Phi_j is one integer long division
+(``_poly_rem``) by T^q = sum wrap_k T^k: both moduli have rational-integer
+coefficients, so each coordinate of an O-polynomial divides on its own.  One
+builder, ``FinLevelModule._expansion``, writes the expanded matrix mod m as
+one preallocated array per coordinate; ``matrix_int64`` is coordinate 0 at
+p^W and ``matrix_coords`` the coordinates zipped into tuples at p^N.  The
+T-action and the transition maps use the same division.
 """
 
 from __future__ import annotations
@@ -46,10 +54,7 @@ class ModulePresentation:
         if self.generators < 0:
             raise ValidationError("generators must be >= 0")
         if len(self.relations) != self.generators:
-            if self.generators == 0 and not self.relations:
-                pass
-            else:
-                raise ValidationError("relation matrix must have one row per generator")
+            raise ValidationError("relation matrix must have one row per generator")
         width = None
         for row in self.relations:
             if width is None:
@@ -179,22 +184,15 @@ class FinLevelModule:
     # -- T-action ---------------------------------------------------------
 
     def t_apply(self, vec):
-        """Multiply an ambient coordinate vector (length g*q) by T."""
-        q, pn = self.q, self.ring.modulus
-        g = self.presentation.generators
-        d = self.ring.unramified_degree
-        out = []
-        for i in range(g):
-            seg = vec[i * q:(i + 1) * q]
-            top = seg[q - 1]
-            if d == 1:
-                shifted = [0] + [int(x) for x in seg[:-1]]
-                out.extend((shifted[k] + int(top) * self._wrap[k]) % pn for k in range(q))
-            else:
-                shifted = [tuple(0 for _ in range(d))] + list(seg[:-1])
-                out.extend(tuple((a + self._wrap[k] * b) % pn for a, b in zip(shifted[k], top))
-                           for k in range(q))
-        return out
+        """Multiply an ambient coordinate vector (length g*q) by T.
+
+        T v has degree <= q < p^(n+1): a column in the omega_(n+1) basis.
+        """
+        q, width = self.q, self.ring.prime ** (self.level + 1)
+        shifted = []
+        for i in range(self.presentation.generators):
+            shifted += [0, *vec[i * q:(i + 1) * q]] + [0] * (width - q - 1)
+        return _plain(self.reduce_ambient_column(shifted), self.ring)
 
     def omega_annihilates(self, vec) -> bool:
         """Check (1+T)^(p^n) - 1 kills the vector, exactly at precision."""
@@ -219,124 +217,107 @@ class FinLevelModule:
         return f
 
     def reduce_ambient_column(self, col):
-        """Reduce an omega-basis ambient column into this expansion's basis.
+        """Reduce an ambient column into this expansion's basis, as coordinate tuples.
 
-        Needed when quotienting a component expansion (modulo Phi_j) by
-        submodule generators that live in omega_n coordinates.
+        The column has q coefficients per generator (this basis) or p^k (the
+        omega_k basis of a level k >= this level, which the modulus divides):
+        quotient columns in omega_n coordinates, and the level-(n+1) vectors
+        that ``transition_check`` pushes down to level n.
         """
-        full = self.presentation.ring.prime**self.level
-        if len(col) == self.presentation.generators * self.q:
-            return [_as_coords(x, self.ring) for x in col]
-        if len(col) != self.presentation.generators * full:
+        ring, g = self.ring, self.presentation.generators
+        width = len(col) // g if g else self.q
+        k = self.level
+        while ring.prime**k < width:
+            k += 1
+        if len(col) != g * width or width not in (self.q, ring.prime**k):
             raise ValidationError("extra column has wrong length")
-        ring = self.ring
-        q, pn = self.q, ring.modulus
         pad = (0,) * (ring.unramified_degree - 1)
         out = []
-        for i in range(self.presentation.generators):
+        for i in range(g):
             seg = [x if isinstance(x, tuple) else (x,) + pad
-                   for x in col[i * full:(i + 1) * full]]
-            # long division by the monic modulus on integers, one coordinate at
-            # a time (its coefficients are rational integers): T^q = sum wrap_k T^k
-            rems = []
-            for coeffs in zip(*seg):
-                c = [int(x) for x in coeffs]
-                for t in range(full - 1, q - 1, -1):
-                    top = c[t] % pn
-                    if top:
-                        for k, w in enumerate(self._wrap):
-                            c[t - q + k] += top * w
-                rems.append([x % pn for x in c[:q]])
-            out.extend(zip(*rems))
+                   for x in col[i * width:(i + 1) * width]]
+            out.extend(zip(*(_poly_rem(c, self.q, self._wrap, ring.modulus)
+                             for c in zip(*seg))))
         return out
 
     def matrix_int64(self, working_exponent, extra_columns=()):
         """Relation block plus optional columns as int64 mod p^W; degree 1 only."""
-        ring = self.ring
-        if ring.unramified_degree != 1:
+        if self.ring.unramified_degree != 1:
             raise ValidationError("int64 expansion requires unramified degree 1")
-        m = ring.prime**working_exponent
-        g = self.presentation.generators
-        c = self.presentation.num_relations
-        q = self.q
-        wrap = [w % m for w in self._wrap]
-        blocks = []
-        for j in range(c):
-            col_block = np.zeros((g * q, q), dtype=np.int64)
-            for i in range(g):
-                f = self.reduced_entry(i, j)
-                if not f.is_zero():
-                    col_block[i * q:(i + 1) * q, :] = _mult_matrix_int64(f, q, wrap, m)
-            blocks.append(col_block)
-        for col in extra_columns:
-            reduced = self.reduce_ambient_column(col)
-            v = np.asarray([int(x[0]) % m for x in reduced], dtype=np.int64).reshape(-1, 1)
-            blocks.append(v)
-        if not blocks:
-            return np.zeros((g * q, 0), dtype=np.int64)
-        return np.hstack(blocks)
+        return self._expansion(self.ring.prime**working_exponent, extra_columns)[0]
 
     def matrix_coords(self, extra_columns=()):
-        """Full-precision coordinate-tuple expansion (any degree)."""
-        g, q = self.presentation.generators, self.q
-        cols = []
-        for j in range(self.presentation.num_relations):
-            for k in range(q):
-                cols.append(self._poly_column(j, k))
-        for col in extra_columns:
-            cols.append(self.reduce_ambient_column(col))
-        rows = [[cols[c][r] for c in range(len(cols))] for r in range(g * q)]
-        if not cols:
-            rows = [[] for _ in range(g * q)]
-        return rows
+        """Full-precision expansion as rows of coordinate tuples (any degree)."""
+        planes = [plane.tolist() for plane in self._expansion(self.ring.modulus, extra_columns)]
+        return [list(zip(*rows)) for rows in zip(*planes)]
 
-    def _poly_column(self, j, k):
-        out = []
-        for i in range(self.presentation.generators):
-            out.extend(self._segment(self.reduced_entry(i, j), k))
-        return out
+    def _expansion(self, m, extra_columns):
+        """The relation block and the extra columns mod m, one array per coordinate.
 
-    def _segment(self, f, k):
-        """Coordinates of f * T^k modulo the expansion modulus, full precision."""
-        ring = self.ring
-        q, pn = self.q, ring.modulus
-        d = ring.unramified_degree
-        vec = [f.coefficient(t).coords for t in range(q)]
-        for _ in range(k):
-            top = vec[q - 1]
-            vec = [tuple(0 for _ in range(d))] + vec[:-1]
-            if any(top):
-                vec = [tuple((a + w * b) % pn for a, b in zip(vec[t], top))
-                       for t, w in enumerate(self._wrap)]
-        return vec
+        The modulus has rational-integer coefficients, so each coordinate of
+        an O-polynomial is multiplied and divided on its own: plane s holds
+        coordinate s of every entry.  Entries are int64 while m <= 2^63,
+        Python integers beyond.
+        """
+        g, c, q = self.presentation.generators, self.presentation.num_relations, self.q
+        columns = [self.reduce_ambient_column(col) for col in extra_columns]
+        dtype = np.int64 if m <= 1 << 63 else object
+        planes = [np.zeros((g * q, c * q + len(columns)), dtype=dtype)
+                  for _ in range(self.ring.unramified_degree)]
+        wrap = [w % m for w in self._wrap]
+        for i in range(g):
+            for j in range(c):
+                coefficients = self.reduced_entry(i, j).coefficients
+                for s, plane in enumerate(planes):
+                    coeffs = [a.coords[s] for a in coefficients]
+                    if any(coeffs):
+                        plane[i * q:(i + 1) * q, j * q:(j + 1) * q] = _mult_matrix(
+                            coeffs, q, wrap, m)
+        for k, col in enumerate(columns):
+            for s, plane in enumerate(planes):
+                plane[:, c * q + k] = [x[s] % m for x in col]
+        return planes
 
 
-def _mult_matrix_int64(f, q, wrap, m):
-    """q x q multiplication-by-f matrix on O[T]/(modulus), entries mod m.
+def _poly_rem(coeffs, q, wrap, m):
+    """Remainder mod m of the integer polynomial ``coeffs`` by the monic modulus.
 
-    Columns are f T^k.  Each step adds top * wrap, a product of two residues:
-    int64 while that cannot overflow, Python integers beyond (m >= 2^31.5).
+    The modulus has degree q and T^q = sum wrap_k T^k; long division from the
+    top coefficient down, on Python integers.
+    """
+    c = [int(x) for x in coeffs] + [0] * (q - len(coeffs))
+    for t in range(len(c) - 1, q - 1, -1):
+        top = c[t] % m
+        if top:
+            for k, w in enumerate(wrap):
+                c[t - q + k] += top * w
+    return [x % m for x in c[:q]]
+
+
+def _mult_matrix(coeffs, q, wrap, m):
+    """q x q multiplication-by-f matrix on Z[T]/(modulus) mod m, f of integer ``coeffs``.
+
+    Column k holds f T^k.  Each step adds top * wrap, a product of two
+    residues: int64 while that cannot overflow, Python integers beyond
+    (m >= 2^31.5).
     """
     dtype = np.int64 if (m - 1) ** 2 + m < 1 << 63 else object
     wrap = np.array(wrap, dtype=dtype)
-    col = np.zeros(q, dtype=dtype)
-    for t in range(min(q, f.degree() + 1)):
-        col[t] = f.coefficient(t).coords[0] % m
-    M = np.empty((q, q), dtype=dtype)
-    M[:, 0] = col
+    M = np.zeros((q, q), dtype=dtype)
+    M[:len(coeffs), 0] = [x % m for x in coeffs]
     for k in range(1, q):
-        top = int(col[q - 1])
-        col = np.concatenate(([0], col[:-1]))
+        M[1:, k] = M[:-1, k - 1]
+        top = int(M[q - 1, k - 1])
         if top:
-            col = (col + top * wrap) % m
-        M[:, k] = col
+            M[:, k] = (M[:, k] + top * wrap) % m
     return M
 
 
-def _as_coords(x, ring):
-    if isinstance(x, tuple):
-        return tuple(int(c) % ring.modulus for c in x)
-    return ring.element(int(x)).coords
+def _plain(coords, ring):
+    """Coordinate tuples as the vectors transforms take: plain ints over a degree-1 ring."""
+    if ring.unramified_degree == 1:
+        return [x[0] for x in coords]
+    return coords
 
 
 def _entry_add(a, b, ring):
@@ -386,8 +367,7 @@ def coinvariants(M: ModulePresentation, n: int,
 
 
 def _structure_from_smith(fin, smith) -> CoinvariantStructure:
-    N = fin.ring.precision_exponent
-    pairs = sorted(zip(smith.exponents, smith.certified_exponents(N)), reverse=True)
+    pairs = sorted(zip(smith.exponents, smith.certified_exponents()), reverse=True)
     torsion = [(e, c) for e, c in pairs if e > 0]
     return CoinvariantStructure(
         level=fin.level,
@@ -518,36 +498,6 @@ def quotient_phi_component_ranks(M: ModulePresentation, n: int, extra_columns,
 # transition maps
 
 
-def _projection_apply(fin_hi: FinLevelModule, fin_lo: FinLevelModule, vec):
-    """Push a level-(n+1) ambient vector down to level n (reduce mod omega_n)."""
-    ring = fin_hi.ring
-    g = fin_hi.presentation.generators
-    q_hi, q_lo = fin_hi.q, fin_lo.q
-    pn = ring.modulus
-    d = ring.unramified_degree
-    zero = tuple(0 for _ in range(d))
-    out = []
-    for i in range(g):
-        seg = [_as_coords(x, ring) for x in vec[i * q_hi:(i + 1) * q_hi]]
-        acc = [zero] * q_lo
-        basis = [zero] * q_lo  # T^k mod omega_lo, advanced iteratively
-        basis[0] = ring.one().coords
-        for k in range(q_hi):
-            if any(seg[k]):
-                for t in range(q_lo):
-                    prod = ring._mul_coords(basis[t], seg[k])
-                    acc[t] = tuple((a + b) % pn for a, b in zip(acc[t], prod))
-            top = basis[q_lo - 1]
-            basis = [zero] + basis[:-1]
-            if any(top):
-                basis = [tuple((a + w * b) % pn for a, b in zip(basis[t], top))
-                         for t, w in enumerate(fin_lo._wrap)]
-        out.extend(acc)
-    if ring.unramified_degree == 1:
-        return [c[0] for c in out]
-    return out
-
-
 def transition_check(M: ModulePresentation, n: int) -> dict:
     """Verify the natural surjection M_{Gamma_{n+1}} -> M_{Gamma_n}.
 
@@ -568,7 +518,7 @@ def transition_check(M: ModulePresentation, n: int) -> dict:
     }
     for k in hi.smith.torsion_positions:
         gen = hi.smith.generator_column(k)
-        image = _projection_apply(hi.fin_level, lo.fin_level, gen)
+        image = _plain(lo.fin_level.reduce_ambient_column(gen), lo.fin_level.ring)
         if not lo.smith.is_torsion_vector(image):
             report["torsion_maps_to_torsion"] = False
     if not (report["rank_monotone"] and report["torsion_maps_to_torsion"]):

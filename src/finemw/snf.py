@@ -23,11 +23,12 @@ at an answer exact at p^target, by default the ring's precision p^N:
   transform.  Exponents below W - 2 equal the full-precision answer.  An
   exponent at or above that threshold, or a nonzero source coordinate that
   deep (``has_deep_entries``), makes the result suspicious.  A suspicious
-  result is redone at p^target by the layered kernel where it applies, else
-  by the Python engine up to ``RETRY_SIZE_LIMIT`` entries; beyond that it is
-  returned with ``certified`` False.  A deep invariant behind entries that
-  all look shallow (a unit block with determinant p^k, k >= W) passes that
-  test unnoticed and counts as free rank.
+  result is redone at p^target by the layered kernel where it applies, with
+  the row transform when one is asked for, else by the Python engine up to
+  ``RETRY_SIZE_LIMIT`` entries; beyond that it is returned with
+  ``certified`` False.  A deep invariant behind entries that all look
+  shallow (a unit block with determinant p^k, k >= W) passes that test
+  unnoticed and counts as free rank.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ def _normalize_rows(rows, ring):
                 if entry.ring != ring:
                     raise ValidationError("matrix entry from a different ring")
                 r.append(entry.coords)
-            elif isinstance(entry, int):
-                r.append(ring.element(entry).coords)
             else:
                 r.append(ring.element(entry).coords)
         if width is None:
@@ -110,11 +109,8 @@ class SmithResult:
     def torsion_order(self) -> int:
         return sum(e for e in self.exponents if e > 0)
 
-    def certified_exponents(self, session_precision=None):
-        cap = self.precision_used
-        if session_precision is not None:
-            cap = min(cap, session_precision)
-        return [e < cap - 2 for e in self.exponents]
+    def certified_exponents(self):
+        return [e < self.precision_used - 2 for e in self.exponents]
 
     @property
     def torsion_positions(self):
@@ -276,9 +272,12 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
                                      or has_deep_entries(source.coords(), p, W - 2))
         if not suspicious:
             return reduced
-    full = full_precision_int64(source, ring, target, track)
-    if full is not None:
-        return full
+    # a small tracked reduction stays on the Python engine: its pivot order
+    # fixes the torsion bases that verify draws from
+    if reduced is not None or not track:
+        full = full_precision_int64(source, ring, target, track)
+        if full is not None:
+            return full
     if reduced is not None and R * C > RETRY_SIZE_LIMIT:
         reduced.certified = False
         return reduced
@@ -287,19 +286,19 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
 
 
 def full_precision_int64(source, ring, target, track):
-    """Divisor-only reduction at p^target by the layered kernel, or None.
+    """Reduction at p^target by the layered kernel, or None.
 
-    Applies to degree-1 rings without transforms when ``exact_products``
-    admits p^target.  The result is exact at p^target: engine "int64",
-    ``precision_used`` target, certified.
+    Applies to degree-1 rings when ``exact_products`` admits p^target, with
+    the row transform when ``track`` is set.  The result is exact at
+    p^target: engine "int64", ``precision_used`` target, certified.
     """
     p = ring.prime
     m = p**target
-    if ring.unramified_degree != 1 or track or not exact_products(p, m):
+    if ring.unramified_degree != 1 or not exact_products(p, m):
         return None
-    exponents = _kernels.snf_int64(source.matrix_int64(target), p, m, False)[0]
+    exponents, transform = _kernels.snf_int64(source.matrix_int64(target), p, m, track)
     R, C = source.shape
-    return SmithResult(ring, "int64", target, R, C, exponents)
+    return SmithResult(ring, "int64", target, R, C, exponents, transform)
 
 
 def _run_python(mat, R, C, ring, track, precision=None):

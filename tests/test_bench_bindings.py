@@ -55,3 +55,44 @@ def test_int64_spans_carry_tracking_and_pivot_counts(monkeypatch):
         assert attrs["unit"] + attrs["deep"] == len(res.exponents)
         assert (attrs["rows"], attrs["cols"]) == (40, 30)
     assert snf.snf_int64 is finemw._kernels.snf_int64
+
+
+def test_expand_spans_are_not_nested_and_count_their_entries(monkeypatch):
+    # the benchmark's expanded_entries adds the entries of every expand span;
+    # a builder that called the other would count its matrix twice
+    from finemw.polynomials import IwasawaPoly
+    from finemw.presentations import (FinLevelModule, ModulePresentation, coinvariants,
+                                      quotient_structure)
+
+    results = []
+    for name in ("matrix_int64", "matrix_coords"):
+        original = getattr(FinLevelModule, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            results.append(_original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(FinLevelModule, name, recorded)
+    rng = random.Random(4)
+    tracer = _spans_module().Tracer(finemw)
+    tracer.install()
+    try:
+        for p, level in ((5, 3), (7, 1)):  # int64 at p^W and p^N; coordinate rows
+            ring = CoefficientRing(p, 1, 24)
+            rows = [[IwasawaPoly(ring, [[rng.randrange(ring.modulus)] for _ in range(p + 2)])]
+                    for _ in range(2)]
+            M = ModulePresentation(ring, 2, rows)
+            coinvariants(M, 1, with_transforms=True)
+            cols = [[rng.randrange(ring.modulus) for _ in range(2 * p**level)]]
+            quotient_structure(M, level, cols)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    expand = [s for s in spans if s[0] == "presentations.expand"]
+    assert len(expand) == len(results) >= 4
+    assert all(spans[s[3]][0] != "presentations.expand" for s in expand if s[3] >= 0)
+    for span, result in zip(expand, results):
+        shape = result.shape if hasattr(result, "shape") else (len(result), len(result[0]))
+        assert span[5]["entries"] == shape[0] * shape[1]
+    assert any(hasattr(r, "shape") for r in results)
+    assert any(isinstance(r, list) for r in results)

@@ -171,6 +171,12 @@ def test_t_apply_matches_exact_action():
     exact = [sum(tmat[i][j] * vec[j] for j in range(10)) % RING.modulus
              for i in range(10)]
     assert ours == exact
+    # over a degree-2 ring T acts on each coordinate by the same integer matrix
+    fin = expand_to_level(free_module(RINGQ, 2), 1)
+    vec = [(rng.randrange(3 * RINGQ.modulus), rng.randrange(RINGQ.modulus)) for _ in range(10)]
+    exact = [[sum(tmat[i][j] * vec[j][s] for j in range(10)) % RINGQ.modulus
+              for s in range(2)] for i in range(10)]
+    assert fin.t_apply(vec) == [tuple(x) for x in exact]
 
 
 def test_reduce_ambient_column_matches_weierstrass_remainder():
@@ -179,19 +185,27 @@ def test_reduce_ambient_column_matches_weierstrass_remainder():
         var = IwasawaPoly.variable(ring)
         M = ModulePresentation(ring, 2, [[var], [var * var]])
         d = ring.unramified_degree
-        for j in range(3):
+        for j in (0, 1, 2, None):
             fin = FinLevelModule(M, 2, component=j)
-            if d == 1:  # unreduced ints, as the T-action and p-power scalings give
-                col = [rng.randrange(3 * ring.modulus) for _ in range(50)]
-            else:
-                col = [tuple(rng.randrange(ring.modulus) for _ in range(d))
-                       for _ in range(50)]
-            expect = []
-            for i in range(2):
-                seg = IwasawaPoly(ring, [ring.element(x).coords for x in col[25 * i:25 * i + 25]])
-                rem = weierstrass_divide(seg, cyclotomic(ring, j))[1]
-                expect.extend(rem.coefficient(t).coords for t in range(fin.q))
-            assert fin.reduce_ambient_column(col) == expect
+            # quotient columns come in the omega_2 basis, transition_check's
+            # level-3 vectors in the omega_3 basis
+            for width in (25, 125):
+                if d == 1:  # unreduced ints, as the T-action and p-power scalings give
+                    col = [rng.randrange(3 * ring.modulus) for _ in range(2 * width)]
+                else:
+                    col = [tuple(rng.randrange(ring.modulus) for _ in range(d))
+                           for _ in range(2 * width)]
+                expect = []
+                for i in range(2):
+                    seg = IwasawaPoly(ring, [ring.element(x).coords
+                                             for x in col[width * i:width * (i + 1)]])
+                    rem = weierstrass_divide(seg, fin.modulus_poly)[1]
+                    expect.extend(rem.coefficient(t).coords for t in range(fin.q))
+                assert fin.reduce_ambient_column(col) == expect
+            # neither this basis nor the omega_k basis of a level k >= 2
+            for width in (5, 30):
+                with pytest.raises(ValidationError):
+                    fin.reduce_ambient_column([0] * (2 * width))
 
 
 def test_matrix_int64_at_full_precision_matches_coords():
@@ -211,6 +225,30 @@ def test_matrix_int64_at_full_precision_matches_coords():
             for columns in ((), extra):
                 coords = [[x[0] for x in row] for row in fin.matrix_coords(extra_columns=columns)]
                 assert fin.matrix_int64(24, extra_columns=columns).tolist() == coords
+
+
+def test_matrix_coords_matches_exact_expansion():
+    # the oracle multiplies by T^k and divides by omega_n on exact integers;
+    # over a degree-2 ring each coordinate plane is the expansion of that
+    # coordinate's integer polynomials
+    rng = random.Random(29)
+    for ring in (RING, RINGQ):
+        d, pn = ring.unramified_degree, ring.modulus
+
+        def poly(degree):
+            return IwasawaPoly(ring, [[rng.randrange(pn) for _ in range(d)]
+                                      for _ in range(degree + 1)])
+
+        M = ModulePresentation(ring, 2, [[poly(3), poly(30), poly(0)],
+                                         [poly(1), IwasawaPoly(ring, []), poly(27)]])
+        for level in range(3):
+            coords = FinLevelModule(M, level).matrix_coords()
+            for s in range(d):
+                rels = [[[c.coords[s] for c in entry.coefficients] for entry in row]
+                        for row in M.relations]
+                exact = expand_exact(rels, 2, 5, level)
+                assert [[x[s] for x in row] for row in coords] == \
+                    [[x % pn for x in row] for row in exact]
 
 
 def test_small_reductions_route_by_exact_int64_products(monkeypatch):

@@ -467,6 +467,44 @@ def test_tracked_layered_transforms(p, W, monkeypatch):
         assert True in verdicts and False in verdicts
 
 
+def _hidden_deep_invariant(rng, n, p, W, deep):
+    """A dense n x n matrix mod p^W: one p^deep invariant and disguised shallow blocks.
+
+    The deep pivot stays visible as an entry p^deep, so the reduced-precision
+    run is suspicious.  Returns the matrix and its exponents.
+    """
+    block, expected = _disguised_blocks(rng, n - 1, n - 1, p, W, max_exponent=3)
+    m = p**W
+    A = [[p**deep] + [0] * (n - 1)] + [[0] + row for row in block]
+    c = [rng.randrange(m) for _ in range(n)]
+    for i in range(1, n):  # row i += c_i row 0, then column j += c_j column 0
+        A[i][0] = c[i] * A[0][0] % m
+    for j in range(1, n):
+        for row in A:
+            row[j] = (row[j] + c[j] * row[0]) % m
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[A[i][j] for j in cols] for i in rows], sorted(expected + [deep])
+
+
+def test_suspicious_tracked_reduction_reruns_on_the_layered_kernel():
+    # a large tracked reduction whose p^15 invariant is invisible at 5^13 is
+    # redone at 5^24 by the layered kernel, transform included
+    rng = random.Random(15)
+    n = 72  # above PURE_SIZE_LIMIT entries
+    mat, expected = _hidden_deep_invariant(rng, n, 5, 24, 15)
+    assert n * n > snf.PURE_SIZE_LIMIT
+    res = smith_normal_form(mat, RING, with_transforms=True)
+    assert res.engine == "int64" and res.precision_used == 24 and res.certified
+    assert res.exponents == expected == smith_exponents_mod_prime_power(mat, 5, 24)
+    _check_uav(mat, res)
+    pure = _python_engine(mat, RING, track=True)
+    assert pure.exponents == res.exponents
+    vectors = [_ints(r.generator_column(k)) for r in (res, pure) for k in range(n)]
+    verdicts = [res.is_torsion_vector(v) for v in vectors]
+    assert verdicts == [pure.is_torsion_vector(v) for v in vectors]
+    assert True in verdicts and False in verdicts
+
+
 def test_oversized_suspicious_reduction_is_uncertified(monkeypatch):
     # a 7^13 entry vanishes at the int64 working precision 7^11; 7^24 admits
     # no exact int64 products and the matrix is too large for the Python
