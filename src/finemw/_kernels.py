@@ -1,7 +1,9 @@
-"""The int64 Smith-form kernel for degree-1 coefficient rings.
+"""The int64 Smith-form kernel over Z/p^w.
 
 All arithmetic is exact in Z/m for a prime power m = p^w whose residues fit
-in int64.  ``_snf_layered`` works one valuation layer at a time.
+in int64; a matrix over the quadratic ring arrives as its regular
+representation over Z_p (``snf.regular_representation``).  ``_snf_layered``
+works one valuation layer at a time.
 ``_panel_factor`` finds a maximal set of unit pivots mod p in each 64-column
 panel by left-looking elimination, together with the inverse mod p of the
 pivot block, and the trailing block takes one exact product per panel.

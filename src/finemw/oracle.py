@@ -184,12 +184,14 @@ def obfuscate(M: ModulePresentation, seed: int, steps: int,
     return ModulePresentation(ring, g, rows, cap)
 
 
-def sample_recipe(seed: int, p: int) -> ConstructionRecipe:
+def sample_recipe(seed: int, p: int, n_max: int | None = None) -> ConstructionRecipe:
     """Draw a recipe within the generator budget.
 
     Cyclotomic support lives on levels <= 2 with multiplicities <= 2, at most
     two p-power summands with exponent <= 2, at most one residual factor of
-    degree <= 2.  Degenerate draws fall back to a single cyclotomic block.
+    degree <= 2.  With ``n_max`` set, support drawn at levels >= n_max, which
+    levels 0..n_max cannot tell apart from free rank, is dropped after the
+    draws.  Degenerate draws fall back to a single cyclotomic block.
     """
     rng = random.Random(seed)
     budget = GENERATOR_BUDGET
@@ -212,6 +214,8 @@ def sample_recipe(seed: int, p: int) -> ConstructionRecipe:
     if budget > 0 and rng.random() < 0.3:
         extras.append(rng.choice(sorted(EXTRA_FACTOR_CATALOG)))
         budget -= 1
+    if n_max is not None:
+        s = {level: cnt for level, cnt in s.items() if level < n_max}
     if free_rank == 0 and not s and not mu_summands and not extras:
         s[rng.choice((0, 1))] = 1
     return ConstructionRecipe(seed=seed, free_rank=free_rank, cyclo_multiplicities=s,
@@ -231,7 +235,7 @@ def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
     """
     ring = CoefficientRing(p, 1, precision)
     if recipe is None:
-        recipe = sample_recipe(seed, p)
+        recipe = sample_recipe(seed, p, n_max)
     record = {"seed": seed, "recipe": recipe.as_dict(), "status": "pass", "checks": {}}
     try:
         M = obfuscate(build_elementary(recipe, ring), seed=seed ^ 0x5EED, steps=steps)

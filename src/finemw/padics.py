@@ -1,10 +1,17 @@
-"""Exact coefficient arithmetic: Z_p and its unramified extensions at precision p^N.
+"""Exact coefficient arithmetic: Z_p and its unramified quadratic extension at precision p^N.
 
-Elements live in O = Z_p[x]/(h(x)) with h monic of degree d and irreducible
-mod p, all computations carried out exactly in Z/p^N.  For d = 1 this is just
-Z/p^N; the inert quadratic case uses d = 2 with h = x^2 - c for the smallest
-positive quadratic non-residue c mod p.  The uniformizer is always p, and the
-valuation of an element is the minimum p-valuation of its coordinates.
+The coefficient ring O is one of two rings, computed exactly in Z/p^N:
+
+* degree 1: O = Z_p, an element is one coordinate;
+* degree 2: O = Z_p[x]/(x^2 - nu), the unramified quadratic extension, an
+  element a + b x is the coordinate pair (a, b).  nu = c - p for the
+  smallest quadratic non-residue c mod p (nu = -3 at p = 5, -4 at p = 7),
+  so x^2 - nu is irreducible mod p.
+
+Products are (a0 b0 + nu a1 b1, a0 b1 + a1 b0) and the inverse of a unit is
+its conjugate (a0, -a1) times the inverse of its norm a0^2 - nu a1^2.  The
+uniformizer is always p, and the valuation of an element is the minimum
+p-valuation of its coordinates.
 """
 
 from __future__ import annotations
@@ -17,86 +24,6 @@ from .errors import NonUnitError, ValidationError
 #: Valuation reported for an element that is zero at working precision.
 #: It means ">= N", never an exact integer.
 ZERO_AT_PRECISION = math.inf
-
-
-def _poly_trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mulmod_fp(a, b, h, p):
-    """Product of two F_p[x] polynomials reduced mod the monic polynomial h."""
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    d = len(h) - 1
-    for i in range(len(prod) - 1, d - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(d + 1):
-                prod[i - d + j] = (prod[i - d + j] - c * h[j]) % p
-    return _poly_trim(prod[:d] + [0] * max(0, d - len(prod)))
-
-
-def _poly_powmod_fp(a, e, h, p):
-    result, base = [1], list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod_fp(result, base, h, p)
-        base = _poly_mulmod_fp(base, base, h, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd_fp(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b with b made monic first
-        inv = pow(b[-1], -1, p)
-        b = [(c * inv) % p for c in b]
-        while len(a) >= len(b):
-            c = a[-1]
-            if c:
-                for j in range(len(b)):
-                    a[len(a) - len(b) + j] = (a[len(a) - len(b) + j] - c * b[j]) % p
-            a.pop()
-            _poly_trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
-
-
-def _poly_sub_fp(a, b, p):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _poly_trim(out)
-
-
-def _is_irreducible_fp(h, p):
-    """Rabin test for a monic polynomial over F_p."""
-    d = len(h) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    xp = x
-    for _ in range(d):
-        xp = _poly_powmod_fp(xp, p, h, p)
-    if _poly_sub_fp(xp, x, p):
-        return False
-    for ell in {q for q in range(2, d + 1) if d % q == 0 and _is_prime(q)}:
-        xq = x
-        for _ in range(d // ell):
-            xq = _poly_powmod_fp(xq, p, h, p)
-        diff = _poly_sub_fp(xq, x, p)
-        if not diff:  # x^(p^(d/ell)) == x, so h splits over a proper subfield
-            return False
-        if len(_poly_gcd_fp(diff, h, p)) > 1:
-            return False
-    return True
 
 
 def _is_prime(n):
@@ -118,37 +45,27 @@ def smallest_quadratic_nonresidue(p: int) -> int:
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """O = Z_p[x]/(h) at precision p^N, with p >= 5 and h irreducible mod p."""
+    """O = Z_p (degree 1) or Z_p[x]/(x^2 - nu) (degree 2) at precision p^N, p >= 5.
+
+    ``nu`` is 0 in degree 1.  ``residue_modulus`` is the monic modulus, low
+    degree first, mod p: (0, 1) or (-nu, 0, 1).
+    """
 
     prime: int
     unramified_degree: int = 1
     precision_exponent: int = 24
-    residue_modulus: tuple = None  # monic, low degree first, length degree+1
 
     def __post_init__(self):
         p, d, n = self.prime, self.unramified_degree, self.precision_exponent
         if p < 5 or not _is_prime(p):
             raise ValidationError(f"prime must be a prime >= 5, got {p}")
-        if d < 1:
-            raise ValidationError("unramified_degree must be >= 1")
+        if d not in (1, 2):
+            raise ValidationError(f"unramified_degree must be 1 or 2, got {d}")
         if n < 1:
             raise ValidationError("precision_exponent must be >= 1")
-        if self.residue_modulus is None:
-            if d == 1:
-                h = (0, 1)
-            else:
-                h = tuple([(-smallest_quadratic_nonresidue(p)) % p] + [0] * (d - 1) + [1]) \
-                    if d == 2 else None
-            if h is None:
-                raise ValidationError(
-                    "no default residue modulus for degree > 2; supply one explicitly")
-            object.__setattr__(self, "residue_modulus", h)
-        h = tuple(c % p for c in self.residue_modulus)
-        if len(h) != d + 1 or h[-1] != 1:
-            raise ValidationError("residue_modulus must be monic of degree unramified_degree")
-        if d > 1 and not _is_irreducible_fp(list(h), p):
-            raise ValidationError("residue_modulus is reducible mod p")
-        object.__setattr__(self, "residue_modulus", h)
+        nu = smallest_quadratic_nonresidue(p) - p if d == 2 else 0
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "residue_modulus", (0, 1) if d == 1 else (-nu, 0, 1))
         object.__setattr__(self, "_pn", p**n)
 
     @property
@@ -183,71 +100,19 @@ class CoefficientRing:
     #    kernels; keeps RingElem itself thin) --------------------------------
 
     def _mul_coords(self, a, b):
-        d, pn = self.unramified_degree, self.modulus
-        if d == 1:
+        pn = self.modulus
+        if self.unramified_degree == 1:
             return ((a[0] * b[0]) % pn,)
-        prod = [0] * (2 * d - 1)
-        for i in range(d):
-            if a[i]:
-                for j in range(d):
-                    prod[i + j] += a[i] * b[j]
-        h = self.residue_modulus
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i] % pn
-            if c:
-                for j in range(d):
-                    prod[i - d + j] -= c * h[j]
-            prod[i] = 0
-        return tuple(prod[i] % pn for i in range(d))
+        return ((a[0] * b[0] + self.nu * a[1] * b[1]) % pn,
+                (a[0] * b[1] + a[1] * b[0]) % pn)
 
     def _inv_coords(self, a):
-        p, d, pn = self.prime, self.unramified_degree, self.modulus
-        if d == 1:
+        pn = self.modulus
+        if self.unramified_degree == 1:
             return (pow(a[0], -1, pn),)
-        # invert in the residue field, then Hensel-lift x -> x(2 - ax)
-        h = list(self.residue_modulus)
-        g, s = _poly_trim([c % p for c in a]), None
-        s = _poly_extgcd_fp(g, h, p)
-        x = tuple((c if i < len(s) else 0) for i, c in enumerate(list(s) + [0] * d))[:d]
-        prec = 1
-        while prec < self.precision_exponent:
-            prec *= 2
-            two = (2,) + (0,) * (d - 1)
-            ax = self._mul_coords(a, x)
-            corr = tuple((two[i] - ax[i]) % pn for i in range(d))
-            x = self._mul_coords(x, corr)
-        return x
-
-
-def _poly_extgcd_fp(a, h, p):
-    """s with s*a == 1 mod (h, p); assumes gcd(a, h) = 1 over F_p."""
-    r0, r1 = list(h), list(a)
-    s0, s1 = [], [1]
-    while r1:
-        inv = pow(r1[-1], -1, p)
-        q = []
-        r = list(r0)
-        while len(r) >= len(r1) and r:
-            c = (r[-1] * inv) % p
-            deg = len(r) - len(r1)
-            q = _poly_trim([(q[i] if i < len(q) else 0) + (c if i == deg else 0) for i in range(max(len(q), deg + 1))])
-            for j in range(len(r1)):
-                r[deg + j] = (r[deg + j] - c * r1[j]) % p
-            r.pop()
-            _poly_trim(r)
-        # s = s0 - q*s1
-        qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs1[i + j] = (qs1[i + j] + qi * sj) % p
-        s = [( (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-             for i in range(max(len(s0), len(qs1), 1))]
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim(s)
-    # r0 is now the gcd (a unit); normalize s0 by its inverse
-    inv = pow(r0[0], -1, p)
-    return _poly_trim([(c * inv) % p for c in s0])
+        # x^2 - nu is irreducible mod p, so the norm of a unit is a unit
+        norm_inv = pow((a[0] * a[0] - self.nu * a[1] * a[1]) % pn, -1, pn)
+        return ((a[0] * norm_inv) % pn, (-a[1] * norm_inv) % pn)
 
 
 class RingElem:

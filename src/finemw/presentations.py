@@ -241,13 +241,17 @@ class FinLevelModule:
         return out
 
     def matrix_int64(self, working_exponent, extra_columns=()):
-        """Relation block plus optional columns as int64 mod p^W; degree 1 only."""
-        if self.ring.unramified_degree != 1:
-            raise ValidationError("int64 expansion requires unramified degree 1")
-        return self._expansion(self.ring.prime**working_exponent, extra_columns)[0]
+        """Relation block plus optional columns as an int64 Z_p-matrix mod p^W.
+
+        Over the quadratic ring this is the regular representation of the
+        O-matrix (``snf.regular_representation``): the two coordinate planes
+        interleaved, twice as many rows and columns.
+        """
+        m = self.ring.prime**working_exponent
+        return snf.regular_representation(self._expansion(m, extra_columns), self.ring, m)
 
     def matrix_coords(self, extra_columns=()):
-        """Full-precision expansion as rows of coordinate tuples (any degree)."""
+        """Full-precision expansion as rows of coordinate tuples (either degree)."""
         planes = [plane.tolist() for plane in self._expansion(self.ring.modulus, extra_columns)]
         return [list(zip(*rows)) for rows in zip(*planes)]
 
@@ -548,15 +552,26 @@ def presentation_to_json(M: ModulePresentation) -> dict:
 
 def presentation_from_json(doc: dict) -> ModulePresentation:
     try:
-        ring = CoefficientRing(prime=int(doc["p"]),
-                               unramified_degree=int(doc.get("unramified_degree", 1)),
-                               precision_exponent=int(doc.get("precision", 24)))
-        generators = int(doc["generators"])
+        ring = CoefficientRing(prime=_json_int(doc["p"], "p"),
+                               unramified_degree=_json_int(doc.get("unramified_degree", 1),
+                                                           "unramified_degree"),
+                               precision_exponent=_json_int(doc.get("precision", 24), "precision"))
+        generators = _json_int(doc["generators"], "generators")
         rows = []
         for row in doc.get("relations", []):
-            rows.append([IwasawaPoly(ring, [[int(s) for s in coeff] for coeff in entry])
+            rows.append([IwasawaPoly(ring, [[_json_int(s, "relation coefficient") for s in coeff]
+                                            for coeff in entry])
                          for entry in row])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed presentation JSON: {exc}") from exc
     cap = doc.get("level_cap")
-    return ModulePresentation(ring, generators, rows, None if cap is None else int(cap))
+    return ModulePresentation(ring, generators, rows,
+                              None if cap is None else _json_int(cap, "level_cap"))
+
+
+def _json_int(value, name):
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed presentation JSON: {name} {value!r} is not an integer"
+                              ) from exc

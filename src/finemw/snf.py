@@ -7,19 +7,25 @@ Every reduction takes one route, ``reduce(source, ring, track, target)``.  A
 source hides the matrix format: it gives the shape, the int64 matrix mod
 p^W, the full-precision coordinate rows and the coordinates the deep-entry
 test scans.  ``smith_normal_form`` wraps coordinate rows; ``presentations``
-wraps a level expansion together with its quotient columns.  The route aims
+wraps a level expansion together with its quotient columns.  Over the
+quadratic ring the int64 matrix is the regular representation
+(``regular_representation``): each entry a + b x becomes the 2 x 2 block
+[[a, nu b], [b, a]], and its Smith exponents over Z_p are the O-exponents,
+each twice, because O/p^e is (Z_p/p^e)^2 as a Z_p-module.  The route aims
 at an answer exact at p^target, by default the ring's precision p^N:
 
 * A matrix of at most ``PURE_SIZE_LIMIT`` entries, and any matrix over a
-  degree-2 ring, is reduced at p^target.  A divisor-only reduction over a
-  degree-1 ring runs the valuation-layered kernel of ``_kernels`` there when
-  its split products are exact mod p^target (``full_precision_int64``:
-  p <= 5 at N = 24).  Everything else runs the Python engine
-  (``_run_python``: exact coordinate arithmetic, any unramified degree, one
-  pivot at a time at the global minimum valuation, ties by lowest row then
-  column).
-* A larger matrix runs the layered int64 kernel at the reduced working
-  precision p^W, W = min(target, int64 cap), with or without the row
+  degree-2 ring, is reduced at p^target.  A divisor-only reduction runs the
+  valuation-layered kernel of ``_kernels`` there when its split products are
+  exact mod p^target (``full_precision_int64``: p <= 5 at N = 24), over the
+  quadratic ring on the regular representation.  Everything else runs the
+  Python engine (``_run_python``: exact coordinate arithmetic in either
+  degree, one pivot at a time at the global minimum valuation, ties by
+  lowest row then column); over the quadratic ring that is every tracked
+  reduction, because a Z_p-linear transform of the regular representation
+  is not O-linear.
+* A larger matrix over Z_p runs the layered int64 kernel at the reduced
+  working precision p^W, W = min(target, int64 cap), with or without the row
   transform.  Exponents below W - 2 equal the full-precision answer.  An
   exponent at or above that threshold, or a nonzero source coordinate that
   deep (``has_deep_entries``), makes the result suspicious.  A suspicious
@@ -222,24 +228,22 @@ def smith_normal_form(rows, ring: CoefficientRing,
     and the working precision.
     """
     mat, R, C = _normalize_rows(rows, ring)
-    return reduce(_RowSource(mat, R, C, ring.prime), ring, with_transforms)
+    return reduce(_RowSource(mat, R, C, ring), ring, with_transforms)
 
 
 class _RowSource:
     """Coordinate rows, as ``_normalize_rows`` returns them, as a Smith source."""
 
-    def __init__(self, rows, nrows, ncols, p):
+    def __init__(self, rows, nrows, ncols, ring):
         self.rows = rows
         self.shape = (nrows, ncols)
-        self.p = p
+        self.ring = ring
 
     def matrix_int64(self, working_exponent):
-        m = self.p**working_exponent
-        A = np.zeros(self.shape, dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for j, entry in enumerate(row):
-                A[i, j] = entry[0] % m
-        return A
+        m = self.ring.prime**working_exponent
+        coords = np.array(self.rows, dtype=object).reshape(
+            *self.shape, self.ring.unramified_degree) % m
+        return regular_representation(np.moveaxis(coords, 2, 0).astype(np.int64), self.ring, m)
 
     def coordinate_rows(self):
         return self.rows
@@ -252,8 +256,9 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
     """Smith-reduce ``source`` over ``ring``, aiming at an answer exact at p^target.
 
     ``source`` has ``shape`` (R, C), ``matrix_int64(W)`` (the matrix mod
-    p^W, degree 1 only), ``coordinate_rows()`` (full-precision coordinate
-    tuples) and ``coords()`` (the coordinates the deep-entry test scans).
+    p^W, the regular representation over the quadratic ring),
+    ``coordinate_rows()`` (full-precision coordinate tuples) and ``coords()``
+    (the coordinates the deep-entry test scans).
     ``track`` asks for the row transform U (``reduce_vector``) and U^-1
     (``generator_column``).  ``target`` defaults to the ring's precision N.
     """
@@ -288,17 +293,42 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
 def full_precision_int64(source, ring, target, track):
     """Reduction at p^target by the layered kernel, or None.
 
-    Applies to degree-1 rings when ``exact_products`` admits p^target, with
-    the row transform when ``track`` is set.  The result is exact at
-    p^target: engine "int64", ``precision_used`` target, certified.
+    Applies when ``exact_products`` admits p^target: over Z_p with the row
+    transform when ``track`` is set, over the quadratic ring untracked only,
+    keeping every other exponent of the regular representation's.  The
+    result is exact at p^target: engine "int64", ``precision_used`` target,
+    certified.
     """
     p = ring.prime
     m = p**target
-    if ring.unramified_degree != 1 or not exact_products(p, m):
+    if not exact_products(p, m) or (track and ring.unramified_degree == 2):
         return None
     exponents, transform = _kernels.snf_int64(source.matrix_int64(target), p, m, track)
+    if ring.unramified_degree == 2:
+        if len(exponents) % 2 or exponents[0::2] != exponents[1::2]:
+            raise ArithmeticError(f"realified Smith exponents {exponents} do not pair up")
+        exponents = exponents[0::2]
     R, C = source.shape
     return SmithResult(ring, "int64", target, R, C, exponents, transform)
+
+
+def regular_representation(planes, ring, m):
+    """The Z_p-matrix mod m of an O-matrix given by its coordinate planes mod m.
+
+    Plane s holds coordinate s of every entry, as int64.  Over Z_p that is
+    plane 0.  Over the quadratic ring entry (i, j) = a + b x becomes rows
+    2i, 2i + 1 and columns 2j, 2j + 1 of a 2R x 2C matrix: the block
+    [[a, nu b], [b, a]] of multiplication by a + b x on the basis (1, x).
+    """
+    if ring.unramified_degree == 1:
+        return planes[0]
+    a, b = planes
+    A = np.empty((2 * a.shape[0], 2 * a.shape[1]), dtype=np.int64)
+    A[0::2, 0::2] = A[1::2, 1::2] = a
+    A[1::2, 0::2] = b
+    # nu b leaves int64 for larger primes (p = 17 at 17^15 is admitted)
+    A[0::2, 1::2] = (b if (m - 1) * -ring.nu < 1 << 63 else b.astype(object)) * ring.nu % m
+    return A
 
 
 def _run_python(mat, R, C, ring, track, precision=None):

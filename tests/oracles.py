@@ -39,6 +39,16 @@ def poly_divmod_z(f, g):
     return quo, rem
 
 
+def mulmod_monic(a, b, h, m):
+    """Schoolbook product of coefficient lists a and b mod the monic h, then mod m.
+
+    The remainder is padded to deg(h) coefficients, low degree first.
+    """
+    _, rem = poly_divmod_z(poly_mul_z(a, b), h)
+    rem = [x % m for x in rem]
+    return rem + [0] * (len(h) - 1 - len(rem))
+
+
 def omega_int(p, n):
     q = p**n
     return [0] + [math.comb(q, k) for k in range(1, q + 1)]

@@ -177,6 +177,18 @@ def test_classify_exit_2_on_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, doc", [
+    ("relation coefficient", {"p": 5, "generators": 1, "relations": [[[["0"], ["x1"]]]]}),
+    ("p", {"p": "five", "generators": 1, "relations": [[[["1"]]]]}),
+    ("level_cap", {"p": 5, "generators": 1, "relations": [[[["1"]]]], "level_cap": "two"}),
+])
+def test_classify_exit_2_on_non_integer_field(field, doc, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["classify", "--file", str(bad)]) == 2
+    assert f"JSON: {field} " in capsys.readouterr().err
+
+
 def test_verify_warning_file_skips_with_reason(capsys, schema, warning_file):
     code, out = run_cli(["verify", "--file", warning_file], capsys)
     assert code == 0

@@ -5,7 +5,8 @@ The modules are criterion-1 corpus draws (``sample_recipe(2024 * 1000003 + i)``,
 kernels, the expansions or the report emission that moves a single report
 byte fails here.  The digests were recorded before the full-precision
 layered route for small reductions existed; reports must not depend on the
-Smith engine.
+Smith engine.  The quadratic digests were recorded while every reduction over
+Z_p[x]/(x^2 - nu) still ran the Python engine.
 """
 
 import hashlib
@@ -34,24 +35,38 @@ DIGESTS = {
     (7, 8, 2, "verify"): "2cf782487ef5d6fc65aee7979ba133c6888ec7fd3bb58d4a23fa6b1619276c96",
 }
 
+# corpus draw -> (exit code, sha256 of the report) of ``classify --n-max 2`` over
+# CoefficientRing(5, 2, 24); draw 4 exits 3 with a no-elementary-fit report
+QUADRATIC_DIGESTS = {
+    0: (0, "a8b211fdf6e9f54ecb98b1d758dc9e1b91335d2460b8155cdfff08b53b73e873"),
+    2: (0, "23f6d1a37bdfd7e6695c42bea8229d7b0e932461f6e11825304693e1787d7945"),
+    4: (3, "7cdd0a27858df468a26fa266d779d927d634d25f6bd275f42d5282f098bc273c"),
+}
 
-def corpus_module_json(p, draw):
+
+def corpus_module_json(p, draw, degree=1):
     recipe = sample_recipe(CORPUS_SEED + draw, p)
-    M = build_elementary(recipe, CoefficientRing(p, 1, 24))
+    M = build_elementary(recipe, CoefficientRing(p, degree, 24))
     M = obfuscate(M, seed=recipe.seed ^ 0x5EED, steps=24)
     return json.dumps(presentation_to_json(M), sort_keys=True)
 
 
-def report_digest(p, draw, n_max, command, directory, capsys):
+def report_digest(p, draw, n_max, command, directory, capsys, degree=1):
+    """(exit code, sha256 of stdout) of one command on a corpus module."""
     path = directory / f"p{p}-{draw}.json"
-    path.write_text(corpus_module_json(p, draw))
+    path.write_text(corpus_module_json(p, draw, degree))
     code = main([command, "--file", str(path), "--n-max", str(n_max)])
     out = capsys.readouterr().out
-    assert code == 0
-    return hashlib.sha256(out.encode()).hexdigest()
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("p, draw, n_max, command", sorted(DIGESTS))
 def test_report_digest(p, draw, n_max, command, tmp_path, capsys):
-    digest = report_digest(p, draw, n_max, command, tmp_path, capsys)
-    assert digest == DIGESTS[p, draw, n_max, command]
+    code, digest = report_digest(p, draw, n_max, command, tmp_path, capsys)
+    assert (code, digest) == (0, DIGESTS[p, draw, n_max, command])
+
+
+@pytest.mark.parametrize("draw", sorted(QUADRATIC_DIGESTS))
+def test_quadratic_report_digest(draw, tmp_path, capsys):
+    result = report_digest(5, draw, 2, "classify", tmp_path, capsys, degree=2)
+    assert result == QUADRATIC_DIGESTS[draw]

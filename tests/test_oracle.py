@@ -108,6 +108,27 @@ def test_sample_recipe_deterministic():
     assert sample_recipe(42, 5).as_dict() == sample_recipe(42, 5).as_dict()
 
 
+def test_sample_recipe_drops_support_at_n_max_and_keeps_the_stream():
+    for seed in range(300):
+        for p in (5, 7):
+            default = sample_recipe(seed, p)
+            assert sample_recipe(seed, p, 3).as_dict() == default.as_dict()
+            capped = sample_recipe(seed, p, 2)
+            assert all(j < 2 for j in capped.cyclo_multiplicities)
+            assert (capped.free_rank, capped.mu_summands, capped.extra_factors) == (
+                default.free_rank, default.mu_summands, default.extra_factors)
+
+
+@pytest.mark.parametrize("seed", [7000024, 7000027])
+def test_run_instance_at_n_max_2_draws_identifiable_support(seed):
+    # both drew Phi_2 support, which levels 0..2 cannot tell apart from free rank
+    assert 2 in sample_recipe(seed, 7).cyclo_multiplicities
+    r = run_instance(7, 2, seed, checks="full")
+    assert "2" not in r["recipe"]["cyclo_multiplicities"]
+    assert r["status"] != "fail" and "error" not in r
+    assert all(v == "pass" for v in r["checks"].values())
+
+
 def test_run_instance_classify_and_full():
     r = run_instance(5, 3, seed=77, checks="classify")
     assert r["checks"].get("type_recovery") == "pass"

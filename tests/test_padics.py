@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from finemw.errors import NonUnitError, ValidationError
 from finemw.padics import CoefficientRing, ZERO_AT_PRECISION, ring_arith
+from oracles import mulmod_monic
 
 R5 = CoefficientRing(5, 1, 3)
 R5_DEEP = CoefficientRing(5, 1, 24)
@@ -68,9 +69,34 @@ def test_default_quadratic_nonresidue_modulus():
     assert R7_QUAD.residue_modulus == ((-3) % 7, 0, 1)
 
 
-def test_reducible_modulus_rejected():
-    with pytest.raises(ValidationError):
-        CoefficientRing(5, 2, 4, residue_modulus=(4, 0, 1))  # x^2 - 1 = (x-1)(x+1)
+def test_only_degrees_one_and_two_and_no_modulus_argument():
+    for degree in (0, 3, 4):
+        with pytest.raises(ValidationError):
+            CoefficientRing(5, degree, 4)
+    with pytest.raises(TypeError):
+        CoefficientRing(5, 2, 4, residue_modulus=(4, 0, 1))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_quadratic_nu_is_the_smallest_nonresidue_minus_p(p):
+    # Euler's criterion: c^((p-1)/2) = -1 mod p exactly for non-residues
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    ring = CoefficientRing(p, 2, 6)
+    assert ring.nu == c - p
+    assert ring.residue_modulus == (p - c, 0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([R5_QUAD, R7_QUAD, CoefficientRing(5, 2, 24), CoefficientRing(7, 2, 24),
+                        CoefficientRing(11, 2, 3)]),
+       st.data())
+def test_quadratic_product_and_inverse_match_schoolbook(ring, data):
+    m, h = ring.modulus, [-ring.nu, 0, 1]  # x^2 - nu, low degree first
+    a, b = ([data.draw(st.integers(0, m - 1)) for _ in range(2)] for _ in range(2))
+    assert list((ring.element(a) * ring.element(b)).coords) == mulmod_monic(a, b, h, m)
+    if a[0] % ring.prime or a[1] % ring.prime:
+        inverse = list(ring.element(a).invert().coords)
+        assert mulmod_monic(a, inverse, h, m) == [1, 0]
 
 
 def test_quadratic_inverse_roundtrip():

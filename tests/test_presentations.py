@@ -227,6 +227,30 @@ def test_matrix_int64_at_full_precision_matches_coords():
                 assert fin.matrix_int64(24, extra_columns=columns).tolist() == coords
 
 
+def test_matrix_int64_over_quadratic_ring_is_the_regular_representation():
+    # entry a + b x of the O-matrix becomes the block [[a, nu b], [b, a]]
+    ring = CoefficientRing(5, 2, 24)
+    m, nu = ring.modulus, ring.nu
+    rng = random.Random(31)
+
+    def poly(degree):
+        return IwasawaPoly(ring, [[rng.randrange(m), rng.randrange(m)]
+                                  for _ in range(degree + 1)])
+
+    M = ModulePresentation(ring, 2, [[poly(3), poly(30)], [poly(1), poly(27)]])
+    for level in range(3):
+        for component in (None, level):
+            fin = FinLevelModule(M, level, component=component)
+            extra = [[(rng.randrange(m), rng.randrange(m)) for _ in range(2 * 5**level)]]
+            coords = fin.matrix_coords(extra_columns=extra)
+            real = fin.matrix_int64(24, extra_columns=extra).tolist()
+            assert (len(real), len(real[0])) == (2 * len(coords), 2 * len(coords[0]))
+            for i, row in enumerate(coords):
+                for j, (a, b) in enumerate(row):
+                    block = [real[2 * i][2 * j:2 * j + 2], real[2 * i + 1][2 * j:2 * j + 2]]
+                    assert block == [[a, nu * b % m], [b, a]]
+
+
 def test_matrix_coords_matches_exact_expansion():
     # the oracle multiplies by T^k and divides by omega_n on exact integers;
     # over a degree-2 ring each coordinate plane is the expansion of that

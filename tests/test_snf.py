@@ -371,6 +371,66 @@ def test_quadratic_ring_snf():
     assert res.exponents == [0]
 
 
+def _quadratic_case(rng, R, C, ring):
+    """A random O-matrix with rank deficiency and rows scaled by p^0..p^3."""
+    p, m = ring.prime, ring.modulus
+
+    def entry():
+        return ring.element((rng.randrange(m), rng.randrange(m)))
+
+    mat = [[entry() for _ in range(C)] for _ in range(R)]
+    for row in mat[: R // 3]:  # O-combinations of two other rows
+        i, j = rng.sample(range(R // 3, R), 2)
+        lam = entry()
+        row[:] = [x + lam * y for x, y in zip(mat[i], mat[j])]
+    for row in mat:
+        k = rng.choice((0, 0, 1, 2, 3))
+        row[:] = [x * p**k for x in row]
+    return mat
+
+
+def _quadratic_hidden_invariant(ring):
+    """6 x 6 with the block [[1, 1], [1, 1 + p^(N-4) x]]: determinant p^(N-4) x."""
+    n, N = 6, ring.precision_exponent
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    mat[2][3] = mat[3][2] = 1
+    mat[3][3] = (1, ring.prime ** (N - 4))
+    return mat
+
+
+@pytest.mark.parametrize("p, N", [(5, 24), (5, 9), (7, 10), (17, 15)])
+def test_realified_kernel_matches_python_engine_over_quadratic_ring(p, N):
+    # at 17^15 the products of the kernel are exact, but nu times a residue leaves int64
+    ring = CoefficientRing(p, 2, N)
+    rng = random.Random(p * 100 + N)
+    cases = [_quadratic_case(rng, R, C, ring) for R, C in ((9, 63), (12, 64), (10, 65), (7, 5))]
+    cases.append(_quadratic_hidden_invariant(ring))
+    for mat in cases:
+        res = smith_normal_form(mat, ring)
+        assert (res.engine, res.precision_used) == ("int64", N)
+        assert res.exponents == _python_engine(mat, ring).exponents
+    assert res.exponents == [0] * 5 + [N - 4] and res.free_rank == 0
+
+
+def test_regular_representation_blocks():
+    ring = CoefficientRing(7, 2, 3)  # nu = -4
+    a = np.array([[2, 0]], dtype=np.int64)
+    b = np.array([[5, 1]], dtype=np.int64)
+    A = snf.regular_representation([a, b], ring, ring.modulus)
+    m = ring.modulus
+    assert A.tolist() == [[2, -4 * 5 % m, 0, -4 % m], [5, 2, 1, 0]]
+
+
+def test_quadratic_reductions_left_on_the_python_engine():
+    # tracked reductions need O-linear transforms; 7^24 has no exact product
+    rng = random.Random(5)
+    mat = _quadratic_case(rng, 6, 7, CoefficientRing(5, 2, 24))
+    assert smith_normal_form(mat, mat[0][0].ring, with_transforms=True).engine == "python"
+    ring7 = CoefficientRing(7, 2, 24)
+    mat = _quadratic_case(rng, 6, 7, ring7)
+    assert smith_normal_form(mat, ring7).engine == "python"
+
+
 def test_certification_flags():
     shallow = CoefficientRing(5, 1, 4)
     res = smith_normal_form([[125]], shallow)
