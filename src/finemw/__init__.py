@@ -38,12 +38,10 @@ from .presentations import (
     coinvariants,
     cyclic_module,
     direct_sum,
-    expand_to_level,
     free_module,
     phi_component_ranks,
     presentation_from_json,
     presentation_to_json,
-    quotient_structure,
     transition_check,
 )
 from .snf import SmithResult, smith_normal_form

@@ -21,9 +21,7 @@ from .errors import (
     ClassificationError,
     FinemwError,
     HypothesisError,
-    InvalidRankTableError,
     ResourceLimitError,
-    SettingError,
     UncertifiedError,
     ValidationError,
 )
@@ -376,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, InvalidRankTableError, SettingError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HypothesisError as exc:

@@ -53,8 +53,9 @@ class ClassificationError(FinemwError):
 class UncertifiedError(FinemwError):
     """Level data was computed below the precision it needs.
 
-    Raised instead of fitting a type to coinvariants whose Smith reduction
-    ran at a reduced working precision on a matrix with entries or exponents
-    that deep, when the full-precision rerun was over its size limit:
-    summands may then be missing from the torsion and counted as free rank.
+    Raised instead of fitting a type to coinvariants whose Smith result is
+    not ``certified``: the size limit kept a suspicious reduced-precision
+    reduction from its full-precision rerun, or a torsion exponent reaches
+    two digits below the precision used.  Summands may then be missing from
+    the torsion and counted as free rank.
     """

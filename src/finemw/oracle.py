@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import FinemwError, ResourceLimitError, ValidationError
 from .padics import CoefficientRing
 from .polynomials import IwasawaPoly, cyclotomic, default_max_level, omega, weierstrass_divide
-from .presentations import ModulePresentation
+from .presentations import ModulePresentation, presentation_to_json
 from .structure import (
     ElementaryType,
     TowerSpec,
@@ -111,19 +111,19 @@ def build_elementary(recipe: ConstructionRecipe, ring: CoefficientRing) -> Modul
     return ModulePresentation(ring, g, rows)
 
 
-def _random_lambda_poly(rng, ring, max_degree=2):
-    """Random polynomial entry for an elementary operation (valuation >= 0)."""
+def _random_lambda_poly(rng, ring):
+    """Random polynomial entry of degree <= 2 for an elementary operation (valuation >= 0)."""
     p = ring.prime
-    deg = rng.randrange(0, max_degree + 1)
+    deg = rng.randrange(0, 3)
     coeffs = [rng.randrange(0, 2 * p) for _ in range(deg + 1)]
     if all(c == 0 for c in coeffs):
         coeffs[0] = 1
     return IwasawaPoly.from_ints(ring, coeffs)
 
 
-def _random_unit_poly(rng, ring, max_degree=2):
+def _random_unit_poly(rng, ring):
     p = ring.prime
-    deg = rng.randrange(0, max_degree + 1)
+    deg = rng.randrange(0, 3)
     coeffs = [rng.randrange(0, 2 * p) for _ in range(deg + 1)]
     coeffs[0] = rng.randrange(1, p)  # unit constant term
     return IwasawaPoly.from_ints(ring, coeffs)
@@ -224,7 +224,6 @@ def sample_recipe(seed: int, p: int, n_max: int | None = None) -> ConstructionRe
 
 def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
                  precision: int = 24, checks: str = "classify",
-                 selectors=("zero", "full-torsion", "random-subgroup"),
                  recipe: ConstructionRecipe | None = None) -> dict:
     """Build, obfuscate and classify one instance.
 
@@ -257,7 +256,7 @@ def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
                 rep = verify_rank_identity(M, n_max, analysis=analysis)
                 record["checks"]["rank_identity"] = rep["verdict"]
             if truth.free_rank == 0:
-                for sel in selectors:
+                for sel in ("zero", "full-torsion", "random-subgroup"):
                     rep = verify_finite_quotients(TowerSpec(M, sel, seed=seed),
                                                   n_max, expected=truth,
                                                   analysis=analysis)
@@ -276,8 +275,6 @@ def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
         record["error"] = f"{type(exc).__name__}: {exc}"
     if record["status"] == "fail":
         # dump the disguised presentation so the failure replays standalone
-        from .presentations import presentation_to_json
-
         try:
             record["presentation"] = presentation_to_json(
                 obfuscate(build_elementary(recipe, ring), seed=seed ^ 0x5EED, steps=steps))
@@ -305,6 +302,10 @@ def roundtrip_suite(p: int, instances: int, n_max: int | None = None, seed: int 
         raise ValidationError("checks must be 'classify' or 'full'")
     if n_max is None:
         n_max = default_max_level(p)
+    if n_max < 2:
+        raise ValidationError(f"n_max must be >= 2, got {n_max}")
+    if steps < 0:
+        raise ValidationError(f"steps must be >= 0, got {steps}")
     arglist = [(p, n_max, seed * 1_000_003 + idx, steps, precision, checks)
                for idx in range(instances)]
     if jobs and jobs > 1 and instances > 1:

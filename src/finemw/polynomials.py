@@ -172,19 +172,19 @@ class IwasawaPoly:
         return f"IwasawaPoly({self.render()})"
 
 
-def omega(ring: CoefficientRing, n: int, max_degree: int | None = None) -> IwasawaPoly:
+def omega(ring: CoefficientRing, n: int) -> IwasawaPoly:
     """(1+T)^(p^n) - 1, distinguished of degree p^n."""
     if n < 0:
         raise ValidationError("level must be >= 0")
     p = ring.prime
     q = p**n
-    budget = degree_budget(p) if max_degree is None else max_degree
+    budget = degree_budget(p)
     if q > budget:
         raise ResourceLimitError(f"omega level {n} needs degree {q} > budget {budget}")
     return IwasawaPoly(ring, [0] + [math.comb(q, k) for k in range(1, q + 1)])
 
 
-def cyclotomic(ring: CoefficientRing, n: int, max_degree: int | None = None) -> IwasawaPoly:
+def cyclotomic(ring: CoefficientRing, n: int) -> IwasawaPoly:
     """n-th cyclotomic factor: omega(n)/omega(n-1) for n >= 1, T for n = 0.
 
     Computed from the closed form 1 + X^m + X^(2m) + ... + X^((p-1)m) at
@@ -196,7 +196,7 @@ def cyclotomic(ring: CoefficientRing, n: int, max_degree: int | None = None) -> 
         return IwasawaPoly.variable(ring)
     p = ring.prime
     deg = phi_degree(p, n)
-    budget = degree_budget(p) if max_degree is None else max_degree
+    budget = degree_budget(p)
     if deg > budget:
         raise ResourceLimitError(f"cyclotomic level {n} needs degree {deg} > budget {budget}")
     m = p ** (n - 1)

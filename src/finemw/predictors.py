@@ -287,8 +287,7 @@ def question_report(setting: SettingTag, s: GrowthSequence) -> dict:
         notes.append(
             "the interval leaves the exact multiplicities undetermined; no "
             "distinguished value inside it is preferred")
-        conj = predict(SettingTag.HEEGNER_FINE,
-                       s if s.kind == "e" else s)
+        conj = predict(SettingTag.HEEGNER_FINE, s)
         conj = PredictedCharIdeal(ring=conj.ring,
                                   provenance=f"{setting.value}/conjectural",
                                   intervals=conj.intervals)

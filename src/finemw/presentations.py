@@ -10,11 +10,13 @@ basis, so they are kept implicit.
 
 Every reduction modulo omega_n or Phi_j is one integer long division
 (``_poly_rem``) by T^q = sum wrap_k T^k: both moduli have rational-integer
-coefficients, so each coordinate of an O-polynomial divides on its own.  One
-builder, ``FinLevelModule._expansion``, writes the expanded matrix mod m as
-one preallocated array per coordinate; ``matrix_int64`` is coordinate 0 at
-p^W and ``matrix_coords`` the coordinates zipped into tuples at p^N.  The
-T-action and the transition maps use the same division.
+coefficients, so each coordinate of an O-polynomial divides on its own.  The
+one exception is a relation entry of degree >= q, which ``reduced_entry``
+divides once by ``weierstrass_divide``.  One builder,
+``FinLevelModule._expansion``, writes the expanded matrix mod m as one
+preallocated array per coordinate; ``matrix_int64`` reads it at p^W and
+``matrix_coords`` zips the coordinates into tuples at p^N.  The T-action and
+the transition maps use the same division.
 """
 
 from __future__ import annotations
@@ -131,16 +133,13 @@ def check_level_budget(pres: ModulePresentation, n: int):
 def _wrap_vector(ring, h: IwasawaPoly):
     """Coefficients of T^deg(h) modulo the monic h, as integers -h_k.
 
-    Both omega_n and the cyclotomic factors have rational-integer
-    coefficients, so the wrap stays a scalar list for every coefficient ring.
+    Both omega_n and the cyclotomic factors are built from rational integers,
+    so the wrap stays a scalar list for every coefficient ring.
     """
     pn = ring.modulus
     wrap = []
     for k in range(h.degree()):
-        coords = h.coefficient(k).coords
-        if any(c for c in coords[1:]):
-            raise ValidationError("modulus polynomial must have integer coefficients")
-        wrap.append((-coords[0]) % pn)
+        wrap.append((-h.coefficient(k).coords[0]) % pn)
     return wrap
 
 
@@ -192,7 +191,7 @@ class FinLevelModule:
         shifted = []
         for i in range(self.presentation.generators):
             shifted += [0, *vec[i * q:(i + 1) * q]] + [0] * (width - q - 1)
-        return _plain(self.reduce_ambient_column(shifted), self.ring)
+        return snf.plain(self.reduce_ambient_column(shifted), self.ring)
 
     def omega_annihilates(self, vec) -> bool:
         """Check (1+T)^(p^n) - 1 kills the vector, exactly at precision."""
@@ -317,23 +316,11 @@ def _mult_matrix(coeffs, q, wrap, m):
     return M
 
 
-def _plain(coords, ring):
-    """Coordinate tuples as the vectors transforms take: plain ints over a degree-1 ring."""
-    if ring.unramified_degree == 1:
-        return [x[0] for x in coords]
-    return coords
-
-
 def _entry_add(a, b, ring):
     pn = ring.modulus
     if isinstance(a, tuple):
         return tuple((x + y) % pn for x, y in zip(a, b))
     return (int(a) + int(b)) % pn
-
-
-def expand_to_level(M: ModulePresentation, n: int) -> FinLevelModule:
-    """Realize M_{Gamma_n} = M / omega_n M over the coefficient ring."""
-    return FinLevelModule(M, n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,46 +329,50 @@ def expand_to_level(M: ModulePresentation, n: int) -> FinLevelModule:
 
 @dataclass
 class CoinvariantStructure:
-    """Free rank and torsion of M_{Gamma_n} as a coefficient-ring module."""
+    """Free rank and torsion of M_{Gamma_n} as a coefficient-ring module.
 
-    level: int
-    free_rank: int
-    torsion_exponents: list  # weakly decreasing, O-summand exponents
-    certified: list  # per exponent
-    smith: object = None
-    fin_level: object = None
-    rank_certified: bool = True  # False: deep summands may count as free rank
+    A view over the Smith reduction of the level-n expansion: every number
+    is read off ``smith``, and ``certified`` is its one certification flag.
+    """
+
+    smith: snf.SmithResult
+    fin_level: FinLevelModule
+
+    @property
+    def level(self) -> int:
+        return self.fin_level.level
+
+    @property
+    def free_rank(self) -> int:
+        return self.smith.free_rank
+
+    @property
+    def torsion_exponents(self) -> list:
+        """O-summand exponents, weakly decreasing."""
+        return self.smith.torsion_exponents
 
     @property
     def torsion_order(self) -> int:
         """Sum of exponents: the O-length of the torsion part."""
-        return sum(self.torsion_exponents)
+        return self.smith.torsion_order
 
     @property
-    def all_certified(self) -> bool:
-        return self.rank_certified and all(self.certified)
+    def certified(self) -> bool:
+        return self.smith.certified
 
 
-def coinvariants(M: ModulePresentation, n: int,
-                 with_transforms: bool = False) -> CoinvariantStructure:
-    """Smith-reduce the expanded relation matrix at level n."""
+def coinvariants(M: ModulePresentation, n: int, extra_columns=(),
+                 with_transforms: bool = False,
+                 precision_cap: int | None = None) -> CoinvariantStructure:
+    """Smith-reduce the level-n expansion, quotiented by ambient ``extra_columns``.
+
+    Columns obtained from tracked transforms are exact only above a junk
+    threshold; pass ``precision_cap`` to run the reduction below it.
+    """
     fin = FinLevelModule(M, n)
-    smith = _level_smith(fin, with_transforms=with_transforms)
-    return _structure_from_smith(fin, smith)
-
-
-def _structure_from_smith(fin, smith) -> CoinvariantStructure:
-    pairs = sorted(zip(smith.exponents, smith.certified_exponents()), reverse=True)
-    torsion = [(e, c) for e, c in pairs if e > 0]
-    return CoinvariantStructure(
-        level=fin.level,
-        free_rank=smith.free_rank,
-        torsion_exponents=[e for e, _ in torsion],
-        certified=[c for _, c in torsion],
-        smith=smith,
-        fin_level=fin,
-        rank_certified=smith.certified,
-    )
+    smith = _level_smith(fin, extra_columns=tuple(extra_columns),
+                         with_transforms=with_transforms, precision_cap=precision_cap)
+    return CoinvariantStructure(smith, fin)
 
 
 def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
@@ -430,19 +421,26 @@ class _LevelSource:
                 yield from entry
 
 
-def phi_component_ranks(M: ModulePresentation, n: int) -> list:
+def phi_component_ranks(M: ModulePresentation, n: int, extra_columns=(),
+                        precision_cap: int | None = None,
+                        base_free_rank: int | None = None) -> list:
     """Ranks of the Phi_j-isotypic pieces of the rationalized coinvariants.
 
-    c_j is the rank of ker(Phi_j(T)) on the free part of M_{Gamma_n}.  Since
-    Phi_j divides omega_n, quotienting the level-n module by the Phi_j-action
-    columns is the same as expanding the presentation modulo Phi_j, so c_j is
-    the free rank of that smaller Smith reduction.  The components must sum
-    to the free rank of the coinvariants; a mismatch signals a precision
-    failure and raises.
+    c_j is the rank of ker(Phi_j(T)) on the free part of M_{Gamma_n}, or of
+    its quotient by ambient ``extra_columns``.  Since Phi_j divides omega_n,
+    quotienting the level-n module by the Phi_j-action columns is the same
+    as expanding the presentation modulo Phi_j, so c_j is the free rank of
+    that smaller Smith reduction.  The components must sum to the free rank
+    of the coinvariants, or to ``base_free_rank`` when given (the
+    unquotiented free rank checks that the columns did not move the rank);
+    a mismatch signals a precision failure and raises.
     """
-    base = _level_smith(FinLevelModule(M, n))
-    ranks = component_ranks_against(M, n)
-    check_component_sum(ranks, base.free_rank, n)
+    ranks = component_ranks_against(M, n, extra_columns=extra_columns,
+                                    precision_cap=precision_cap)
+    if base_free_rank is None:
+        base_free_rank = coinvariants(M, n, extra_columns,
+                                      precision_cap=precision_cap).free_rank
+    check_component_sum(ranks, base_free_rank, n)
     return ranks
 
 
@@ -462,39 +460,6 @@ def component_ranks_against(M: ModulePresentation, n: int, extra_columns=(),
         smith = _level_smith(fin, extra_columns=tuple(extra_columns),
                              precision_cap=precision_cap)
         ranks.append(smith.free_rank)
-    return ranks
-
-
-def quotient_structure(M: ModulePresentation, n: int, extra_columns,
-                       with_transforms: bool = False,
-                       precision_cap: int | None = None) -> CoinvariantStructure:
-    """Structure of M_{Gamma_n} / <extra columns> (columns in ambient coords).
-
-    Columns obtained from tracked transforms are exact only above a junk
-    threshold; pass ``precision_cap`` to run the reduction below it.
-    """
-    fin = FinLevelModule(M, n)
-    smith = _level_smith(fin, extra_columns=tuple(extra_columns),
-                         with_transforms=with_transforms, precision_cap=precision_cap)
-    return _structure_from_smith(fin, smith)
-
-
-def quotient_phi_component_ranks(M: ModulePresentation, n: int, extra_columns,
-                                 precision_cap: int | None = None,
-                                 base_free_rank: int | None = None) -> list:
-    """Component ranks of M_{Gamma_n} modulo the span of the given columns.
-
-    When ``base_free_rank`` is supplied (typically the unquotiented free
-    rank), the sum rule doubles as a check that the columns did not move the
-    rank, which is exactly the finite-submodule invariance being verified.
-    """
-    ranks = component_ranks_against(M, n, extra_columns=extra_columns,
-                                    precision_cap=precision_cap)
-    if base_free_rank is None:
-        base = _level_smith(FinLevelModule(M, n), extra_columns=tuple(extra_columns),
-                            precision_cap=precision_cap)
-        base_free_rank = base.free_rank
-    check_component_sum(ranks, base_free_rank, n)
     return ranks
 
 
@@ -522,7 +487,7 @@ def transition_check(M: ModulePresentation, n: int) -> dict:
     }
     for k in hi.smith.torsion_positions:
         gen = hi.smith.generator_column(k)
-        image = _plain(lo.fin_level.reduce_ambient_column(gen), lo.fin_level.ring)
+        image = snf.plain(lo.fin_level.reduce_ambient_column(gen), lo.fin_level.ring)
         if not lo.smith.is_torsion_vector(image):
             report["torsion_maps_to_torsion"] = False
     if not (report["rank_monotone"] and report["torsion_maps_to_torsion"]):

@@ -31,10 +31,10 @@ at an answer exact at p^target, by default the ring's precision p^N:
   deep (``has_deep_entries``), makes the result suspicious.  A suspicious
   result is redone at p^target by the layered kernel where it applies, with
   the row transform when one is asked for, else by the Python engine up to
-  ``RETRY_SIZE_LIMIT`` entries; beyond that it is returned with
-  ``certified`` False.  A deep invariant behind entries that all look
-  shallow (a unit block with determinant p^k, k >= W) passes that test
-  unnoticed and counts as free rank.
+  ``RETRY_SIZE_LIMIT`` entries; beyond that it is returned uncertified.  A
+  deep invariant behind entries that all look shallow (a unit block with
+  determinant p^k, k >= W) passes that test unnoticed and counts as free
+  rank.
 """
 
 from __future__ import annotations
@@ -78,10 +78,15 @@ class SmithResult:
     ``exponents`` lists the p-valuations of the nonzero diagonal divisors in
     nondecreasing order (units contribute exponent 0).  The cokernel of the
     input matrix is O^free_rank plus one O/p^e summand per positive exponent.
+    ``certified``, the one certification flag, is False when summands deeper
+    than the precision used may be missing from the torsion and counted as
+    free rank: when a positive exponent reaches ``precision_used - 2``, or
+    when the size limit kept a suspicious reduced-precision result from its
+    full-precision rerun (``reduce`` then clears it).
     """
 
     def __init__(self, ring, engine, precision_used, nrows, ncols, exponents,
-                 transform=None, certified=True):
+                 transform=None):
         self.ring = ring
         self.engine = engine
         self.precision_used = precision_used
@@ -90,10 +95,7 @@ class SmithResult:
         self.exponents = list(exponents)
         self._transform = transform
         self.modulus = ring.prime**precision_used
-        # False when a reduced-precision run met entries or exponents at its
-        # certification threshold and no full-precision rerun was made: then
-        # summands deeper than the working precision may count as free rank
-        self.certified = certified
+        self.certified = all(e < precision_used - 2 for e in self.exponents if e > 0)
 
     # -- structure ------------------------------------------------------------
 
@@ -114,9 +116,6 @@ class SmithResult:
     @property
     def torsion_order(self) -> int:
         return sum(e for e in self.exponents if e > 0)
-
-    def certified_exponents(self):
-        return [e < self.precision_used - 2 for e in self.exponents]
 
     @property
     def torsion_positions(self):
@@ -180,13 +179,11 @@ class _PythonTransform:
         self.Uinv = Uinv
 
     def generator_column(self, k):
-        if self.ring.unramified_degree == 1:
-            return [row[k][0] for row in self.Uinv]
-        return [row[k] for row in self.Uinv]
+        return plain([row[k] for row in self.Uinv], self.ring)
 
     def reduce_vector(self, w):
         pn = self.modulus
-        w = [_coords_of(x, self.ring) for x in w]
+        w = [self.ring.element(x).coords for x in w]
         out = []
         for row in self.U:
             acc = [0] * self.ring.unramified_degree
@@ -194,15 +191,14 @@ class _PythonTransform:
                 for i, c in enumerate(self.ring._mul_coords(u, x)):
                     acc[i] += c
             out.append(tuple(a % pn for a in acc))
-        return out
+        return plain(out, self.ring)
 
 
-def _coords_of(x, ring):
-    if isinstance(x, tuple):
-        return x
-    if isinstance(x, RingElem):
-        return x.coords
-    return ring.element(int(x)).coords
+def plain(coords, ring):
+    """Coordinate tuples as transforms take and give vectors: plain ints over a degree-1 ring."""
+    if ring.unramified_degree == 1:
+        return [x[0] for x in coords]
+    return coords
 
 
 def has_deep_entries(coords, p, threshold) -> bool:

@@ -18,6 +18,7 @@ growing tails give "no", anything else stays "undetermined".
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .presentations import (
     check_component_sum,
     check_level_budget,
     coinvariants,
-    quotient_phi_component_ranks,
+    phi_component_ranks,
 )
 
 YES, NO, UNDETERMINED = "yes", "no", "undetermined"
@@ -95,7 +96,7 @@ class StructureAnalysis:
         self.structures = [coinvariants(M, n) for n in range(n_max + 1)]
         self.ranks = [s.free_rank for s in self.structures]
         self.torsion_orders = [s.torsion_order for s in self.structures]
-        self.certified = all(s.all_certified for s in self.structures)
+        self.certified = all(s.certified for s in self.structures)
         self._tracked = {}
         self._phi_ranks = None
 
@@ -147,7 +148,7 @@ class StructureAnalysis:
     def classify(self) -> ElementaryType:
         """Fit the elementary type; uncertified level data is refused, not fitted."""
         if not self.certified:
-            levels = [s.level for s in self.structures if not s.all_certified]
+            levels = [s.level for s in self.structures if not s.certified]
             raise UncertifiedError(
                 f"levels {levels} are not certified at their working precision; "
                 "refusing to classify")
@@ -308,9 +309,10 @@ def verify_rank_identity(M: ModulePresentation, n_max: int | None = None,
 class _TorsionSpan:
     """Echelon span tracker inside the torsion part ⊕ O/p^(e_k).
 
-    Coordinates are embedded into (O/p^E)^b via x -> p^(E - e_k) x, which is
+    Coordinates are embedded into (O/p^E)^b via c -> p^(E - e_k) c, which is
     an injective O-linear map, so span membership can be decided by ordinary
-    valuation echelon over one modulus.
+    valuation echelon over one modulus.  The echelon runs on Z_p-coordinates;
+    over the quadratic ring x v goes in with every v, so it spans the O-span.
     """
 
     def __init__(self, smith, p):
@@ -326,22 +328,32 @@ class _TorsionSpan:
         self.by_pos = {}  # pivot position -> (pivot valuation, vector)
 
     def _project(self, ambient_vec):
-        y = self.smith.reduce_vector(ambient_vec)
-        out = []
-        for pos, e in zip(self.positions, self.exps):
-            val = y[pos]
-            c = val[0] if isinstance(val, tuple) else int(val)
-            out.append(c % self.p**e * self.p ** (self.cap - e) % self.modulus)
-        return out
+        """Embedded Z_p-coordinates of v and, over O, of x v: they span O v.
+
+        Over O = Z_p[x]/(x^2 - nu) each O-coordinate a + b x is the pair
+        (a, b), and x (a + b x) = nu b + a x.
+        """
+        reduced = self.smith.reduce_vector(ambient_vec)
+        y = [c if isinstance(c, tuple) else (c,) for c in (reduced[k] for k in self.positions)]
+        images = [y]
+        if self.smith.ring.unramified_degree == 2:
+            images.append([(self.smith.ring.nu * b, a) for a, b in y])
+        p = self.p
+        return [[c % p**e * p ** (self.cap - e) % self.modulus
+                 for coords, e in zip(image, self.exps) for c in coords]
+                for image in images]
 
     def add(self, ambient_vec) -> bool:
+        """Insert the O-span of the vector.  Returns True if the span grew."""
+        return any([self._insert(v) for v in self._project(ambient_vec)])
+
+    def _insert(self, v) -> bool:
         """Reduce against the span; insert if new.  Returns True if span grew.
 
         Position-ordered echelon over Z/p^cap: stored rows vanish before
         their pivot, swaps strictly decrease a pivot valuation, so the loop
         terminates.
         """
-        v = self._project(ambient_vec)
         m, p = self.modulus, self.p
         grew = False
         for _ in range(16 * self.cap * (len(v) + 1) + 16):
@@ -461,7 +473,7 @@ def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
                 raise HypothesisError(
                     f"level {n}: selected submodule generator is not torsion")
         if cols:
-            comp = quotient_phi_component_ranks(
+            comp = phi_component_ranks(
                 M, n, cols, precision_cap=structure.smith.junk_free_precision,
                 base_free_rank=structure.free_rank)
         else:
@@ -510,9 +522,7 @@ def generator_change_invariance(M: ModulePresentation, u: int,
     if u == 1:
         return {"name": "generator_change", "u": u, "verdict": "pass",
                 "type": base_type.as_dict(), "transformed_type": base_type.as_dict()}
-    import math as _math
-
-    sub = IwasawaPoly(ring, [0] + [_math.comb(u, k) for k in range(1, u + 1)])
+    sub = IwasawaPoly(ring, [0] + [math.comb(u, k) for k in range(1, u + 1)])
     rows = [[entry.substitute(sub) for entry in row] for row in M.relations]
     twisted = ModulePresentation(ring, M.generators, rows, M.level_cap)
     twisted_type = classify_elementary(twisted, n_max)

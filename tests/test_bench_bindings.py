@@ -32,6 +32,22 @@ def test_every_bench_binding_resolves_on_finemw():
     assert missing == []
 
 
+def test_names_the_benchmark_reads_outside_bindings_resolve():
+    # perfbench/run.py reports _kernels.HAVE_NUMBA on every run;
+    # perfbench/workloads.py builds its inputs and runs the CLI through the rest
+    assert isinstance(finemw._kernels.HAVE_NUMBA, bool)
+    missing = []
+    for path in ("CoefficientRing", "IwasawaPoly.constant", "ModulePresentation",
+                 "cyclic_module", "cyclotomic", "build_elementary", "obfuscate",
+                 "presentation_to_json", "oracle.sample_recipe", "cli.main"):
+        owner = finemw
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(path)
+    assert missing == []
+
+
 def test_int64_spans_carry_tracking_and_pivot_counts(monkeypatch):
     # the benchmark's per-layer counts read snf_int64's arguments and the
     # exponents in position 0 of its result
@@ -61,8 +77,7 @@ def test_expand_spans_are_not_nested_and_count_their_entries(monkeypatch):
     # the benchmark's expanded_entries adds the entries of every expand span;
     # a builder that called the other would count its matrix twice
     from finemw.polynomials import IwasawaPoly
-    from finemw.presentations import (FinLevelModule, ModulePresentation, coinvariants,
-                                      quotient_structure)
+    from finemw.presentations import FinLevelModule, ModulePresentation, coinvariants
 
     results = []
     for name in ("matrix_int64", "matrix_coords"):
@@ -84,7 +99,7 @@ def test_expand_spans_are_not_nested_and_count_their_entries(monkeypatch):
             M = ModulePresentation(ring, 2, rows)
             coinvariants(M, 1, with_transforms=True)
             cols = [[rng.randrange(ring.modulus) for _ in range(2 * p**level)]]
-            quotient_structure(M, level, cols)
+            coinvariants(M, level, cols)
     finally:
         tracer.uninstall()
     spans = tracer.spans

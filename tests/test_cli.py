@@ -290,3 +290,21 @@ def test_oracle_rejects_low_precision(capsys):
 def test_oracle_rejects_overdeep_level(capsys):
     code, _ = run_cli(["oracle", "--p", "5", "--instances", "1", "--n-max", "9"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--n-max", "1", "n_max"),
+    ("--n-max", "0", "n_max"),
+    ("--steps", "-1", "steps"),
+])
+def test_oracle_refuses_levels_and_steps_it_cannot_run(flag, value, field, capsys, monkeypatch):
+    from finemw import oracle
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(oracle, "run_instance", no_instance)
+    code = main(["oracle", "--p", "5", "--instances", "2", "--seed", "3", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert field in captured.err

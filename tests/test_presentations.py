@@ -14,12 +14,10 @@ from finemw.presentations import (
     coinvariants,
     cyclic_module,
     direct_sum,
-    expand_to_level,
     free_module,
     phi_component_ranks,
     presentation_from_json,
     presentation_to_json,
-    quotient_structure,
     transition_check,
 )
 from finemw.snf import smith_normal_form
@@ -38,7 +36,7 @@ def rel_ints(M):
 
 def test_free_module_expansion_shape_and_rank():
     L = free_module(RING, 1)
-    fin = expand_to_level(L, 1)
+    fin = FinLevelModule(L, 1)
     assert fin.full_shape == (5, 5)  # only the implicit omega block
     s = coinvariants(L, 1)
     assert s.free_rank == 5 and s.torsion_exponents == []
@@ -155,7 +153,7 @@ def test_transition_check_reports():
 
 def test_omega_annihilates_generators():
     M = cyclic_module(RING, cyclotomic(RING, 1))
-    fin = expand_to_level(M, 1)
+    fin = FinLevelModule(M, 1)
     basis = [1 if i == 0 else 0 for i in range(5)]
     assert fin.omega_annihilates(basis)
 
@@ -163,7 +161,7 @@ def test_omega_annihilates_generators():
 def test_t_apply_matches_exact_action():
     from oracles import t_action_matrix_exact
 
-    fin = expand_to_level(free_module(RING, 2), 1)
+    fin = FinLevelModule(free_module(RING, 2), 1)
     tmat = t_action_matrix_exact(2, 5, 1)
     rng = random.Random(5)
     vec = [rng.randrange(100) for _ in range(10)]
@@ -172,7 +170,7 @@ def test_t_apply_matches_exact_action():
              for i in range(10)]
     assert ours == exact
     # over a degree-2 ring T acts on each coordinate by the same integer matrix
-    fin = expand_to_level(free_module(RINGQ, 2), 1)
+    fin = FinLevelModule(free_module(RINGQ, 2), 1)
     vec = [(rng.randrange(3 * RINGQ.modulus), rng.randrange(RINGQ.modulus)) for _ in range(10)]
     exact = [[sum(tmat[i][j] * vec[j][s] for j in range(10)) % RINGQ.modulus
               for s in range(2)] for i in range(10)]
@@ -293,7 +291,7 @@ def test_small_reductions_route_by_exact_int64_products(monkeypatch):
     monkeypatch.setattr(snf, "_run_python", counted_run_python)
     s = coinvariants(cyclic_module(RING, cyclotomic(RING, 1)), 2)
     assert calls == [("int64", 5, 5**24, 0)]
-    assert s.smith.engine == "int64" and s.smith.precision_used == 24 and s.all_certified
+    assert s.smith.engine == "int64" and s.smith.precision_used == 24 and s.certified
     assert s.free_rank == 4 and s.torsion_exponents == []
     calls.clear()
     ring7 = CoefficientRing(7, 1, 24)  # 7^24 admits no exact int64 products
@@ -304,13 +302,13 @@ def test_small_reductions_route_by_exact_int64_products(monkeypatch):
 
 def test_budget_errors():
     with pytest.raises(ResourceLimitError):
-        expand_to_level(free_module(RING, 1), 5)
+        FinLevelModule(free_module(RING, 1), 5)
     big = free_module(RING, 30)
     with pytest.raises(ResourceLimitError):
-        expand_to_level(big, 4)
+        FinLevelModule(big, 4)
     capped = ModulePresentation(RING, 1, [[T]], level_cap=1)
     with pytest.raises(ResourceLimitError):
-        expand_to_level(capped, 2)
+        FinLevelModule(capped, 2)
 
 
 def test_budget_bounds_relation_entries():
@@ -373,7 +371,7 @@ def test_quotient_structure_kills_torsion():
     s = coinvariants(M, 0, with_transforms=True)
     assert s.torsion_exponents == [1]
     gen = s.smith.generator_column(s.smith.torsion_positions[0])
-    q = quotient_structure(M, 0, [gen], precision_cap=20)
+    q = coinvariants(M, 0, [gen], precision_cap=20)
     assert q.torsion_exponents == []
     assert q.free_rank == 0
 
@@ -383,10 +381,10 @@ def test_deep_quotient_columns_are_not_counted_as_free_rank():
     # reduction must see that its quotient columns are deep and rerun at 7^24
     ring7 = CoefficientRing(7, 1, 24)
     cols = [[7**15 * int(i == k) for i in range(98)] for k in range(98)]
-    q = quotient_structure(free_module(ring7, 2), 2, cols)
+    q = coinvariants(free_module(ring7, 2), 2, cols)
     assert q.free_rank == 0
     assert q.torsion_exponents == [15] * 98
-    assert q.all_certified
+    assert q.certified
 
 
 def _route_case(p, level, generators, relations, deep, seed):

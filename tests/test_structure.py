@@ -8,6 +8,7 @@ from finemw.padics import CoefficientRing
 from finemw.polynomials import IwasawaPoly, cyclotomic
 from finemw.presentations import (
     ModulePresentation,
+    coinvariants,
     cyclic_module,
     direct_sum,
     free_module,
@@ -17,6 +18,7 @@ from finemw.structure import (
     ElementaryType,
     StructureAnalysis,
     TowerSpec,
+    _TorsionSpan,
     analyze,
     classify_elementary,
     g_functor_vanishes,
@@ -314,10 +316,26 @@ def test_unrerun_reduced_precision_level_is_uncertified():
     top = analysis.structures[3]
     # the summands lost at 7^11 show up as free rank; the data must say so
     assert top.smith.precision_used == 11 and top.free_rank == 361
-    assert not top.all_certified and not analysis.certified
-    assert all(s.all_certified for s in analysis.structures[:3])
+    assert not top.certified and not analysis.certified
+    assert all(s.certified for s in analysis.structures[:3])
     assert analysis.evidence()["certified"] is False
     with pytest.raises(UncertifiedError, match=r"levels \[3\]"):
         analysis.classify()
     with pytest.raises(UncertifiedError):
         verify_rank_identity(analysis.presentation, analysis=analysis)
+
+
+def test_torsion_span_tracks_the_o_span():
+    # Lambda/(5) over O = Z_5[x]/(x^2 - nu) at level 0 is O/5; x e_0 is
+    # torsion and generates it, so it must grow an empty span
+    ring = CoefficientRing(5, 2, 24)
+    M = cyclic_module(ring, IwasawaPoly.constant(ring, 5))
+    s = coinvariants(M, 0, with_transforms=True)
+    x_e0 = [(0, 1)]
+    assert s.torsion_exponents == [1] and s.smith.is_torsion_vector(x_e0)
+    assert coinvariants(M, 0, [x_e0]).torsion_exponents == []
+    assert _TorsionSpan(s.smith, 5).add(x_e0)
+    span = _TorsionSpan(s.smith, 5)
+    assert span.add([(1, 0)])
+    assert not span.add(x_e0)
+    assert not span.add([(3, 2)])
