@@ -7,6 +7,12 @@ works one valuation layer at a time.
 ``_panel_factor`` finds a maximal set of unit pivots mod p in each 64-column
 panel by left-looking elimination, together with the inverse mod p of the
 pivot block, and the trailing block takes one exact product per panel.
+``_unit_layer`` keeps the active rows and columns as sorted ids into the
+matrix instead of compacting it after every panel, and a panel's update
+touches only the rows where its multipliers are nonzero and the column
+ranges where its pivot rows are: a level expansion is banded apart from its
+wrap columns, so most of each update is exact zeros.  Gathers copy row
+segments (a row index with a column slice) in chunks, never whole rows.
 Products run in float64 BLAS on digit splits (``_exact_split``): one operand
 in base-2^h digits and the other whole where that is exact (two products for
 p = 5, 7 at the reduced working precision p^W), and otherwise both operands
@@ -355,48 +361,112 @@ def _inv_mod(G, Ginv, p, m):
     return X
 
 
+def _ids(ix):
+    """Sorted ids ``ix`` as a slice when they form one contiguous range."""
+    if ix.size and ix[-1] - ix[0] + 1 == ix.size:
+        return slice(int(ix[0]), int(ix[-1]) + 1)
+    return ix
+
+
+def _take(X, rows, cols):
+    """The block X[rows][:, cols] for sorted ids, copied without a full-width gather.
+
+    A row index with a column slice copies whole row segments; only when
+    neither set is a contiguous range does it fall back to an ``np.ix_``
+    gather.  With two slices the result is a view.
+    """
+    r, c = _ids(rows), _ids(cols)
+    if isinstance(r, slice) or isinstance(c, slice):
+        return X[r, c]
+    return X[np.ix_(r, c)]
+
+
+def _runs(cols, gap):
+    """Sorted column ids as [start, stop) ranges, joining gaps of at most ``gap``."""
+    if not cols.size:
+        return []
+    breaks = np.flatnonzero(np.diff(cols) > gap + 1)
+    starts = np.concatenate(([cols[0]], cols[breaks + 1]))
+    stops = np.concatenate((cols[breaks], [cols[-1]])) + 1
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+# Zero or eliminated columns between two nonzero ones that a trailing update
+# computes rather than start a new range.  8 and 16 were fastest, within
+# noise of each other, on the benchmark's expansions and on dense matrices.
+_GAP = 16
+
+
 def _unit_layer(X, p, m, split, transform=None):
     """Eliminate a maximal set of unit pivots of X over Z/m, panel by panel.
 
-    X is updated in place and ``split`` forms its exact products mod m.
-    Returns (S, count): S is a leading view of X's buffer holding the Schur
-    complement, every entry of which is divisible by p, and count is the
-    number of pivots.  Columns left of ``done`` have
-    no unit on the remaining rows; they still take every later update.
+    X is updated in place and ``split`` forms its exact products mod m.  The
+    rows and columns still active are kept as sorted ids into X, so a
+    panel's pivots are found exactly as on the compacted matrix (the lowest
+    eligible row first).  The panel's update X[F, keep] -= L K, with
+    L = X[F, Q] and K = G^-1 X[P, keep], touches only the rows where L has a
+    nonzero entry and the column ranges (``_runs``) where X[P, keep] has
+    one: skipping an exactly zero row of L or column of K changes nothing.
+    Eliminated rows and columns are never read again, so the columns inside
+    a range that were eliminated may take garbage.  Columns left of ``done``
+    have no unit on the remaining rows; they still take every later update.
     A ``transform`` records each panel's row operation.
+
+    Returns (S, count): S is a leading view of X's buffer, into which the
+    active block, the Schur complement, is compacted at the end; every entry
+    of it is divisible by p.  count is the number of pivots.
     """
+    rows = np.arange(X.shape[0])
+    cols = np.arange(X.shape[1])
     count = 0
     done = 0
-    while done < X.shape[1] and X.shape[0]:
-        hi = min(done + PANEL, X.shape[1])
-        prow, pcol, Ginv = _panel_factor(X[:, done:hi], p)
+    while done < cols.size and rows.size:
+        hi = min(done + PANEL, cols.size)
+        panel = _take(X, rows, cols[done:hi])
+        live = np.flatnonzero(panel.any(axis=1))  # a zero row is never a pivot
+        panel = panel[live]
+        prow, pcol, Ginv = _panel_factor(panel, p) if live.size else ([], [], None)
         if not prow:
             done = hi
             continue
-        prow = np.asarray(prow)
-        pcol = np.asarray(pcol) + done
-        rest = np.setdiff1d(np.arange(X.shape[0]), prow)
-        keep = np.setdiff1d(np.arange(X.shape[1]), pcol)
-        G = X[np.ix_(prow, pcol)]
+        pivot = np.zeros(live.size, dtype=bool)
+        pivot[prow] = True
+        G = panel[np.ix_(prow, pcol)]
+        L = panel[~pivot][:, pcol]
+        lsel = L.any(axis=1)
+        L = L[lsel]
+        lrows = rows[live[~pivot][lsel]]  # the rows the update touches
+        P = rows[live[prow]]
+        rows = np.delete(rows, live[prow])
+        cols = np.delete(cols, done + np.asarray(pcol))
         if transform is None:
             Ginv = _inv_mod(G, Ginv, p, m)
         else:
             Ginv = _inv_mod(G, Ginv, p, transform.modulus)
-            transform.record(prow, rest, X[np.ix_(rest, pcol)], G, Ginv)
+            transform.record(P, rows, lrows, L, G, Ginv)
             Ginv = Ginv % m
-        # K = G^-1 X[P, keep]; the Schur complement is X[rest, keep] - X[rest, Q] K
-        K = split.digits(_mulmod(Ginv, X[np.ix_(prow, keep)], m, p))
-        # Row i of the result comes from row rest[i] >= i, so compacting into
-        # the leading rows in increasing chunks never overwrites a source row.
-        step = max(1, _CHUNK // max(1, keep.size))
-        for a in range(0, rest.size, step):
-            src = rest[a:a + step]
-            X[a:a + src.size, :keep.size] = split.mul_sub(
-                X[np.ix_(src, pcol)], K, X0=X[np.ix_(src, keep)])
-        X = X[:rest.size, :keep.size]
-        count += prow.size
-        done = hi - prow.size
-    return X, count
+        # K = G^-1 X[P, keep] vanishes exactly where X[P, keep] does
+        hit = cols[_take(X, np.sort(P), cols).any(axis=0)] if lrows.size else cols[:0]
+        for a, b in _runs(hit, _GAP):
+            # eliminated columns inside the range take garbage
+            K = split.digits(_mulmod(Ginv, X[P, a:b], m, p))
+            step = max(1, _CHUNK // (b - a))
+            for i in range(0, lrows.size, step):
+                r = _ids(lrows[i:i + step])
+                X[r, a:b] = split.mul_sub(L[i:i + step], K, X0=X[r, a:b])
+        count += len(prow)
+        done = hi - len(prow)
+    nr, nc = rows.size, cols.size
+    if nr and nc and (rows[-1] != nr - 1 or cols[-1] != nc - 1):
+        # row i comes from row rows[i] >= i, so compacting in increasing
+        # chunks never overwrites a source row that is still to be read
+        step = max(1, _CHUNK // nc)
+        for i in range(0, nr, step):
+            src = rows[i:i + step]
+            X[i:i + src.size, :nc] = _take(X, src, cols)
+    if transform is not None:
+        transform.next_layer()
+    return X[:nr, :nc], count
 
 
 def _snf_layered(A, p, m, transform=None):
@@ -434,7 +504,7 @@ class RowTransform:
     A panel with pivot rows P, pivot columns Q and remaining rows F (original
     row ids) acts on a vector w by t = G^-1 w_P, w_F -= L t, w_P = t, where
     G = X[P, Q] and L = X[F, Q] are read off the working matrix of its layer
-    k.  U A then has the pivot rows in the order found, scaled to p^k on
+    k; only the rows of F where L is nonzero are kept.  U A then has the pivot rows in the order found, scaled to p^k on
     their pivot columns, followed by the rows left, which vanish mod p^W.
     G^-1 is kept exact mod p^W, not only mod p^(W-k), so U^-1 U = I mod p^W:
     column k of U^-1, which replays the factors backwards as w_P = G t,
@@ -447,14 +517,24 @@ class RowTransform:
         self.panels = []  # (P, F, L, G, Ginv)
         self.ends = []  # pivots found up to and including each panel
         self.pivots = []
-        self.rows = np.arange(nrows)  # original ids of the working rows
+        self.rows = np.arange(nrows)  # original ids of the rows not yet pivots, in order
+        self._layer = self.rows  # original ids of the rows of the current layer's matrix
 
-    def record(self, prow, rest, L, G, Ginv):
-        P = self.rows[prow]
-        self.rows = self.rows[rest]
-        self.panels.append((P, self.rows, L, G, Ginv))
+    def record(self, prow, rest, lrows, L, G, Ginv):
+        """One panel; the ids index the rows of the current layer's matrix.
+
+        ``prow`` are its pivot rows, ``rest`` the rows left and ``lrows`` the
+        rows of ``L``, those of ``rest`` where X[rest, Q] is nonzero.
+        """
+        P = self._layer[prow]
+        self.rows = self._layer[rest]
+        self.panels.append((P, self._layer[lrows], L, G, Ginv))
         self.pivots.extend(P.tolist())
         self.ends.append(len(self.pivots))
+
+    def next_layer(self):
+        """The next layer's matrix holds the rows left, in order."""
+        self._layer = self.rows
 
     def _mul(self, M, v):
         return _mulmod(M, v[:, None], self.modulus, self.p)[:, 0]

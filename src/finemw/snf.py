@@ -45,31 +45,19 @@ from . import _kernels
 from ._kernels import exact_products, int64_precision_cap
 from ._kernels import snf_int64  # noqa: F401  perfbench's BINDINGS resolves snf.snf_int64
 from .errors import ValidationError
-from .padics import CoefficientRing, RingElem, _int_valuation
+from .padics import CoefficientRing, _int_valuation
 
 PURE_SIZE_LIMIT = 4096  # entries; at or below this always run full precision
 RETRY_SIZE_LIMIT = 60000  # entries; below this a suspicious run is redone by the Python engine
 
 
 def _normalize_rows(rows, ring):
-    """Coerce a matrix of RingElem/int/coords into coordinate tuples."""
-    out = []
-    width = None
-    for row in rows:
-        r = []
-        for entry in row:
-            if isinstance(entry, RingElem):
-                if entry.ring != ring:
-                    raise ValidationError("matrix entry from a different ring")
-                r.append(entry.coords)
-            else:
-                r.append(ring.element(entry).coords)
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise ValidationError("ragged matrix")
-        out.append(r)
-    return out, len(out), (width or 0)
+    """Coerce a matrix of RingElem/int/coords into coordinate tuples (``ring.element``)."""
+    out = [[ring.element(entry).coords for entry in row] for row in rows]
+    width = len(out[0]) if out else 0
+    if any(len(row) != width for row in out):
+        raise ValidationError("ragged matrix")
+    return out, len(out), width
 
 
 class SmithResult:

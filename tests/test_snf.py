@@ -1,14 +1,16 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from finemw.errors import ValidationError
 from finemw.padics import CoefficientRing
 from finemw import snf
 from finemw.snf import _normalize_rows, _run_python, smith_normal_form
 from finemw._kernels import (PANEL, _exact_split, _inv_mod, _mulmod, _panel_factor,
                              _split_bits, exact_products, int64_precision_cap, snf_int64)
-from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents,
+from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents, omega_int,
                      smith_exponents_mod_prime_power)
 
 RING = CoefficientRing(5, 1, 24)
@@ -40,6 +42,15 @@ def test_empty_shapes():
     assert smith_normal_form([], RING).free_rank == 0
     res = smith_normal_form([[], []], RING)
     assert res.free_rank == 2 and res.exponents == []
+
+
+def test_matrix_entries_are_coerced_by_the_ring():
+    rows, R, C = _normalize_rows([[1, RING10.element(3)], [(2,), -1]], RING10)
+    assert (rows, R, C) == ([[(1,), (3,)], [(2,), (RING10.modulus - 1,)]], 2, 2)
+    with pytest.raises(ValidationError, match="ragged"):
+        smith_normal_form([[1, 2], [3]], RING10)
+    with pytest.raises(ValidationError, match="different ring"):
+        smith_normal_form([[RINGQ.one()]], RING10)
 
 
 def test_matches_integer_smith_oracle():
@@ -598,3 +609,119 @@ def test_oversized_suspicious_reduction_is_uncertified(monkeypatch):
     res = smith_normal_form(mat, RING)
     assert res.precision_used == 24 and res.certified
     assert res.exponents == [0] * (n - 1) + [15]
+
+
+def _multiplication_matrix(f, p, n, m):
+    """Multiplication by f on Z[T]/omega_n mod m, basis 1, T, ..., T^(q-1): column k is T^k f.
+
+    A column whose product passes degree q - 1 wraps through
+    T^q = -(omega_n - T^q); those last deg f columns are dense, and their
+    entries off the band are divisible by p, mostly not by p^W.
+    """
+    q = p**n
+    wrap = np.array([-c % m for c in omega_int(p, n)[:q]], dtype=np.int64)
+    M = np.zeros((q, q), dtype=np.int64)
+    v = np.zeros(q, dtype=np.int64)
+    v[:len(f)] = np.asarray(f, dtype=np.int64) % m
+    for k in range(q):
+        M[:, k] = v
+        v = (np.concatenate(([0], v[:-1])) + v[-1] * wrap) % m
+    return M
+
+
+def _expansion_shaped(rng, p, n, W, g, c, degree):
+    """A g p^n x c p^n block matrix mod p^W like a level-n expansion.
+
+    Block (i, j) multiplies by a random polynomial of degree <= ``degree``,
+    some blocks are zero, and a polynomial with its constant term divisible
+    by p (a non-unit of Lambda) or all of it divisible by p makes torsion.
+    """
+    q, m = p**n, p**W
+    A = np.zeros((g * q, c * q), dtype=np.int64)
+    for i in range(g):
+        for j in range(c):
+            if rng.random() < 0.2:
+                continue
+            f = [rng.randrange(p**2) for _ in range(rng.randrange(1, degree + 2))]
+            f[0] *= p
+            if rng.random() < 0.2:
+                f = [x * p for x in f]
+            A[i * q:(i + 1) * q, j * q:(j + 1) * q] = _multiplication_matrix(f, p, n, m)
+    return A
+
+
+def _with_zero_lines_and_deep_entries(rng, A, p, W):
+    """A with zero rows and columns inserted and entries p^k u, 1 <= k < W, scattered in."""
+    m = p**W
+    R, C = A.shape
+    zero_rows = sorted(rng.sample(range(R + 1), 5))
+    zero_cols = sorted(rng.sample(range(C + 1), 5))
+    A = np.insert(A, zero_rows, 0, axis=0)
+    A = np.insert(A, zero_cols, 0, axis=1)
+    zero_rows = [r + k for k, r in enumerate(zero_rows)]
+    zero_cols = [c + k for k, c in enumerate(zero_cols)]
+    for _ in range(A.shape[0] // 4):
+        i, j = rng.randrange(A.shape[0]), rng.randrange(A.shape[1])
+        if i not in zero_rows and j not in zero_cols:
+            A[i, j] = p ** rng.randrange(1, W) * rng.randrange(1, p) % m
+    return A
+
+
+def _check_pivot_structure(A, p, exponents, transform):
+    """U A from ``reduce_vector`` of each column of A; U^-1 from ``generator_column``.
+
+    Rows of U A past the rank vanish, row i is divisible by p^(e_i), and the
+    rows divided by p^(e_i) are independent mod p.
+    """
+    R, rank = A.shape[0], len(exponents)
+    UA = np.array([transform.reduce_vector(column) for column in A.T.tolist()],
+                  dtype=object).T
+    assert not UA[rank:].any()
+    scaled = []
+    for row, e in zip(UA[:rank].tolist(), exponents):
+        assert all(x % p**e == 0 for x in row)
+        scaled.append([x // p**e % p for x in row])
+    if scaled:
+        assert len(column_rank_profile_mod_p([list(c) for c in zip(*scaled)], p)) == rank
+    for k in range(R):
+        assert transform.reduce_vector(transform.generator_column(k)) == [int(i == k) for i in range(R)]
+
+
+@pytest.mark.parametrize("p, W, n, g, c", [(5, 13, 2, 4, 5), (7, 11, 2, 2, 3)])
+def test_layered_kernel_on_expansion_shaped_matrices(p, W, n, g, c):
+    """Banded blocks with dense wrap columns: the rows and columns the trailing updates skip."""
+    assert W == int64_precision_cap(p)
+    rng = random.Random(p * 1000 + W)
+    m = p**W
+    for degree in (1, 3):
+        A = _with_zero_lines_and_deep_entries(
+            rng, _expansion_shaped(rng, p, n, W, g, c, degree), p, W)
+        assert A.shape[1] > 2 * PANEL
+        expected = smith_exponents_mod_prime_power(A.tolist(), p, W)
+        assert max(expected) > 0
+        exponents, transform = snf_int64(A.copy(), p, m, False)
+        assert transform is None and exponents == expected
+        exponents, transform = snf_int64(A.copy(), p, m, True)
+        assert exponents == expected
+        _check_pivot_structure(A, p, exponents, transform)
+
+
+def test_layered_kernel_memory_stays_within_chunks():
+    """Temporaries of a sparse 686 x 686 reduction stay well below the matrix.
+
+    Every gathered block is bounded by a panel or by a chunk of the trailing
+    update, and the peak is about a quarter of A.nbytes; a gather of
+    full-width row blocks copies most of the matrix and passes the bound.
+    """
+    p, n, W = 7, 3, 11
+    A = _expansion_shaped(random.Random(686), p, n, W, 2, 2, 14)
+    assert A.shape == (686, 686) and (A != 0).mean() < 0.1
+    snf_int64(A.copy(), p, p**W, False)  # caches and BLAS buffers
+    X = A.copy()
+    tracemalloc.start()
+    try:
+        snf_int64(X, p, p**W, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * A.nbytes
