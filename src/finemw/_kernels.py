@@ -1,7 +1,8 @@
-"""The int64 Smith-form kernel over Z/p^w.
+"""The layered Smith-form kernel over Z/p^w.
 
-All arithmetic is exact in Z/m for a prime power m = p^w whose residues fit
-in int64; a matrix over the quadratic ring arrives as its regular
+All arithmetic is exact in Z/m for every prime power m = p^w.  Residues are
+int64 while m <= 2^63 and Python integers in numpy object arrays beyond
+(``residue_dtype``); a matrix over the quadratic ring arrives as its regular
 representation over Z_p (``snf.regular_representation``).  ``_snf_layered``
 works one valuation layer at a time.
 ``_panel_factor`` finds a maximal set of unit pivots mod p in each 64-column
@@ -15,11 +16,12 @@ wrap columns, so most of each update is exact zeros.  Gathers copy row
 segments (a row index with a column slice) in chunks, never whole rows.
 Products run in float64 BLAS on digit splits (``_exact_split``): one operand
 in base-2^h digits and the other whole where that is exact (two products for
-p = 5, 7 at the reduced working precision p^W), and otherwise both operands
-in base-p^a digits, which reaches the ring's own p^N for p <= 5 at N = 24
-(``exact_products``).  A tracked reduction also keeps each panel's row
-operation as thin factors (``RowTransform``), from which U w and the columns
-of U^-1 are applied; no R x R transform is formed.
+p = 5, 7 at the reduced working precision p^W), else both operands in
+base-p^a digits, summed in int64 up to 5^26 and 7^21 and as Python integers
+beyond (7^24).  Only primes too large for exact float64 digit products
+multiply Python integers (``_ObjectSplit``).  A tracked reduction also keeps
+each panel's row operation as thin factors (``RowTransform``), from which
+U w and the columns of U^-1 are applied; no R x R transform is formed.
 """
 
 from __future__ import annotations
@@ -37,11 +39,16 @@ import numpy as np
 HAVE_NUMBA = False
 
 
+def residue_dtype(m):
+    """The dtype of residues mod m: int64 while m <= 2^63, Python integers beyond."""
+    return np.int64 if m <= 1 << 63 else object
+
+
 def int64_precision_cap(p: int) -> int:
     """Largest W with p^(2W) < 2^63: the reduced working precision of ``snf.reduce``.
 
-    The kernel's split products stay exact well above it (``exact_products``);
-    the cap only fixes W for reductions that cannot run at p^N.
+    The kernel is exact at every modulus; the cap only fixes W for the large
+    degree-1 reductions that run below p^N first.
     """
     cap = 1
     limit = 3037000499  # floor(sqrt(2^63 - 1))
@@ -108,7 +115,7 @@ class _BitSplit:
 
     h comes from ``_split_bits``.  The low digit product is subtracted
     unreduced and the others after one reduction, so two digits take two
-    int64 passes of ``%``.
+    int64 passes of ``%``.  Operands must be int64 (m < 2^53 here).
     """
 
     def __init__(self, m, inner):
@@ -146,7 +153,8 @@ class _PadicSplit:
     runs in float64 BLAS, exact while inner (p^a - 1)^2 < 2^53.  The
     products with one s = i + j are summed in int64 and reduced mod
     p^(w - a s) before they are scaled by p^(a s), so every scaled term stays
-    below m; X0, the unreduced s = 0 term and the others must sum below 2^63.
+    below m.  X0, the unreduced s = 0 term and the others are summed in
+    int64 while that stays below 2^63, else as Python integers (``wide``).
     """
 
     def __init__(self, p, m, inner):
@@ -156,14 +164,14 @@ class _PadicSplit:
         a = 0
         while inner * (p ** (a + 1) - 1) ** 2 < _EXACT:
             a += 1
-        ndigits = -(-w // a) if a else 0
-        if (p**w != m or not a
-                or m + _EXACT + (ndigits - 1) * (m - 1) >= 1 << 63):
+        if p**w != m or not a:
             raise OverflowError(f"no exact p-adic split product mod {m} "
                                 f"with inner dimension {inner}")
+        ndigits = -(-w // a)
         self.m = m
         self.base = p**a
         self.ndigits = ndigits
+        self.wide = m + _EXACT + (ndigits - 1) * (m - 1) >= 1 << 63
         # t_s (the s-th group) is reduced mod p^(w - a s), then scaled by p^(a s)
         self.scales = [(p ** (w - a * s), p ** (a * s)) for s in range(ndigits)]
         self.products = ndigits * (ndigits + 1) // 2
@@ -172,7 +180,7 @@ class _PadicSplit:
         """Base-p^a digits of K (entries in [0, m)) as float64 arrays, low first."""
         out = []
         for _ in range(self.ndigits - 1):
-            K, r = np.divmod(K, self.base)
+            K, r = K // self.base, K % self.base  # np.divmod takes no object arrays
             out.append(r.astype(np.float64))
         out.append(K.astype(np.float64))
         return out
@@ -185,6 +193,8 @@ class _PadicSplit:
             t = (Ld[0] @ digits[s]).astype(np.int64)
             for i in range(1, s + 1):
                 t += (Ld[i] @ digits[s - i]).astype(np.int64)
+            if self.wide:
+                t = t.astype(object)
             if s:
                 t %= mod
                 t *= scale
@@ -196,13 +206,35 @@ class _PadicSplit:
         return acc
 
 
+class _ObjectSplit:
+    """Exact products mod m on Python integers.
+
+    For primes without exact float64 digit products, PANEL (p - 1)^2 >= 2^53,
+    at moduli past the bit split.
+    """
+
+    def __init__(self, m):
+        self.m = m
+
+    def digits(self, K):
+        """K itself, as Python integers."""
+        return [K.astype(object)]
+
+    def mul_sub(self, L, digits, X0=None):
+        """Exact (X0 - L @ K) % m, K given by its ``digits``; X0 defaults to 0."""
+        acc = L.astype(object) @ digits[0]
+        acc = -acc if X0 is None else X0 - acc
+        acc %= self.m
+        return acc
+
+
 @functools.lru_cache(maxsize=None)
 def _exact_split(m, inner, p):
     """The exact product scheme mod m = p^w with the fewest BLAS products.
 
     Products have inner dimension <= inner and operands with entries in
-    [0, m).  Ties go to the one-sided bit split.  Raises OverflowError when
-    neither split is exact.
+    [0, m).  Ties go to the one-sided bit split; when neither split applies
+    the products run on Python integers.
     """
     splits = []
     for make in (lambda: _BitSplit(m, inner), lambda: _PadicSplit(p, m, inner)):
@@ -211,21 +243,12 @@ def _exact_split(m, inner, p):
         except OverflowError:
             pass
     if not splits:
-        raise OverflowError(f"no exact product mod {m} with inner dimension {inner}")
+        return _ObjectSplit(m)
     return min(splits, key=lambda split: split.products)
 
 
-def exact_products(p: int, m: int) -> bool:
-    """True when the layered kernel's products are exact mod m = p^w."""
-    try:
-        _exact_split(m, PANEL, p)
-    except OverflowError:
-        return False
-    return True
-
-
 def _mulmod(L, K, m, p):
-    """Exact (L @ K) % m for int64 operands with entries in [0, m), m = p^w."""
+    """Exact (L @ K) % m for operands with entries in [0, m), m = p^w."""
     split = _exact_split(m, max(1, L.shape[1]), p)
     return -split.mul_sub(L, split.digits(K)) % m
 
@@ -344,21 +367,24 @@ def _panel_factor(P, p):
 
 
 def _inv_mod(G, Ginv, p, m):
-    """Inverse mod m = p^w of G, given its inverse Ginv mod p.
+    """Inverse mod m = p^w of G, given its inverse Ginv mod p, as residues mod m.
 
-    Newton steps X <- X - X (G X - I) double the p-adic precision of X until
-    it reaches m.
+    Newton steps X <- X - X (G X - I) mod min(precision^2, m) double the
+    p-adic precision of X until it reaches m.  A float64 Ginv goes through
+    int64: float64 to object gives Python floats.
     """
     s = G.shape[0]
     X = Ginv.astype(np.int64)
-    split = _exact_split(m, s, p)
+    G = G.astype(residue_dtype(m), copy=False)  # int64 % m overflows past 2^63
     eye = np.eye(s, dtype=np.int64)
     precision = p
     while precision < m:
-        excess = -split.mul_sub(G, split.digits(X), X0=eye) % m  # G X - I
+        precision = min(precision * precision, m)
+        split = _exact_split(precision, s, p)
+        Gq = (G % precision).astype(residue_dtype(precision), copy=False)
+        excess = -split.mul_sub(Gq, split.digits(X), X0=eye) % precision  # G X - I
         X = split.mul_sub(X, split.digits(excess), X0=X)
-        precision *= precision
-    return X
+    return X.astype(residue_dtype(m), copy=False)
 
 
 def _ids(ix):
@@ -444,7 +470,7 @@ def _unit_layer(X, p, m, split, transform=None):
         else:
             Ginv = _inv_mod(G, Ginv, p, transform.modulus)
             transform.record(P, rows, lrows, L, G, Ginv)
-            Ginv = Ginv % m
+            Ginv = (Ginv % m).astype(X.dtype, copy=False)
         # K = G^-1 X[P, keep] vanishes exactly where X[P, keep] does
         hit = cols[_take(X, np.sort(P), cols).any(axis=0)] if lrows.size else cols[:0]
         for a, b in _runs(hit, _GAP):
@@ -478,13 +504,11 @@ def _snf_layered(A, p, m, transform=None):
     panel, and what remains is divisible by p: it is divided by p and the
     next layer works mod p^(W-k-1).  Each pivot of layer k contributes
     exponent k, so the exponents come out nondecreasing.  A is overwritten,
-    and a ``transform`` records the row operations.  Raises OverflowError
-    unless ``exact_products`` admits m.
+    and a ``transform`` records the row operations.  Each layer holds
+    ``residue_dtype`` residues of its own modulus.
     """
-    if m > 1:
-        _exact_split(m, PANEL, p)  # then every later layer's products are exact too
     exps = []
-    X = A
+    X = A.astype(residue_dtype(m), copy=False)
     k = 0
     _single_blas_thread()
     while m > 1 and X.size:
@@ -494,6 +518,7 @@ def _snf_layered(A, p, m, transform=None):
             break
         X //= p
         m //= p
+        X = X.astype(residue_dtype(m), copy=False)
         k += 1
     return exps
 
@@ -544,7 +569,7 @@ class RowTransform:
         m = self.modulus
         # callers pass ints beyond int64 (p-power scalings, the T-action mod
         # p^N); reduce before converting
-        y = np.asarray([int(x) % m for x in w], dtype=np.int64)
+        y = np.asarray([int(x) % m for x in w], dtype=residue_dtype(m))
         for P, F, L, G, Ginv in self.panels:
             t = self._mul(Ginv, y[P])
             y[F] = (y[F] - self._mul(L, t)) % m
@@ -558,7 +583,7 @@ class RowTransform:
         panel and those before it are replayed.
         """
         m = self.modulus
-        y = np.zeros(len(self.pivots) + self.rows.size, dtype=np.int64)
+        y = np.zeros(len(self.pivots) + self.rows.size, dtype=residue_dtype(m))
         if k < len(self.pivots):
             y[self.pivots[k]] = 1
             last = bisect.bisect_right(self.ends, k)
@@ -573,10 +598,10 @@ class RowTransform:
 
 
 def snf_int64(A: np.ndarray, p: int, m: int, track: bool):
-    """Run the layered kernel on A in place; returns (exponents, transform).
+    """Run the layered kernel on A, in place if its dtype is ``residue_dtype(m)``.
 
-    ``transform`` is the ``RowTransform`` of the reduction when ``track`` is
-    set, else None.
+    Returns (exponents, transform); ``transform`` is the ``RowTransform`` of
+    the reduction when ``track`` is set, else None.
     """
     R, C = A.shape
     transform = RowTransform(R, p, m) if track else None

@@ -54,8 +54,7 @@ class UncertifiedError(FinemwError):
     """Level data was computed below the precision it needs.
 
     Raised instead of fitting a type to coinvariants whose Smith result is
-    not ``certified``: the size limit kept a suspicious reduced-precision
-    reduction from its full-precision rerun, or a torsion exponent reaches
-    two digits below the precision used.  Summands may then be missing from
-    the torsion and counted as free rank.
+    not ``certified``: a torsion exponent reaches two digits below the
+    precision used.  Summands may then be missing from the torsion and
+    counted as free rank.
     """

@@ -14,9 +14,9 @@ coefficients, so each coordinate of an O-polynomial divides on its own.  The
 one exception is a relation entry of degree >= q, which ``reduced_entry``
 divides once by ``weierstrass_divide``.  One builder,
 ``FinLevelModule._expansion``, writes the expanded matrix mod m as one
-preallocated array per coordinate; ``matrix_int64`` reads it at p^W and
-``matrix_coords`` zips the coordinates into tuples at p^N.  The T-action and
-the transition maps use the same division.
+preallocated array per coordinate; ``matrix_int64`` reads it at the
+reduction's modulus and ``matrix_coords`` zips the coordinates into tuples
+at p^N.  The T-action and the transition maps use the same division.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import snf
+from ._kernels import residue_dtype
 from .errors import ResourceLimitError, ValidationError
 from .padics import CoefficientRing
 from .polynomials import (
@@ -240,11 +241,12 @@ class FinLevelModule:
         return out
 
     def matrix_int64(self, working_exponent, extra_columns=()):
-        """Relation block plus optional columns as an int64 Z_p-matrix mod p^W.
+        """Relation block plus optional columns as a Z_p-matrix mod p^W.
 
-        Over the quadratic ring this is the regular representation of the
-        O-matrix (``snf.regular_representation``): the two coordinate planes
-        interleaved, twice as many rows and columns.
+        Entries are ``residue_dtype`` residues: int64 while p^W <= 2^63,
+        Python integers beyond.  Over the quadratic ring this is the regular
+        representation of the O-matrix (``snf.regular_representation``): the
+        two coordinate planes interleaved, twice as many rows and columns.
         """
         m = self.ring.prime**working_exponent
         return snf.regular_representation(self._expansion(m, extra_columns), self.ring, m)
@@ -259,13 +261,11 @@ class FinLevelModule:
 
         The modulus has rational-integer coefficients, so each coordinate of
         an O-polynomial is multiplied and divided on its own: plane s holds
-        coordinate s of every entry.  Entries are int64 while m <= 2^63,
-        Python integers beyond.
+        coordinate s of every entry, as ``residue_dtype(m)``.
         """
         g, c, q = self.presentation.generators, self.presentation.num_relations, self.q
         columns = [self.reduce_ambient_column(col) for col in extra_columns]
-        dtype = np.int64 if m <= 1 << 63 else object
-        planes = [np.zeros((g * q, c * q + len(columns)), dtype=dtype)
+        planes = [np.zeros((g * q, c * q + len(columns)), dtype=residue_dtype(m))
                   for _ in range(self.ring.unramified_degree)]
         wrap = [w % m for w in self._wrap]
         for i in range(g):

@@ -4,37 +4,35 @@ Because the ring is local, pivoting on a minimum-valuation entry always
 succeeds and the divisor valuations come out sorted.
 
 Every reduction takes one route, ``reduce(source, ring, track, target)``.  A
-source hides the matrix format: it gives the shape, the int64 matrix mod
-p^W, the full-precision coordinate rows and the coordinates the deep-entry
-test scans.  ``smith_normal_form`` wraps coordinate rows; ``presentations``
-wraps a level expansion together with its quotient columns.  Over the
-quadratic ring the int64 matrix is the regular representation
-(``regular_representation``): each entry a + b x becomes the 2 x 2 block
-[[a, nu b], [b, a]], and its Smith exponents over Z_p are the O-exponents,
-each twice, because O/p^e is (Z_p/p^e)^2 as a Z_p-module.  The route aims
-at an answer exact at p^target, by default the ring's precision p^N:
+source hides the matrix format: it gives the shape, the matrix mod p^W
+(``matrix_int64``), the full-precision coordinate rows and the coordinates
+the deep-entry test scans.  ``smith_normal_form`` wraps coordinate rows;
+``presentations`` wraps a level expansion together with its quotient
+columns.  Over the quadratic ring the kernel reduces the regular
+representation (``regular_representation``): each entry a + b x becomes the
+2 x 2 block [[a, nu b], [b, a]], and its Smith exponents over Z_p are the
+O-exponents, each twice, because O/p^e is (Z_p/p^e)^2 as a Z_p-module.  The
+route aims at an answer exact at p^target, by default the ring's precision
+p^N:
 
-* A matrix of at most ``PURE_SIZE_LIMIT`` entries, and any matrix over a
-  degree-2 ring, is reduced at p^target.  A divisor-only reduction runs the
-  valuation-layered kernel of ``_kernels`` there when its split products are
-  exact mod p^target (``full_precision_int64``: p <= 5 at N = 24), over the
-  quadratic ring on the regular representation.  Everything else runs the
-  Python engine (``_run_python``: exact coordinate arithmetic in either
-  degree, one pivot at a time at the global minimum valuation, ties by
-  lowest row then column); over the quadratic ring that is every tracked
-  reduction, because a Z_p-linear transform of the regular representation
-  is not O-linear.
-* A larger matrix over Z_p runs the layered int64 kernel at the reduced
-  working precision p^W, W = min(target, int64 cap), with or without the row
+* A tracked reduction over the quadratic ring, or of at most
+  ``PURE_SIZE_LIMIT`` entries over Z_p, runs the Python engine
+  (``_run_python``: exact coordinate arithmetic in either degree, one pivot
+  at a time at the global minimum valuation, ties by lowest row then
+  column).  Its pivot order fixes the torsion bases that verify draws from,
+  and a Z_p-linear transform of the regular representation is not
+  O-linear.
+* Every other reduction runs the valuation-layered kernel of ``_kernels``,
+  which is exact at every modulus: it sums its products in int64 while they
+  fit and as Python integers beyond (7^24).
+* A larger matrix over Z_p first runs the kernel at the reduced working
+  precision p^W, W = min(target, int64 cap), with or without the row
   transform.  Exponents below W - 2 equal the full-precision answer.  An
   exponent at or above that threshold, or a nonzero source coordinate that
-  deep (``has_deep_entries``), makes the result suspicious.  A suspicious
-  result is redone at p^target by the layered kernel where it applies, with
-  the row transform when one is asked for, else by the Python engine up to
-  ``RETRY_SIZE_LIMIT`` entries; beyond that it is returned uncertified.  A
-  deep invariant behind entries that all look shallow (a unit block with
-  determinant p^k, k >= W) passes that test unnoticed and counts as free
-  rank.
+  deep (``has_deep_entries``), makes the result suspicious, and a
+  suspicious result is redone by the kernel at p^target.  A deep invariant
+  behind entries that all look shallow (a unit block with determinant p^k,
+  k >= W) passes that test unnoticed and counts as free rank.
 """
 
 from __future__ import annotations
@@ -42,13 +40,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._kernels import exact_products, int64_precision_cap
+from ._kernels import int64_precision_cap, residue_dtype
 from ._kernels import snf_int64  # noqa: F401  perfbench's BINDINGS resolves snf.snf_int64
 from .errors import ValidationError
 from .padics import CoefficientRing, _int_valuation
 
 PURE_SIZE_LIMIT = 4096  # entries; at or below this always run full precision
-RETRY_SIZE_LIMIT = 60000  # entries; below this a suspicious run is redone by the Python engine
 
 
 def _normalize_rows(rows, ring):
@@ -68,9 +65,7 @@ class SmithResult:
     input matrix is O^free_rank plus one O/p^e summand per positive exponent.
     ``certified``, the one certification flag, is False when summands deeper
     than the precision used may be missing from the torsion and counted as
-    free rank: when a positive exponent reaches ``precision_used - 2``, or
-    when the size limit kept a suspicious reduced-precision result from its
-    full-precision rerun (``reduce`` then clears it).
+    free rank: when a positive exponent reaches ``precision_used - 2``.
     """
 
     def __init__(self, ring, engine, precision_used, nrows, ncols, exponents,
@@ -224,10 +219,12 @@ class _RowSource:
         self.ring = ring
 
     def matrix_int64(self, working_exponent):
+        """The matrix mod p^W as ``residue_dtype`` residues: Python integers past 2^63."""
         m = self.ring.prime**working_exponent
         coords = np.array(self.rows, dtype=object).reshape(
             *self.shape, self.ring.unramified_degree) % m
-        return regular_representation(np.moveaxis(coords, 2, 0).astype(np.int64), self.ring, m)
+        return regular_representation(np.moveaxis(coords, 2, 0).astype(residue_dtype(m)),
+                                      self.ring, m)
 
     def coordinate_rows(self):
         return self.rows
@@ -249,57 +246,31 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
     p, N = ring.prime, ring.precision_exponent
     target = N if target is None else target
     R, C = source.shape
-    reduced = None
     # a matrix without columns still costs R entries (R^2 with transforms) in
     # the Python engine, so its size counts one column
-    if ring.unramified_degree == 1 and R * max(C, 1) > PURE_SIZE_LIMIT:
+    small = R * max(C, 1) <= PURE_SIZE_LIMIT
+    if track and (small or ring.unramified_degree == 2):
+        return _run_python(source.coordinate_rows(), R, C, ring, track,
+                           precision=None if target == N else target)
+    if ring.unramified_degree == 1 and not small:
         W = min(target, int64_precision_cap(p))
-        A = source.matrix_int64(W)
-        exponents, transform = _kernels.snf_int64(A, p, p**W, track)
-        reduced = SmithResult(ring, "int64", W, R, C, exponents, transform)
+        exponents, transform = _kernels.snf_int64(source.matrix_int64(W), p, p**W, track)
         suspicious = W < target and (any(e >= W - 2 for e in exponents)
                                      or has_deep_entries(source.coords(), p, W - 2))
         if not suspicious:
-            return reduced
-    # a small tracked reduction stays on the Python engine: its pivot order
-    # fixes the torsion bases that verify draws from
-    if reduced is not None or not track:
-        full = full_precision_int64(source, ring, target, track)
-        if full is not None:
-            return full
-    if reduced is not None and R * C > RETRY_SIZE_LIMIT:
-        reduced.certified = False
-        return reduced
-    return _run_python(source.coordinate_rows(), R, C, ring, track,
-                       precision=None if target == N else target)
-
-
-def full_precision_int64(source, ring, target, track):
-    """Reduction at p^target by the layered kernel, or None.
-
-    Applies when ``exact_products`` admits p^target: over Z_p with the row
-    transform when ``track`` is set, over the quadratic ring untracked only,
-    keeping every other exponent of the regular representation's.  The
-    result is exact at p^target: engine "int64", ``precision_used`` target,
-    certified.
-    """
-    p = ring.prime
-    m = p**target
-    if not exact_products(p, m) or (track and ring.unramified_degree == 2):
-        return None
-    exponents, transform = _kernels.snf_int64(source.matrix_int64(target), p, m, track)
+            return SmithResult(ring, "int64", W, R, C, exponents, transform)
+    exponents, transform = _kernels.snf_int64(source.matrix_int64(target), p, p**target, track)
     if ring.unramified_degree == 2:
         if len(exponents) % 2 or exponents[0::2] != exponents[1::2]:
             raise ArithmeticError(f"realified Smith exponents {exponents} do not pair up")
         exponents = exponents[0::2]
-    R, C = source.shape
     return SmithResult(ring, "int64", target, R, C, exponents, transform)
 
 
 def regular_representation(planes, ring, m):
     """The Z_p-matrix mod m of an O-matrix given by its coordinate planes mod m.
 
-    Plane s holds coordinate s of every entry, as int64.  Over Z_p that is
+    Plane s holds coordinate s of every entry, as ``residue_dtype(m)``.  Over Z_p that is
     plane 0.  Over the quadratic ring entry (i, j) = a + b x becomes rows
     2i, 2i + 1 and columns 2j, 2j + 1 of a 2R x 2C matrix: the block
     [[a, nu b], [b, a]] of multiplication by a + b x on the basis (1, x).
@@ -307,7 +278,7 @@ def regular_representation(planes, ring, m):
     if ring.unramified_degree == 1:
         return planes[0]
     a, b = planes
-    A = np.empty((2 * a.shape[0], 2 * a.shape[1]), dtype=np.int64)
+    A = np.empty((2 * a.shape[0], 2 * a.shape[1]), dtype=a.dtype)
     A[0::2, 0::2] = A[1::2, 1::2] = a
     A[1::2, 0::2] = b
     # nu b leaves int64 for larger primes (p = 17 at 17^15 is admitted)

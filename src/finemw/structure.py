@@ -199,11 +199,9 @@ class StructureAnalysis:
 
     def _verdict(self, mu, lam):
         t = self.torsion_orders
-        if t[-1] > t[-2]:
-            return NO
         if t[-1] == t[-2] == t[-3] and mu == 0 and lam == 0:
             return YES
-        return UNDETERMINED
+        return self.verdict_without_classification()
 
     def verdict_without_classification(self):
         t = self.torsion_orders

@@ -141,18 +141,36 @@ def test_classify_exit_4_on_relation_entries(capsys, tmp_path):
     assert "entries" in capsys.readouterr().err
 
 
-def test_classify_exit_5_on_uncertified_levels(capsys, tmp_path):
-    # Lambda/(7^12) + (Lambda/Phi_1)^3: level 3 runs at 7^11, where the 7^12
-    # summands vanish, and is too large to redo at full precision
-    ring = CoefficientRing(7, 1, 24)
+def _deep_summand_file(tmp_path, precision):
+    # Lambda/(7^12) + (Lambda/Phi_1)^3
+    ring = CoefficientRing(7, 1, precision)
     M = direct_sum(cyclic_module(ring, IwasawaPoly.constant(ring, 7**12)),
                    *[cyclic_module(ring, cyclotomic(ring, 1))] * 3)
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(presentation_to_json(M)))
-    code = main(["classify", "--file", str(path), "--n-max", "3"])
+    return str(path)
+
+
+def test_classify_exit_5_on_uncertified_levels(capsys, tmp_path):
+    # at 7^14 the 7^12 summands reach precision_used - 2 at every level
+    code = main(["classify", "--file", _deep_summand_file(tmp_path, 14), "--n-max", "3"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
-    assert "not certified" in captured.err
+    assert "levels [0, 1, 2, 3] are not certified" in captured.err
+
+
+def test_classify_deep_summands_exactly_at_7_24(capsys, tmp_path, schema):
+    # level 3 (1372 x 1372) is suspicious at 7^11 and redone exactly at 7^24
+    code, out = run_cli(["classify", "--file", _deep_summand_file(tmp_path, 24),
+                         "--n-max", "3"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc, schema)
+    assert doc["evidence"]["certified"] is True
+    assert doc["evidence"]["ranks"] == [0, 18, 18, 18]
+    assert doc["evidence"]["torsion_orders"] == [15, 84, 588, 4116]
+    assert doc["type"]["cyclo_multiplicities"] == {"1": 3}
+    assert (doc["type"]["mu"], doc["type"]["g_functor_vanishes"]) == (12, "no")
 
 
 def test_classify_exit_3_when_torsion_trend_has_no_fit(capsys, tmp_path, schema):

@@ -273,33 +273,6 @@ def test_matrix_coords_matches_exact_expansion():
                     [[x % pn for x in row] for row in exact]
 
 
-def test_small_reductions_route_by_exact_int64_products(monkeypatch):
-    from finemw import _kernels, snf
-
-    calls = []
-    snf_int64, run_python = _kernels.snf_int64, snf._run_python
-
-    def counted_snf_int64(A, p, m, track):
-        calls.append(("int64", p, m, track))
-        return snf_int64(A, p, m, track)
-
-    def counted_run_python(*args, **kwargs):
-        calls.append(("python", args[3].prime))
-        return run_python(*args, **kwargs)
-
-    monkeypatch.setattr(_kernels, "snf_int64", counted_snf_int64)
-    monkeypatch.setattr(snf, "_run_python", counted_run_python)
-    s = coinvariants(cyclic_module(RING, cyclotomic(RING, 1)), 2)
-    assert calls == [("int64", 5, 5**24, 0)]
-    assert s.smith.engine == "int64" and s.smith.precision_used == 24 and s.certified
-    assert s.free_rank == 4 and s.torsion_exponents == []
-    calls.clear()
-    ring7 = CoefficientRing(7, 1, 24)  # 7^24 admits no exact int64 products
-    s = coinvariants(cyclic_module(ring7, cyclotomic(ring7, 1)), 1)
-    assert calls == [("python", 7)]
-    assert s.free_rank == 6 and s.torsion_exponents == []
-
-
 def test_budget_errors():
     with pytest.raises(ResourceLimitError):
         FinLevelModule(free_module(RING, 1), 5)

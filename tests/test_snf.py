@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from finemw.errors import ValidationError
-from finemw.padics import CoefficientRing
-from finemw import snf
-from finemw.snf import _normalize_rows, _run_python, smith_normal_form
-from finemw._kernels import (PANEL, _exact_split, _inv_mod, _mulmod, _panel_factor,
-                             _split_bits, exact_products, int64_precision_cap, snf_int64)
+from finemw.padics import CoefficientRing, _int_valuation
+from finemw import _kernels, snf
+from finemw.snf import SmithResult, _normalize_rows, _run_python, smith_normal_form
+from finemw._kernels import (PANEL, _ObjectSplit, _PadicSplit, _exact_split, _inv_mod,
+                             _mulmod, _panel_factor, _split_bits, int64_precision_cap,
+                             residue_dtype, snf_int64)
 from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents, omega_int,
                      smith_exponents_mod_prime_power)
 
@@ -157,7 +158,7 @@ def _disguised_blocks(rng, R, C, p, W, max_exponent=None):
         return (T if lower else T.T) + np.eye(n, dtype=np.int64)
 
     A = unit_triangular(R, True) @ D @ unit_triangular(C, False)
-    A = A[rng.sample(range(R), R)][:, rng.sample(range(C), C)] % p**W
+    A = A[rng.sample(range(R), R)][:, rng.sample(range(C), C)].astype(object) % p**W
     return A.tolist(), sorted(expected)
 
 
@@ -186,7 +187,8 @@ LARGEST_ADMITTED = [(2, 61), (3, 38), (5, 26), (7, 21)]
 def test_exact_padic_product_worst_case(p, w):
     """Moduli too large for a whole float64 operand: both operands split."""
     m = p**w
-    assert exact_products(p, m)
+    split = _exact_split(m, PANEL, p)
+    assert isinstance(split, _PadicSplit) and not split.wide  # sums in int64
     L = np.full((3, PANEL), m - 1, dtype=np.int64)
     K = np.full((PANEL, 5), m - 1, dtype=np.int64)
     exact = (L.astype(object) @ K.astype(object)) % m
@@ -200,14 +202,60 @@ def test_exact_padic_product_worst_case(p, w):
     assert (_mulmod(L, K, m, p) == (L.astype(object) @ K.astype(object)) % m).all()
 
 
-@pytest.mark.parametrize("p, w", LARGEST_ADMITTED)
-def test_no_exact_product_beyond_the_largest_admitted_modulus(p, w):
-    m = p ** (w + 1)
-    assert not exact_products(p, m)
-    with pytest.raises(OverflowError):
-        _mulmod(np.ones((2, PANEL), dtype=np.int64), np.ones((PANEL, 2), dtype=np.int64), m, p)
-    with pytest.raises(OverflowError):
-        snf_int64(np.eye(3, dtype=np.int64), p, m, False)
+@pytest.mark.parametrize("p, w", [(p, w + 1) for p, w in LARGEST_ADMITTED] + [(7, 24)])
+def test_exact_products_beyond_the_largest_int64_modulus(p, w):
+    """Past int64 the p-adic split, and the kernel, sum on Python integers."""
+    m = p**w
+    dtype = residue_dtype(m)
+    split = _exact_split(m, PANEL, p)
+    assert isinstance(split, _PadicSplit) and split.wide
+    rng = np.random.default_rng(w)
+    worst = m - 1
+    cases = [(np.full((3, PANEL), worst, dtype=dtype), np.full((PANEL, 5), worst, dtype=dtype),
+              np.full((3, 5), worst, dtype=dtype))]
+    cases.append(tuple(np.array([[int(x) * m // 2**62 for x in row]
+                                 for row in rng.integers(0, 2**62, size=shape)], dtype=dtype)
+                       for shape in ((4, PANEL), (PANEL, 6), (4, 6))))
+    for L, K, X0 in cases:
+        exact = (L.astype(object) @ K.astype(object)) % m
+        assert (_mulmod(L, K, m, p) == exact).all()
+        assert (split.mul_sub(L, split.digits(K), X0=X0) == (X0.astype(object) - exact) % m).all()
+    # several valuation layers, whose moduli cross back into the int64 splits
+    prng = random.Random(p * 100 + w)
+    for R, C in ((70, 73), (40, 2 * PANEL + 3)):
+        mat, expected = _disguised_blocks(prng, R, C, p, w, max_exponent=3)
+        assert expected == smith_exponents_mod_prime_power(mat, p, w) and max(expected) >= 2
+        A = np.array(mat, dtype=dtype)
+        assert snf_int64(A.copy(), p, m, False) == (expected, None)
+        exponents, transform = snf_int64(A, p, m, True)
+        assert exponents == expected
+        if p >= 5:
+            _check_uav(mat, SmithResult(CoefficientRing(p, 1, w), "int64", w, R, C,
+                                        exponents, transform))
+        else:  # coefficient rings need p >= 5
+            _check_pivot_structure(np.array(mat, dtype=object), p, exponents, transform)
+
+
+def test_object_products_for_primes_without_float64_digits():
+    # 64 (p - 1)^2 >= 2^53: no digit product is exact in float64, so past the
+    # bit split the products multiply Python integers; p^3 > 2^63, p^2 < 2^63
+    p, w = 2**31 - 1, 3
+    m = p**w
+    assert isinstance(_exact_split(m, PANEL, p), _ObjectSplit)
+    assert isinstance(_exact_split(p**2, PANEL, p), _ObjectSplit)
+    L = np.full((3, PANEL), m - 1, dtype=object)
+    K = np.full((PANEL, 5), m - 1, dtype=object)
+    assert (_mulmod(L, K, m, p) == (L @ K) % m).all()
+    rng = random.Random(p)
+    for R, C in ((40, 70), (70, 40)):
+        mat = _layered_case(rng, R, C, p, w)
+        expected = smith_exponents_mod_prime_power(mat, p, w)
+        assert max(expected) >= 2
+        A = np.array(mat, dtype=object)
+        assert snf_int64(A.copy(), p, m, False) == (expected, None)
+        exponents, transform = snf_int64(A, p, m, True)
+        assert exponents == expected
+        _check_pivot_structure(np.array(mat, dtype=object), p, exponents, transform)
 
 
 def _full_precision_cases(rng, p, w):
@@ -282,13 +330,20 @@ def test_panel_factor_rank_profile_and_pivot_block_inverse(p):
 
 
 def test_pivot_block_inverse_lifts_to_the_working_precision():
+    # _panel_factor gives the inverse mod p as float64; past int64 it must
+    # reach Python integers through int64, not as Python floats
     rng = np.random.default_rng(3)
-    p, m = 7, 7**11
-    P = rng.integers(0, m, size=(80, PANEL))
-    rows, cols, Ginv = _panel_factor(P, p)
-    G = P[np.ix_(rows, cols)]
-    X = _inv_mod(G, Ginv, p, m)
-    assert ((G.astype(object) @ X.astype(object)) % m == np.eye(len(rows), dtype=object)).all()
+    for p, w in ((7, 11), (7, 24), (5, 27)):
+        m = p**w
+        P = np.array([[int(x) * m // 2**62 for x in row]
+                      for row in rng.integers(0, 2**62, size=(80, PANEL))],
+                     dtype=residue_dtype(m))
+        rows, cols, Ginv = _panel_factor(P, p)
+        G = P[np.ix_(rows, cols)]
+        X = _inv_mod(G, Ginv, p, m)
+        assert X.dtype == residue_dtype(m) and all(type(x) is int for x in X.ravel().tolist())
+        assert ((G.astype(object) @ X.astype(object)) % m
+                == np.eye(len(rows), dtype=object)).all()
 
 
 def _dense_u(res):
@@ -427,16 +482,6 @@ def test_regular_representation_blocks():
     assert A.tolist() == [[2, -4 * 5 % m, 0, -4 % m], [5, 2, 1, 0]]
 
 
-def test_quadratic_reductions_left_on_the_python_engine():
-    # tracked reductions need O-linear transforms; 7^24 has no exact product
-    rng = random.Random(5)
-    mat = _quadratic_case(rng, 6, 7, CoefficientRing(5, 2, 24))
-    assert smith_normal_form(mat, mat[0][0].ring, with_transforms=True).engine == "python"
-    ring7 = CoefficientRing(7, 2, 24)
-    mat = _quadratic_case(rng, 6, 7, ring7)
-    assert smith_normal_form(mat, ring7).engine == "python"
-
-
 def test_certification_flags():
     shallow = CoefficientRing(5, 1, 4)
     res = smith_normal_form([[125]], shallow)
@@ -571,18 +616,19 @@ def _hidden_deep_invariant(rng, n, p, W, deep):
     return [[A[i][j] for j in cols] for i in rows], sorted(expected + [deep])
 
 
-def test_suspicious_tracked_reduction_reruns_on_the_layered_kernel():
-    # a large tracked reduction whose p^15 invariant is invisible at 5^13 is
-    # redone at 5^24 by the layered kernel, transform included
-    rng = random.Random(15)
+def _check_suspicious_tracked_rerun(ring, deep, seed):
+    """A large tracked reduction whose p^deep invariant is invisible at p^W is
+    redone at p^N by the layered kernel, transform included."""
+    p, N = ring.prime, ring.precision_exponent
+    rng = random.Random(seed)
     n = 72  # above PURE_SIZE_LIMIT entries
-    mat, expected = _hidden_deep_invariant(rng, n, 5, 24, 15)
-    assert n * n > snf.PURE_SIZE_LIMIT
-    res = smith_normal_form(mat, RING, with_transforms=True)
-    assert res.engine == "int64" and res.precision_used == 24 and res.certified
-    assert res.exponents == expected == smith_exponents_mod_prime_power(mat, 5, 24)
+    mat, expected = _hidden_deep_invariant(rng, n, p, N, deep)
+    assert n * n > snf.PURE_SIZE_LIMIT and deep >= int64_precision_cap(p)
+    res = smith_normal_form(mat, ring, with_transforms=True)
+    assert res.engine == "int64" and res.precision_used == N and res.certified
+    assert res.exponents == expected == smith_exponents_mod_prime_power(mat, p, N)
     _check_uav(mat, res)
-    pure = _python_engine(mat, RING, track=True)
+    pure = _python_engine(mat, ring, track=True)
     assert pure.exponents == res.exponents
     vectors = [r.generator_column(k) for r in (res, pure) for k in range(n)]
     verdicts = [res.is_torsion_vector(v) for v in vectors]
@@ -590,25 +636,62 @@ def test_suspicious_tracked_reduction_reruns_on_the_layered_kernel():
     assert True in verdicts and False in verdicts
 
 
-def test_oversized_suspicious_reduction_is_uncertified(monkeypatch):
-    # a 7^13 entry vanishes at the int64 working precision 7^11; 7^24 admits
-    # no exact int64 products and the matrix is too large for the Python
-    # rerun, so the result must not claim to be certified
-    _large_route(monkeypatch)
-    ring = CoefficientRing(7, 1, 24)
+def test_suspicious_tracked_reduction_reruns_on_the_layered_kernel():
+    _check_suspicious_tracked_rerun(RING, 15, 15)
+
+
+def test_suspicious_tracked_reduction_reruns_on_the_layered_kernel_at_7_24():
+    # 7^24 residues pass int64: the rerun and its transform run on Python integers
+    _check_suspicious_tracked_rerun(CoefficientRing(7, 1, 24), 13, 13)
+
+
+def test_oversized_suspicious_reduction_is_redone_exactly():
+    # a 7^13 entry vanishes at the int64 working precision 7^11; the
+    # suspicious result is redone exactly at 7^24 whatever its size, as the
+    # same case is at 5^24
     n = 250
     mat = [[int(i == j) for j in range(n)] for i in range(n)]
-    mat[0][0] = 7**13
-    res = smith_normal_form(mat, ring)
-    assert res.precision_used == 11 and res.rank == n - 1
-    assert not res.certified
-    small = smith_normal_form([[7**13]], ring)
-    assert small.engine == "python" and small.exponents == [13] and small.certified
-    # at p = 5 the same case is redone exactly at 5^24, at any size
-    mat[0][0] = 5**15
-    res = smith_normal_form(mat, RING)
-    assert res.precision_used == 24 and res.certified
-    assert res.exponents == [0] * (n - 1) + [15]
+    for ring, deep in ((CoefficientRing(7, 1, 24), 7**13), (RING, 5**15)):
+        mat[0][0] = deep
+        res = smith_normal_form(mat, ring)
+        assert res.engine == "int64" and res.precision_used == 24 and res.certified
+        assert res.exponents == [0] * (n - 1) + [_int_valuation(deep, ring.prime)]
+        small = smith_normal_form([[deep]], ring)
+        assert small.engine == "int64" and small.precision_used == 24 and small.certified
+        assert small.exponents == res.exponents[-1:]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_python_engine_runs_only_for_small_or_quadratic_tracked_reductions(p, monkeypatch):
+    calls = []
+    snf_int64, run_python = _kernels.snf_int64, snf._run_python
+
+    def counted_snf_int64(*args):
+        calls.append("kernel")
+        return snf_int64(*args)
+
+    def counted_run_python(*args, **kwargs):
+        calls.append("python")
+        return run_python(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "snf_int64", counted_snf_int64)
+    monkeypatch.setattr(snf, "_run_python", counted_run_python)
+    rng = random.Random(p)
+    for degree in (1, 2):
+        ring = CoefficientRing(p, degree, 24)
+        for R, C in ((6, 7), (66, 64)):  # 42 and 4224 entries
+            if degree == 1:
+                mat = [[rng.randrange(ring.modulus) for _ in range(C)] for _ in range(R)]
+            else:
+                mat = _quadratic_case(rng, R, C, ring)
+            small = R * C <= snf.PURE_SIZE_LIMIT
+            for track in (False, True):
+                calls.clear()
+                res = smith_normal_form(mat, ring, with_transforms=track)
+                python = track and (degree == 2 or small)
+                assert calls == (["python"] if python else ["kernel"]), (degree, R, track)
+                assert res.engine == ("python" if python else "int64")
+                assert res.certified
 
 
 def _multiplication_matrix(f, p, n, m):

@@ -303,23 +303,21 @@ def test_classification_over_quadratic_coefficients():
     assert t.mu == 0 and t.residual_lambda == 1
 
 
-def deep_summand_module():
-    """Lambda/(7^12) + (Lambda/Phi_1)^3 at p = 7: the 7^12 summands vanish at
-    the int64 working precision 7^11 of the 1372-row level-3 matrix."""
-    ring = CoefficientRing(7, 1, 24)
+def deep_summand_module(precision):
+    """Lambda/(7^12) + (Lambda/Phi_1)^3 over Z_7 at the given precision."""
+    ring = CoefficientRing(7, 1, precision)
     return direct_sum(cyclic_module(ring, IwasawaPoly.constant(ring, 7**12)),
                       *[cyclic_module(ring, cyclotomic(ring, 1))] * 3)
 
 
 def test_unrerun_reduced_precision_level_is_uncertified():
-    analysis = StructureAnalysis(deep_summand_module(), 3)
+    # at 7^14 the 7^12 summands reach precision_used - 2 at every level
+    analysis = StructureAnalysis(deep_summand_module(14), 3)
     top = analysis.structures[3]
-    # the summands lost at 7^11 show up as free rank; the data must say so
-    assert top.smith.precision_used == 11 and top.free_rank == 361
-    assert not top.certified and not analysis.certified
-    assert all(s.certified for s in analysis.structures[:3])
-    assert analysis.evidence()["certified"] is False
-    with pytest.raises(UncertifiedError, match=r"levels \[3\]"):
+    assert top.smith.precision_used == 14 and top.torsion_exponents == [12] * 343
+    assert [s.certified for s in analysis.structures] == [False] * 4
+    assert not analysis.certified and analysis.evidence()["certified"] is False
+    with pytest.raises(UncertifiedError, match=r"levels \[0, 1, 2, 3\]"):
         analysis.classify()
     with pytest.raises(UncertifiedError):
         verify_rank_identity(analysis.presentation, analysis=analysis)
