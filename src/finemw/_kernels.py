@@ -5,9 +5,12 @@ int64 while m <= 2^63 and Python integers in numpy object arrays beyond
 (``residue_dtype``); a matrix over the quadratic ring arrives as its regular
 representation over Z_p (``snf.regular_representation``).  ``_snf_layered``
 works one valuation layer at a time.
-``_panel_factor`` finds a maximal set of unit pivots mod p in each 64-column
-panel by left-looking elimination, together with the inverse mod p of the
-pivot block, and the trailing block takes one exact product per panel.
+``_panel_factor`` finds the unit pivots mod p of each 64-column panel, its
+rank profile, by left-looking elimination that takes a run of columns per
+step: columns whose residuals' first nonzero rows strictly increase pivot on
+those rows at once, since no pivot of the run touches a later run column.
+It also gives the inverse mod p of the pivot block, and the trailing block
+takes one exact product per panel.
 ``_unit_layer`` keeps the active rows and columns as sorted ids into the
 matrix instead of compacting it after every panel, and a panel's update
 touches only the rows where its multipliers are nonzero and the column
@@ -261,7 +264,10 @@ def _reduce(Y, p):
     times faster than the int64 remainder.
     """
     if Y.dtype == np.float64:
-        Y -= p * np.floor(Y / p)
+        q = Y / p
+        np.floor(q, out=q)
+        q *= p
+        Y -= q
     else:
         Y %= p
 
@@ -277,7 +283,8 @@ def _residue_ops(p, inner):
     """
     if inner * (p - 1) ** 2 + p < 1 << 52:
         def submul(X0, A, B):
-            Y = X0 - A @ B
+            Y = A @ B
+            np.subtract(X0, Y, out=Y)
             _reduce(Y, p)
             return Y
 
@@ -298,72 +305,135 @@ def _residue_ops(p, inner):
     return np.int64, mul, submul
 
 
-def _unit_triangular_inverse(T, p, mul):
-    """Inverse mod p of a unit triangular T, as (I + N)(I + N^2)(I + N^4)...
+def _unit_triangular_inverse(T, p, mul, submul):
+    """Inverse mod p of a unit triangular T, upper or lower.
 
-    N = I - T is nilpotent (N^s = 0 for s x s), so the inverse is the sum of
-    N^k for k < s; each factor I + N^span doubles the number of terms, which
-    takes O(log s) products.
+    With A and B the diagonal halves of T and C its corner, T^-1 has the
+    diagonal halves A^-1 and B^-1 and the corner -A^-1 C B^-1 (upper) or
+    -B^-1 C A^-1 (lower).  A and B are inverted as one stack, B padded with
+    a unit when s is odd, as (I + N)(I + N^2)(I + N^4)...: N = I - A is
+    nilpotent, so A^-1 is the sum of N^k for k < span once N^span = 0, and
+    each factor I + N^span doubles the number of terms.  A factor is applied
+    as X - X Q with Q = -N^span, and the next Q is -Q Q.  The doubling stops
+    at the first zero power and a zero corner takes no product, so a
+    diagonal T costs one product.  Halving first takes a quarter of the
+    multiplications of doubling on T itself.
     """
     s = T.shape[0]
-    eye = np.eye(s, dtype=T.dtype)
-    N = eye - T
+    h = s - s // 2
+    eye = np.eye(h, dtype=T.dtype)
+    N = np.stack((T[:h, :h], eye))
+    N[1, :s - h, :s - h] = T[h:, h:]
+    N = eye - N
     _reduce(N, p)
     X = eye + N
+    Q = N
     span = 2  # X is the sum of N^k for k < span
-    while span < s:
-        N = mul(N, N)
-        X += mul(X, N)
-        _reduce(X, p)
+    while span < h:
+        Q = submul(0, Q, Q)  # -N^span
+        if not Q.any():
+            break
+        X = submul(X, X, Q)
         span *= 2
-    return X
+    Ainv, Binv = X[0], X[1, :s - h, :s - h]
+    out = np.zeros_like(T)
+    out[:h, :h] = Ainv
+    out[h:, h:] = Binv
+    if T[:h, h:].any():
+        out[:h, h:] = submul(0, mul(Ainv, T[:h, h:]), Binv)
+    if T[h:, :h].any():
+        out[h:, :h] = submul(0, mul(Binv, T[h:, :h]), Ainv)
+    return out
 
 
 def _panel_factor(P, p):
     """Rank profile mod p of the panel P and the inverse mod p of its pivot block.
 
     P is an int64 panel; only its residues mod p matter.  Left-looking
-    elimination: the residual P[:, j] - L[:, :t] U[:t, j] of column j is
-    formed only when j is reached, by one mat-vec over the rows, and its
-    lowest nonzero row i becomes pivot t.  L[:, t] is that residual scaled
-    to L[i, t] = 1 and U[t] is the residual P[i] - L[i, :t] U[:t] of row i,
-    zero left of column j.  Nothing else touches the panel.
+    elimination, one run of columns per step.  With t pivots found and j the
+    first column not yet handled, one product forms the residual
+    C = P[:, j:hi] - L[:, :t] U[:t, j:hi] of a window of columns, and f_c is
+    the lowest nonzero row of column c of C.  The run is the longest prefix
+    of C's nonzero columns whose f_c strictly increase, and every run column
+    pivots at its own f_c: row f_a lies above the first nonzero row of each
+    later run column c, so pivot a leaves c as it is (U[a, c] = C[f_a, c] = 0).
+    L takes the run's columns of C as they are.  U's run rows are 1 on their
+    own pivot (written into V below) and zero elsewhere on the run, and over
+    the later columns they are M^-1 D^-1 X, with X the run rows' residual, D
+    their pivots and M = D^-1 L[f, run] unit lower triangular: the rows of
+    column-by-column elimination, scaled to 1 on the pivot.  The column that
+    breaks the run starts the next step.  A window ends where the lowest
+    nonzero rows of P's own columns stop increasing, so a banded panel takes
+    a whole run per step and a dense one a column; the window sets only the
+    width of C, never a pivot.
 
-    Returns parallel lists (rows, cols) of the unit pivots, found column by
-    column with the lowest eligible row, and Ginv, the inverse mod p of the
-    pivot block G = P[rows][:, cols] (None without pivots).  Pivot rows have
-    a zero residual after their pivot, so G = L[rows] U[:, cols] is unit
-    lower times upper triangular, and Ginv = U[:, cols]^-1 L[rows]^-1.
+    Returns parallel lists (rows, cols) of the unit pivots, and Ginv, the
+    inverse mod p of the pivot block G = P[rows][:, cols] (None without
+    pivots).  They are those of column-by-column elimination with the lowest
+    eligible row: both give the rank profile matrix of P mod p (the rank of
+    P[:i, :j] counts the pivots inside it), which is unique.  Pivot rows have
+    a zero residual after their pivot, so G = L[rows] U[:, cols] =
+    (L[rows] D^-1) D V with V = U[:, cols] unit upper triangular, and
+    Ginv = V^-1 D^-1 (L[rows] D^-1)^-1.
     """
     R, w = P.shape
     dtype, mul, submul = _residue_ops(p, w)
     P = np.asfortranarray((P % p).astype(dtype))
+    nonzero = P != 0
+    lead = np.flatnonzero(nonzero.any(axis=0))
+    top = nonzero.argmax(axis=0)[lead]
+    ends = lead[1:][top[1:] <= top[:-1]].tolist() + [w]  # where windows end
+    ids = np.arange(w)
     L = np.empty((R, w), dtype=dtype, order="F")
-    U = np.empty((w, w), dtype=dtype)
-    rows, cols = [], []
-    for j in range(w):
-        t = len(rows)
-        c = submul(P[:, j], L[:, :t], U[:t, j]) if t else P[:, j]
-        i = int(np.argmax(c != 0))
-        if not c[i]:
+    U = np.zeros((w, w), dtype=dtype)
+    rows, cols, dinv = [], [], []
+    j = t = 0
+    while j < w and t < R:  # with R pivots every residual is zero
+        hi = ends[bisect.bisect_right(ends, j)]
+        C = submul(P[:, j:hi], L[:, :t], U[:t, j:hi]) if t else P[:, j:hi]
+        first = (C != 0).argmax(axis=0)
+        pivot = C[first, ids[:hi - j]]
+        live = pivot.nonzero()[0].tolist()
+        if not live:
+            j = hi
             continue
-        np.multiply(c, pow(int(c[i]), -1, p), out=L[:, t])
-        _reduce(L[:, t], p)
-        U[t, :j] = 0
-        U[t, j:] = submul(P[i, j:], L[i, :t], U[:t, j:]) if t else P[i, j:]
-        rows.append(i)
-        cols.append(j)
+        r = len(live)
+        if r > 1:
+            f = first[live]
+            stop = (f[1:] <= f[:-1]).nonzero()[0]
+            if stop.size:
+                r = int(stop[0]) + 1
+        run = live[:r]
+        first, pivot = first.tolist(), pivot.tolist()
+        i = [first[c] for c in run]
+        inv = [pow(int(pivot[c]), -1, p) for c in run]
+        L[:, t:t + r] = C[:, _ids(run)]
+        nxt = j + live[r] if r < len(live) else hi
+        if nxt < w:
+            ri = _ids(i)
+            X = submul(P[ri, nxt:], L[ri, :t], U[:t, nxt:]) if t else P[ri, nxt:]
+            Y = U[t:t + r, nxt:]
+            np.multiply(X.T, inv, out=Y.T)  # D^-1 X
+            _reduce(Y, p)
+            if r > 1:
+                M = (L[ri, t:t + r].T * inv).T
+                _reduce(M, p)
+                Y[:] = mul(_unit_triangular_inverse(M, p, mul, submul), Y)
+        rows += i
+        cols += [j + c for c in run]
+        dinv += inv
+        t += r
+        j = nxt
     if not rows:
         return rows, cols, None
-    s = len(rows)
-    Ubar = U[:s, cols]
-    # Ubar = (Ubar D^-1) D with D its diagonal, and Ubar D^-1 is unit upper
-    dinv = np.array([pow(int(d), -1, p) for d in np.diagonal(Ubar)], dtype=dtype)
-    Ubar = Ubar * dinv[None, :]
-    _reduce(Ubar, p)
-    Uinv = dinv[:, None] * _unit_triangular_inverse(Ubar, p, mul)
-    _reduce(Uinv, p)
-    return rows, cols, mul(Uinv, _unit_triangular_inverse(L[rows, :s], p, mul))
+    dinv = np.array(dinv, dtype=dtype)
+    V = U[:t, cols]
+    V[ids[:t], ids[:t]] = 1
+    Lbar = L[rows, :t] * dinv
+    _reduce(Lbar, p)
+    Linv = dinv[:, None] * _unit_triangular_inverse(Lbar, p, mul, submul)
+    _reduce(Linv, p)
+    return rows, cols, mul(_unit_triangular_inverse(V, p, mul, submul), Linv)
 
 
 def _inv_mod(G, Ginv, p, m):
@@ -388,8 +458,8 @@ def _inv_mod(G, Ginv, p, m):
 
 
 def _ids(ix):
-    """Sorted ids ``ix`` as a slice when they form one contiguous range."""
-    if ix.size and ix[-1] - ix[0] + 1 == ix.size:
+    """Sorted ids ``ix`` (an array or a list) as a slice when they form one contiguous range."""
+    if len(ix) and ix[-1] - ix[0] + 1 == len(ix):
         return slice(int(ix[0]), int(ix[-1]) + 1)
     return ix
 

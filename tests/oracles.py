@@ -115,6 +115,49 @@ def column_rank_profile_mod_p(rows, p):
     return profile
 
 
+def rank_profile_mod_p(rows, p):
+    """Pivots (row, column) of left-looking elimination over Z/p, in column order.
+
+    Each column is reduced by the pivots found so far, in the order found: a
+    pivot in row i with vector l takes col[i] * l off it.  The lowest
+    row left nonzero becomes the next pivot, and its column, scaled to 1 in
+    that row, its vector.  Textbook elimination on Python ints; the pairs
+    form the rank profile matrix.
+    """
+    mat = [[x % p for x in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots, profile = [], []
+    for c in range(ncols):
+        col = [row[c] for row in mat]
+        for i, vec in pivots:
+            u = col[i]
+            if u:
+                col = [(x - u * y) % p for x, y in zip(col, vec)]
+        i = next((r for r, x in enumerate(col) if x), None)
+        if i is None:
+            continue
+        inv = pow(col[i], -1, p)
+        pivots.append((i, [x * inv % p for x in col]))
+        profile.append((i, c))
+    return profile
+
+
+def inverse_mod_p(rows, p):
+    """Inverse over Z/p of an invertible square matrix, by Gauss-Jordan on Python ints."""
+    n = len(rows)
+    mat = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if mat[r][c])
+        mat[c], mat[r] = mat[r], mat[c]
+        inv = pow(mat[c][c], -1, p)
+        mat[c] = [x * inv % p for x in mat[c]]
+        for r in range(n):
+            if r != c and mat[r][c]:
+                f = mat[r][c]
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[c])]
+    return [row[n:] for row in mat]
+
+
 def integer_smith_p_exponents(rows, p):
     """p-valuations of the nonzero invariant factors of an exact integer matrix.
 

@@ -7,12 +7,13 @@ import pytest
 from finemw.errors import ValidationError
 from finemw.padics import CoefficientRing, _int_valuation
 from finemw import _kernels, snf
-from finemw.snf import SmithResult, _normalize_rows, _run_python, smith_normal_form
+from finemw.snf import _normalize_rows, _run_python, smith_normal_form
 from finemw._kernels import (PANEL, _ObjectSplit, _PadicSplit, _exact_split, _inv_mod,
-                             _mulmod, _panel_factor, _split_bits, int64_precision_cap,
-                             residue_dtype, snf_int64)
-from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents, omega_int,
-                     smith_exponents_mod_prime_power)
+                             _mulmod, _panel_factor, _residue_ops, _split_bits,
+                             _unit_triangular_inverse, int64_precision_cap, residue_dtype,
+                             snf_int64)
+from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents, inverse_mod_p,
+                     omega_int, rank_profile_mod_p, smith_exponents_mod_prime_power)
 
 RING = CoefficientRing(5, 1, 24)
 RING10 = CoefficientRing(5, 1, 10)
@@ -229,11 +230,7 @@ def test_exact_products_beyond_the_largest_int64_modulus(p, w):
         assert snf_int64(A.copy(), p, m, False) == (expected, None)
         exponents, transform = snf_int64(A, p, m, True)
         assert exponents == expected
-        if p >= 5:
-            _check_uav(mat, SmithResult(CoefficientRing(p, 1, w), "int64", w, R, C,
-                                        exponents, transform))
-        else:  # coefficient rings need p >= 5
-            _check_pivot_structure(np.array(mat, dtype=object), p, exponents, transform)
+        _check_transform(mat, p, exponents, transform.reduce_vector, transform.generator_column)
 
 
 def test_object_products_for_primes_without_float64_digits():
@@ -255,7 +252,7 @@ def test_object_products_for_primes_without_float64_digits():
         assert snf_int64(A.copy(), p, m, False) == (expected, None)
         exponents, transform = snf_int64(A, p, m, True)
         assert exponents == expected
-        _check_pivot_structure(np.array(mat, dtype=object), p, exponents, transform)
+        _check_transform(mat, p, exponents, transform.reduce_vector, transform.generator_column)
 
 
 def _full_precision_cases(rng, p, w):
@@ -295,8 +292,20 @@ def test_hidden_deep_invariant_found_at_full_precision():
     assert res.engine == "int64" and res.precision_used == 24 and res.certified
 
 
+def _staircase(rng, p, tops, R):
+    """An R x len(tops) panel whose column c is zero above row tops[c], a unit
+    there and random below; a column with top None is zero."""
+    A = np.zeros((R, len(tops)), dtype=np.int64)
+    for c, top in enumerate(tops):
+        if top is not None:
+            A[top, c] = rng.integers(1, p)
+            A[top + 1:, c] = rng.integers(0, p, size=R - top - 1)
+    return A
+
+
 def _panel_cases(p, rng):
-    """Panels with R < w, R > w, all zeros, leading zero columns and rank deficiency."""
+    """Panels with R < w, R > w, all zeros, leading zero columns and rank
+    deficiency, and panels shaped for the column runs of ``_panel_factor``."""
     def panel(R, w):
         return rng.integers(0, p, size=(R, w), dtype=np.int64) * rng.integers(1, 4)
 
@@ -312,21 +321,77 @@ def _panel_cases(p, rng):
     A[:, 40:] = A[:, :24] * 3 % p
     yield A
     yield p * rng.integers(0, 3, size=(8, 8)) + np.eye(8, dtype=np.int64)  # only residues count
+    # one column-echelon run over the whole panel, pivots down to row 126
+    yield _staircase(rng, p, [2 * c for c in range(PANEL)], 2 * PANEL + 3)
+    # zero columns inside a run
+    yield _staircase(rng, p, [None if c % 5 == 2 else 2 * c for c in range(PANEL)], 2 * PANEL)
+    # strictly decreasing first rows: every run is one column
+    yield _staircase(rng, p, [PANEL - c for c in range(PANEL)], PANEL + 4)
+    # P's first rows 5, 10, 11 increase, but after the pivot (10, 0) the
+    # residuals of columns 2 and 3 both start at row 11: fill-in cuts the run
+    A = np.zeros((16, 5), dtype=np.int64)
+    A[[10, 12], 0] = 1
+    A[5, 1] = 1
+    A[[10, 11], 2] = 1
+    A[[11, 13], 3] = 1
+    A[14, 4] = 1
+    yield np.hstack([A, panel(16, PANEL - 5)])
+    A = panel(160, PANEL)  # every pivot below row 100
+    A[:100] = p * rng.integers(0, 3, size=(100, PANEL))
+    yield A
+    yield panel(1, PANEL)
+    yield panel(90, 1)
 
 
 @pytest.mark.parametrize("p", [2, 5, 7, 2**31 - 1])
 def test_panel_factor_rank_profile_and_pivot_block_inverse(p):
+    """The pivots are those of column-by-column elimination with the lowest
+    eligible row: the rank profile matrix, whose pivots inside P[:i, :j]
+    count its rank."""
     rng = np.random.default_rng(p % 1000)
     for P in _panel_cases(p, rng):
         rows, cols, Ginv = _panel_factor(P.copy(), p)
+        assert list(zip(rows, cols)) == rank_profile_mod_p(P.tolist(), p)
         assert cols == column_rank_profile_mod_p(P.tolist(), p)
         assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+        R, w = P.shape
+        for i, j in ((R // 2, w // 2), (R // 3, w), (R, w // 3)):
+            inside = sum(r < i and c < j for r, c in zip(rows, cols))
+            assert inside == len(column_rank_profile_mod_p(P[:i, :j].tolist(), p))
         if not rows:
             assert Ginv is None
             continue
-        G = P[np.ix_(rows, cols)].astype(object)
-        assert ((G @ Ginv.astype(np.int64).astype(object)) % p
-                == np.eye(len(rows), dtype=object)).all()
+        G = P[np.ix_(rows, cols)].tolist()
+        assert Ginv.astype(np.int64).tolist() == inverse_mod_p(G, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 2**31 - 1])
+def test_unit_triangular_inverse_matches_python_ints(p):
+    """Against Gauss-Jordan on Python ints, on float64 residues (p = 5, 7)
+    and on int64 split products (2^31 - 1); a diagonal T costs one product."""
+    dtype, mul, submul = _residue_ops(p, PANEL)
+    products = []
+
+    def counted(op):
+        def run(*args):
+            products.append(op)
+            return op(*args)
+        return run
+
+    rng = random.Random(p)
+    s = PANEL
+    chain = [[int(i == j) + (j == i + 1) * rng.randrange(1, p) for j in range(s)]
+             for i in range(s)]
+    full = [[int(i == j) if j <= i else rng.randrange(p) for j in range(s)] for i in range(s)]
+    odd = [row[:45] for row in full[:45]]
+    cases = [[[1]], np.eye(s, dtype=np.int64).tolist(), np.eye(37, dtype=np.int64).tolist(),
+             chain, full, odd]
+    for T in cases + [[list(c) for c in zip(*T)] for T in cases[3:]]:
+        products.clear()
+        X = _unit_triangular_inverse(np.array(T, dtype=dtype), p, counted(mul), counted(submul))
+        assert X.dtype == dtype and X.astype(np.int64).tolist() == inverse_mod_p(T, p)
+        if T == cases[1]:
+            assert len(products) == 1
 
 
 def test_pivot_block_inverse_lifts_to_the_working_precision():
@@ -353,28 +418,27 @@ def _dense_u(res):
     return [list(row) for row in zip(*columns)]
 
 
-def _check_uav(matrix, res):
+def _check_transform(matrix, p, exponents, reduce_vector, generator_column):
     """U A = D V^-1 for some unimodular V, checked on U alone.
 
-    Rows of U A past the rank vanish, row i is divisible by p^(e_i), and the
-    rows divided by p^(e_i) are independent mod p; U^-1 comes from
-    ``generator_column`` and U maps its column k to e_k.
+    U A comes from ``reduce_vector`` of each column of A.  Its rows past the
+    rank vanish, row i is divisible by p^(e_i), and the rows divided by
+    p^(e_i) are independent mod p.  U^-1 comes from ``generator_column``,
+    and U maps its column k to e_k.
     """
-    p, m = res.ring.prime, res.modulus
-    R = res.nrows
-    U = _dense_u(res)
-    UA = [[sum(u * a for u, a in zip(row, column)) % m for column in zip(*matrix)]
-          for row in U] if matrix and matrix[0] else [[] for _ in range(R)]
-    for row in UA[res.rank:]:
+    R, rank = len(matrix), len(exponents)
+    columns = [reduce_vector([int(x) for x in column]) for column in zip(*matrix)]
+    UA = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(R)]
+    for row in UA[rank:]:
         assert not any(row)
     scaled = []
-    for row, e in zip(UA, res.exponents):
+    for row, e in zip(UA, exponents):
         assert all(x % p**e == 0 for x in row)
         scaled.append([x // p**e % p for x in row])
     if scaled:
-        assert len(column_rank_profile_mod_p([list(c) for c in zip(*scaled)], p)) == res.rank
+        assert len(column_rank_profile_mod_p([list(c) for c in zip(*scaled)], p)) == rank
     for k in range(R):
-        assert res.reduce_vector(res.generator_column(k)) == [int(i == k) for i in range(R)]
+        assert reduce_vector(generator_column(k)) == [int(i == k) for i in range(R)]
 
 
 def test_transforms_diagonalize_pure():
@@ -382,7 +446,9 @@ def test_transforms_diagonalize_pure():
     for _ in range(25):
         R, C = rng.randrange(1, 5), rng.randrange(1, 5)
         mat = [[rng.randrange(RING10.modulus) for _ in range(C)] for _ in range(R)]
-        _check_uav(mat, _python_engine(mat, RING10, track=True))
+        res = _python_engine(mat, RING10, track=True)
+        _check_transform(mat, RING10.prime, res.exponents, res.reduce_vector,
+                         res.generator_column)
 
 
 def test_transforms_diagonalize_int64(monkeypatch):
@@ -393,7 +459,8 @@ def test_transforms_diagonalize_int64(monkeypatch):
         mat = [[rng.randrange(RING10.modulus) for _ in range(C)] for _ in range(R)]
         res = smith_normal_form(mat, RING10, with_transforms=True)
         assert res.engine == "int64"
-        _check_uav(mat, res)
+        _check_transform(mat, RING10.prime, res.exponents, res.reduce_vector,
+                         res.generator_column)
 
 
 def test_unimodular_invariance_100_conjugations():
@@ -579,7 +646,7 @@ def test_tracked_layered_transforms(p, W, monkeypatch):
         assert res.engine == "int64" and res.precision_used == W
         assert res.exponents == expected == smith_exponents_mod_prime_power(mat, p, W)
         assert res.rank < R and max(res.exponents) >= 2
-        _check_uav(mat, res)
+        _check_transform(mat, p, res.exponents, res.reduce_vector, res.generator_column)
         pure = _python_engine(mat, ring, track=True)
         assert pure.exponents == res.exponents
         # the Python engine's U w costs R^2 ring products: a sample of the
@@ -627,7 +694,7 @@ def _check_suspicious_tracked_rerun(ring, deep, seed):
     res = smith_normal_form(mat, ring, with_transforms=True)
     assert res.engine == "int64" and res.precision_used == N and res.certified
     assert res.exponents == expected == smith_exponents_mod_prime_power(mat, p, N)
-    _check_uav(mat, res)
+    _check_transform(mat, p, res.exponents, res.reduce_vector, res.generator_column)
     pure = _python_engine(mat, ring, track=True)
     assert pure.exponents == res.exponents
     vectors = [r.generator_column(k) for r in (res, pure) for k in range(n)]
@@ -750,26 +817,6 @@ def _with_zero_lines_and_deep_entries(rng, A, p, W):
     return A
 
 
-def _check_pivot_structure(A, p, exponents, transform):
-    """U A from ``reduce_vector`` of each column of A; U^-1 from ``generator_column``.
-
-    Rows of U A past the rank vanish, row i is divisible by p^(e_i), and the
-    rows divided by p^(e_i) are independent mod p.
-    """
-    R, rank = A.shape[0], len(exponents)
-    UA = np.array([transform.reduce_vector(column) for column in A.T.tolist()],
-                  dtype=object).T
-    assert not UA[rank:].any()
-    scaled = []
-    for row, e in zip(UA[:rank].tolist(), exponents):
-        assert all(x % p**e == 0 for x in row)
-        scaled.append([x // p**e % p for x in row])
-    if scaled:
-        assert len(column_rank_profile_mod_p([list(c) for c in zip(*scaled)], p)) == rank
-    for k in range(R):
-        assert transform.reduce_vector(transform.generator_column(k)) == [int(i == k) for i in range(R)]
-
-
 @pytest.mark.parametrize("p, W, n, g, c", [(5, 13, 2, 4, 5), (7, 11, 2, 2, 3)])
 def test_layered_kernel_on_expansion_shaped_matrices(p, W, n, g, c):
     """Banded blocks with dense wrap columns: the rows and columns the trailing updates skip."""
@@ -786,7 +833,7 @@ def test_layered_kernel_on_expansion_shaped_matrices(p, W, n, g, c):
         assert transform is None and exponents == expected
         exponents, transform = snf_int64(A.copy(), p, m, True)
         assert exponents == expected
-        _check_pivot_structure(A, p, exponents, transform)
+        _check_transform(A, p, exponents, transform.reduce_vector, transform.generator_column)
 
 
 def test_layered_kernel_memory_stays_within_chunks():
