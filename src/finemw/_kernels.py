@@ -9,8 +9,9 @@ works one valuation layer at a time.
 rank profile, by left-looking elimination that takes a run of columns per
 step: columns whose residuals' first nonzero rows strictly increase pivot on
 those rows at once, since no pivot of the run touches a later run column.
-It also gives the inverse mod p of the pivot block, and the trailing block
-takes one exact product per panel.
+It also gives the inverse mod p of the pivot block, which ``_inv_mod`` lifts
+by Newton steps in plain float64 while that is exact, and the trailing
+block takes one exact product per panel.
 ``_unit_layer`` keeps the active rows and columns as sorted ids into the
 matrix instead of compacting it after every panel, and a panel's update
 touches only the rows where its multipliers are nonzero and the column
@@ -20,11 +21,13 @@ segments (a row index with a column slice) in chunks, never whole rows.
 Products run in float64 BLAS on digit splits (``_exact_split``): one operand
 in base-2^h digits and the other whole where that is exact (two products for
 p = 5, 7 at the reduced working precision p^W), else both operands in
-base-p^a digits, summed in int64 up to 5^26 and 7^21 and as Python integers
-beyond (7^24).  Only primes too large for exact float64 digit products
-multiply Python integers (``_ObjectSplit``).  A tracked reduction also keeps
-each panel's row operation as thin factors (``RowTransform``), from which
-U w and the columns of U^-1 are applied; no R x R transform is formed.
+base-p^a digits, summed in int64 up to 5^26 and 7^21; beyond (7^24) the
+scaled digit groups still sum in int64 and only their total is scaled and
+subtracted on Python integers.  Only primes too large for exact float64
+digit products multiply Python integers (``_ObjectSplit``).  A tracked
+reduction also keeps each panel's row operation as thin factors
+(``RowTransform``), from which U w and the columns of U^-1 are applied; no
+R x R transform is formed.
 """
 
 from __future__ import annotations
@@ -154,10 +157,14 @@ class _PadicSplit:
     L K = sum over i, j of L_i K_j p^(a(i+j)), and mod p^w only the pairs
     with a(i+j) < w are left: 6 products for 3 digits.  Each digit product
     runs in float64 BLAS, exact while inner (p^a - 1)^2 < 2^53.  The
-    products with one s = i + j are summed in int64 and reduced mod
-    p^(w - a s) before they are scaled by p^(a s), so every scaled term stays
-    below m.  X0, the unreduced s = 0 term and the others are summed in
-    int64 while that stays below 2^63, else as Python integers (``wide``).
+    products with one s = i + j are summed in int64 as t_s.  The groups
+    s >= f (``fold``) are reduced mod p^(w - a s) and summed Horner-style
+    from the top group down, in int64, as
+    u = sum over s >= f of (t_s mod p^(w - a s)) p^(a(s - f)) <
+    (ndigits - f) p^(w - a f); f is the least index >= 1 that keeps that
+    below 2^63, which is 1 up to 7^24.  X0 - t_0 - p^(a f) u and the groups
+    between 0 and f are summed in int64 while that stays below 2^63, else
+    as Python integers (``wide``).
     """
 
     def __init__(self, p, m, inner):
@@ -177,6 +184,9 @@ class _PadicSplit:
         self.wide = m + _EXACT + (ndigits - 1) * (m - 1) >= 1 << 63
         # t_s (the s-th group) is reduced mod p^(w - a s), then scaled by p^(a s)
         self.scales = [(p ** (w - a * s), p ** (a * s)) for s in range(ndigits)]
+        self.fold = 1
+        while (ndigits - self.fold) * p ** (w - a * self.fold) >= 1 << 63:
+            self.fold += 1
         self.products = ndigits * (ndigits + 1) // 2
 
     def digits(self, K):
@@ -191,20 +201,30 @@ class _PadicSplit:
     def mul_sub(self, L, digits, X0=None):
         """Exact (X0 - L @ K) % m, K given by its ``digits``; X0 defaults to 0."""
         Ld = self.digits(L)
-        acc = None
-        for s, (mod, scale) in enumerate(self.scales):
+        groups = []
+        for s in range(self.ndigits):
             t = (Ld[0] @ digits[s]).astype(np.int64)
             for i in range(1, s + 1):
                 t += (Ld[i] @ digits[s - i]).astype(np.int64)
+            groups.append(t)
+        acc = groups[0]
+        u = None
+        for s in range(self.ndigits - 1, self.fold - 1, -1):
+            t = groups[s]
+            t %= self.scales[s][0]
+            if u is not None:
+                u *= self.base
+                t += u
+            u = t
+        if u is not None:
             if self.wide:
-                t = t.astype(object)
-            if s:
-                t %= mod
-                t *= scale
-            if acc is None:
-                acc = -t if X0 is None else X0 - t
-            else:
-                acc -= t
+                u = u.astype(object)
+            u *= self.scales[self.fold][1]
+            u += acc
+            acc = u
+        for s in range(1, self.fold):
+            acc = acc + groups[s].astype(object) * self.scales[s][1]
+        acc = -acc if X0 is None else X0 - acc
         acc %= self.m
         return acc
 
@@ -439,20 +459,61 @@ def _panel_factor(P, p):
 def _inv_mod(G, Ginv, p, m):
     """Inverse mod m = p^w of G, given its inverse Ginv mod p, as residues mod m.
 
-    Newton steps X <- X - X (G X - I) mod min(precision^2, m) double the
-    p-adic precision of X until it reaches m.  A float64 Ginv goes through
-    int64: float64 to object gives Python floats.
+    Newton steps double the p-adic precision of X until it reaches m: from
+    X = G^-1 mod k to mod k2 = min(k^2, m), with step = k2 / k,
+
+        E = (I - G X) / k mod step,   X <- X + k (X E mod step).
+
+    The steps run as plain float64 products while every intermediate stays
+    below 2^52, where ``_reduce`` is exact (the rule of ``_residue_ops``), up
+    to the precision ``reach``; G is reduced mod reach once, as Gr.  When
+    Gr X is exact, E is (I - Gr X) / k.  Otherwise Gr = G_lo + k G_hi with
+    G_lo < k and G_hi < reach / k, and E = (I - G_lo X) / k - G_hi X, where
+    k divides I - G_lo X because G_lo X = I mod k; no step takes an integer
+    remainder or quotient.  With s the size of G and X < k: G_lo X <=
+    s (k - 1)^2, |E| < s (k - 1) + s reach before its reduction, and
+    X E <= s (k - 1)(step - 1); every step starts at k <= the last one's
+    k_l, and reach <= k_l^2, so s k_l (k_l + 1) < 2^52 bounds them all.  The
+    steps past it (at p = 5, 7 the last one, from p^16, at every modulus
+    beyond p^16) form G X - I and X (G X - I) by exact split products mod
+    k2.  A float64 X goes through int64: float64 to object gives Python
+    floats.
     """
     s = G.shape[0]
-    X = Ginv.astype(np.int64)
+    X = Ginv.astype(np.float64)
+    k = reach = p
+    while reach < m and s * reach * (reach + 1) < 1 << 52:
+        reach = min(reach * reach, m)
+    if reach > p:
+        Gr = (G % reach).astype(np.float64)
+        eye = np.eye(s)
+        while k < reach:
+            k2 = min(k * k, m)
+            step = k2 // k
+            lo, hi = Gr, None
+            if s * (reach - 1) * (k - 1) >= 1 << 52:  # Gr X is not exact: split Gr
+                lo = Gr.copy()
+                _reduce(lo, k)
+                hi = (Gr - lo) / k
+            E = lo @ X
+            np.subtract(eye, E, out=E)
+            E /= k  # exact: k divides I - G_lo X
+            if hi is not None:
+                E -= hi @ X
+            _reduce(E, step)
+            Z = X @ E
+            _reduce(Z, step)
+            Z *= k
+            X += Z
+            k = k2
+    X = X.astype(np.int64)
     G = G.astype(residue_dtype(m), copy=False)  # int64 % m overflows past 2^63
     eye = np.eye(s, dtype=np.int64)
-    precision = p
-    while precision < m:
-        precision = min(precision * precision, m)
-        split = _exact_split(precision, s, p)
-        Gq = (G % precision).astype(residue_dtype(precision), copy=False)
-        excess = -split.mul_sub(Gq, split.digits(X), X0=eye) % precision  # G X - I
+    while k < m:
+        k = min(k * k, m)
+        split = _exact_split(k, s, p)
+        Gq = (G % k).astype(residue_dtype(k), copy=False)
+        excess = -split.mul_sub(Gq, split.digits(X), X0=eye) % k  # G X - I
         X = split.mul_sub(X, split.digits(excess), X0=X)
     return X.astype(residue_dtype(m), copy=False)
 

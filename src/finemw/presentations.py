@@ -10,11 +10,10 @@ basis, so they are kept implicit.
 
 Every reduction modulo omega_n or Phi_j is one integer long division
 (``_poly_rem``) by T^q = sum wrap_k T^k: both moduli have rational-integer
-coefficients, so each coordinate of an O-polynomial divides on its own.  The
-one exception is a relation entry of degree >= q, which ``reduced_entry``
-divides once by ``weierstrass_divide``.  One builder,
-``FinLevelModule._expansion``, writes the expanded matrix mod m as one
-preallocated array per coordinate; ``matrix_int64`` reads it at the
+coefficients, so each coordinate of an O-polynomial divides on its own, in
+the relation entries (``reduced_entry``) as in the ambient columns.  One
+builder, ``FinLevelModule._expansion``, writes the expanded matrix mod m as
+one preallocated array per coordinate; ``matrix_int64`` reads it at the
 reduction's modulus and ``matrix_coords`` zips the coordinates into tuples
 at p^N.  The T-action and the transition maps use the same division.
 """
@@ -29,13 +28,8 @@ from . import snf
 from ._kernels import residue_dtype
 from .errors import ResourceLimitError, ValidationError
 from .padics import CoefficientRing
-from .polynomials import (
-    IwasawaPoly,
-    cyclotomic,
-    hard_max_level,
-    omega,
-    weierstrass_divide,
-)
+from .polynomials import IwasawaPoly, cyclotomic, hard_max_level, omega
+from .polynomials import weierstrass_divide  # noqa: F401  perfbench's BINDINGS resolve it here
 
 ROW_BUDGET_FACTOR = 4
 
@@ -169,7 +163,7 @@ class FinLevelModule:
             self.modulus_poly = cyclotomic(pres.ring, component)
         self.q = self.modulus_poly.degree()
         self._wrap = _wrap_vector(pres.ring, self.modulus_poly)
-        self._reduced = {}  # (i, j) -> reduced relation entry
+        self._reduced = {}  # (i, j) -> reduced relation entry, one list per coordinate
 
     @property
     def nrows(self) -> int:
@@ -206,15 +200,25 @@ class FinLevelModule:
 
     # -- expanded matrices --------------------------------------------------
 
-    def reduced_entry(self, i, j) -> IwasawaPoly:
-        """Relation entry (i, j) reduced modulo the expansion modulus, divided once."""
-        f = self._reduced.get((i, j))
-        if f is None:
-            f = self.presentation.relations[i][j]
-            if f.degree() >= self.q:
-                f = weierstrass_divide(f, self.modulus_poly)[1]
-            self._reduced[i, j] = f
-        return f
+    def reduced_entry(self, i, j) -> list:
+        """Relation entry (i, j) modulo the expansion modulus, as integer coordinate planes.
+
+        Plane s lists coordinate s of each coefficient, constant term first,
+        without trailing zero coefficients.  An entry of degree >= q is
+        divided once, each plane by ``_poly_rem``.
+        """
+        planes = self._reduced.get((i, j))
+        if planes is None:
+            coefficients = self.presentation.relations[i][j].coefficients
+            planes = [[a.coords[s] for a in coefficients]
+                      for s in range(self.ring.unramified_degree)]
+            if len(coefficients) > self.q:
+                planes = [_poly_rem(c, self.q, self._wrap, self.ring.modulus) for c in planes]
+                while planes[0] and not any(c[-1] for c in planes):
+                    for c in planes:
+                        c.pop()
+            self._reduced[i, j] = planes
+        return planes
 
     def reduce_ambient_column(self, col):
         """Reduce an ambient column into this expansion's basis, as coordinate tuples.
@@ -270,9 +274,7 @@ class FinLevelModule:
         wrap = [w % m for w in self._wrap]
         for i in range(g):
             for j in range(c):
-                coefficients = self.reduced_entry(i, j).coefficients
-                for s, plane in enumerate(planes):
-                    coeffs = [a.coords[s] for a in coefficients]
+                for plane, coeffs in zip(planes, self.reduced_entry(i, j)):
                     if any(coeffs):
                         plane[i * q:(i + 1) * q, j * q:(j + 1) * q] = _mult_matrix(
                             coeffs, q, wrap, m)
@@ -414,8 +416,8 @@ class _LevelSource:
         fin = self.fin
         for i in range(fin.presentation.generators):
             for j in range(fin.presentation.num_relations):
-                for coeff in fin.reduced_entry(i, j).coefficients:
-                    yield from coeff.coords
+                for plane in fin.reduced_entry(i, j):
+                    yield from plane
         for col in self.columns:
             for entry in col:
                 yield from entry

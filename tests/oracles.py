@@ -144,17 +144,26 @@ def rank_profile_mod_p(rows, p):
 
 def inverse_mod_p(rows, p):
     """Inverse over Z/p of an invertible square matrix, by Gauss-Jordan on Python ints."""
-    n = len(rows)
-    mat = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    return inverse_mod_prime_power(rows, p, 1)
+
+
+def inverse_mod_prime_power(rows, p, w):
+    """Inverse over Z/p^w of a matrix invertible mod p, by Gauss-Jordan on Python ints.
+
+    Each pivot is the first entry of its column not divisible by p, a unit.
+    """
+    n, m = len(rows), p**w
+    mat = [[int(x) % m for x in row] + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
     for c in range(n):
-        r = next(r for r in range(c, n) if mat[r][c])
+        r = next(r for r in range(c, n) if mat[r][c] % p)
         mat[c], mat[r] = mat[r], mat[c]
-        inv = pow(mat[c][c], -1, p)
-        mat[c] = [x * inv % p for x in mat[c]]
+        inv = pow(mat[c][c], -1, m)
+        mat[c] = [x * inv % m for x in mat[c]]
         for r in range(n):
             if r != c and mat[r][c]:
                 f = mat[r][c]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[c])]
+                mat[r] = [(a - f * b) % m for a, b in zip(mat[r], mat[c])]
     return [row[n:] for row in mat]
 
 

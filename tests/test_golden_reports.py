@@ -6,7 +6,11 @@ kernels, the expansions or the report emission that moves a single report
 byte fails here.  The digests were recorded before the full-precision
 layered route for small reductions existed; reports must not depend on the
 Smith engine.  The quadratic digests were recorded while every reduction over
-Z_p[x]/(x^2 - nu) still ran the Python engine.
+Z_p[x]/(x^2 - nu) still ran the Python engine.  The level-3 digests at p = 7
+and those of p = 5 draws 10 and 12 cover the modules of the benchmark's
+``classify_p7`` and ``verify_p5`` workloads (draw 10 carries its largest
+reductions); they were recorded while relation entries were still divided by
+``weierstrass_divide`` and pivot inverses lifted by split products only.
 """
 
 import hashlib
@@ -29,8 +33,12 @@ DIGESTS = {
     (5, 1, 3, "verify"): "6a4774e6330a7adefb3191c586655939719e6781eaf94272858f699938292e2d",
     (5, 8, 3, "classify"): "3afa678e63b2f267e7066d6f6bbb0ea8c48febc57e7f1a61af7efb7ccca06466",
     (5, 8, 3, "verify"): "594010e8d72c22ff42a88f5383aaef7f6aeeec647ccbded3dcdb31b294b1e4fa",
+    (5, 10, 3, "verify"): "7b5a33b7934b91ccd097104d34698d4fa363639acf14a97041b4b93e32ccb051",
+    (5, 12, 3, "verify"): "d45989e6f53c77624e9e3339161383cc97893f4ee36df240acfd81ed0f74a83d",
     (7, 0, 2, "classify"): "1b61718dc16ebe6b67439dde3559a532186831638214bd20d06c381b09ddc933",
     (7, 0, 2, "verify"): "0fddcf2d1b9446bd78f0e3f4611fe6bfd1338d47ea7dbcf438cd690cb7b4da0e",
+    (7, 0, 3, "classify"): "8c3a06891fa63a4d6938c5a1ee2db2d3f7aade7d9bfcc93861a1d5ad832afe79",
+    (7, 1, 3, "classify"): "d85c5d5e05e976927880b0354053dd3ae870c3af9691eb4bb4089c7d6e4513e9",
     (7, 8, 2, "classify"): "d595ecab70d4eb664f9a977a7baf62606e6d5655deba7d196be3d3d2fb63ffb9",
     (7, 8, 2, "verify"): "2cf782487ef5d6fc65aee7979ba133c6888ec7fd3bb58d4a23fa6b1619276c96",
 }

@@ -9,6 +9,7 @@ from finemw.polynomials import IwasawaPoly, cyclotomic, phi_degree, weierstrass_
 from finemw.presentations import (
     FinLevelModule,
     ModulePresentation,
+    _LevelSource,
     _level_smith,
     check_level_budget,
     coinvariants,
@@ -20,7 +21,7 @@ from finemw.presentations import (
     presentation_to_json,
     transition_check,
 )
-from finemw.snf import smith_normal_form
+from finemw.snf import has_deep_entries, smith_normal_form
 from oracles import component_rank_oracle, expand_exact, integer_smith_p_exponents
 
 RING = CoefficientRing(5, 1, 24)
@@ -403,3 +404,62 @@ def test_quadratic_phi_component_ranks():
     assert phi_component_ranks(cyclic_module(RINGQ, cyclotomic(RINGQ, 1)), 1) == [0, 4]
     assert phi_component_ranks(free_module(RINGQ, 1), 1) == [1, 4]
     assert phi_component_ranks(cyclic_module(RINGQ, Tq), 2) == [1, 0, 0]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_reduced_entry_matches_weierstrass_remainder(p):
+    # relation entries of degree q to 4q are divided by the integer long
+    # division (at 7^24 past int64); weierstrass_divide on ring elements
+    # stays the referee.  It divides over the quadratic ring, and coordinate
+    # plane 0 of its remainder is the remainder over Z_p of plane 0.  At
+    # p = 7 the level-3 moduli (q = 343 and 294) take entries up to 2q only:
+    # the referee costs about q^2 ring operations per q of degree.
+    rings = [CoefficientRing(p, 1, 24), CoefficientRing(p, 2, 24)]
+    rng = random.Random(p)
+    for level, component in [(n, None) for n in range(4)] + [(3, j) for j in range(4)]:
+        modulus = FinLevelModule(free_module(rings[1], 1), level, component).modulus_poly
+        q = modulus.degree()
+        tops = (q, q + 1, 2 * q) + ((4 * q,) if p == 5 or level < 3 else ())
+        polys = [IwasawaPoly(rings[1], [[rng.randrange(rings[1].modulus) for _ in range(2)]
+                                        for _ in range(top + 1)])
+                 for top in tops]
+        # remainders with trailing zero coefficients, and none at all
+        unit = IwasawaPoly.constant(rings[1], [3, 1])
+        polys += [modulus * unit + unit, modulus * unit]
+        coords = [[a.coords for a in f.coefficients] for f in polys]
+        remainders = [weierstrass_divide(f, modulus)[1] for f in polys]
+        for ring in rings:
+            d = ring.unramified_degree
+            entries = [IwasawaPoly(ring, [c[:d] for c in f]) for f in coords]
+            fin = FinLevelModule(ModulePresentation(ring, 1, [entries]), level, component)
+            for j, rem in enumerate(remainders):
+                expect = IwasawaPoly(ring, [a.coords[:d] for a in rem.coefficients])
+                assert fin.reduced_entry(0, j) == [[a.coords[s] for a in expect.coefficients]
+                                                   for s in range(d)]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_level_source_scans_the_reduced_entry_coordinates(degree):
+    # the deep-entry test scans the reduced relation entries and the quotient
+    # columns: the coordinates of the weierstrass remainders, zeros included
+    ring = CoefficientRing(5, degree, 24)
+    rng = random.Random(37 + degree)
+
+    def poly(top, scale=1):
+        return IwasawaPoly(ring, [[rng.randrange(ring.modulus) * scale for _ in range(degree)]
+                                  for _ in range(top + 1)])
+
+    M = ModulePresentation(ring, 2, [[poly(3), poly(60, 5**15), poly(25)],
+                                     [poly(30), IwasawaPoly(ring, []), poly(99, 5**12)]])
+    fin = FinLevelModule(M, 2)
+    cols = [[tuple(rng.randrange(ring.modulus) for _ in range(degree)) for _ in range(fin.nrows)]]
+    source = _LevelSource(fin, cols)
+    expect = []
+    for row in M.relations:
+        for f in row:
+            if f.degree() >= fin.q:
+                f = weierstrass_divide(f, fin.modulus_poly)[1]
+            expect += [c for a in f.coefficients for c in a.coords]
+    expect += [c for entry in fin.reduce_ambient_column(cols[0]) for c in entry]
+    assert sorted(source.coords()) == sorted(expect)
+    assert has_deep_entries(source.coords(), 5, 11)

@@ -13,7 +13,8 @@ from finemw._kernels import (PANEL, _ObjectSplit, _PadicSplit, _exact_split, _in
                              _unit_triangular_inverse, int64_precision_cap, residue_dtype,
                              snf_int64)
 from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents, inverse_mod_p,
-                     omega_int, rank_profile_mod_p, smith_exponents_mod_prime_power)
+                     inverse_mod_prime_power, omega_int, rank_profile_mod_p,
+                     smith_exponents_mod_prime_power)
 
 RING = CoefficientRing(5, 1, 24)
 RING10 = CoefficientRing(5, 1, 10)
@@ -184,22 +185,32 @@ def test_exact_split_product_worst_case(p, W):
 LARGEST_ADMITTED = [(2, 61), (3, 38), (5, 26), (7, 21)]
 
 
-@pytest.mark.parametrize("p, w", [(5, 24)] + LARGEST_ADMITTED)
+# past int64 sums: one power beyond, 7^24, and moduli where u needs a later fold
+WIDE = [(p, w + 1) for p, w in LARGEST_ADMITTED] + [(7, 24), (5, 40), (7, 40)]
+
+
+@pytest.mark.parametrize("p, w", [(5, 24)] + LARGEST_ADMITTED + WIDE)
 def test_exact_padic_product_worst_case(p, w):
-    """Moduli too large for a whole float64 operand: both operands split."""
+    """Moduli too large for a whole float64 operand: both operands split.
+
+    Past int64 (``wide``) the groups s >= fold still sum in int64, Horner-style.
+    """
     m = p**w
+    dtype = residue_dtype(m)
     split = _exact_split(m, PANEL, p)
-    assert isinstance(split, _PadicSplit) and not split.wide  # sums in int64
-    L = np.full((3, PANEL), m - 1, dtype=np.int64)
-    K = np.full((PANEL, 5), m - 1, dtype=np.int64)
+    assert isinstance(split, _PadicSplit) and split.wide == ((p, w) in WIDE)
+    assert split.fold == {(5, 40): 2, (7, 40): 3}.get((p, w), 1)
+    L = np.full((3, PANEL), m - 1, dtype=dtype)
+    K = np.full((PANEL, 5), m - 1, dtype=dtype)
     exact = (L.astype(object) @ K.astype(object)) % m
     assert (_mulmod(L, K, m, p) == exact).all()
-    split = _exact_split(m, PANEL, p)
-    X0 = np.full((3, 5), m - 1, dtype=np.int64)
+    X0 = np.full((3, 5), m - 1, dtype=dtype)
     assert (split.mul_sub(L, split.digits(K), X0=X0) == (X0.astype(object) - exact) % m).all()
     rng = np.random.default_rng(w)
-    L = rng.integers(m - m // 7, m, size=(4, PANEL))
-    K = rng.integers(0, m, size=(PANEL, 6))
+    L = np.array([[m - 1 - int(x) * (m // 7) // 2**62 for x in row]
+                  for row in rng.integers(0, 2**62, size=(4, PANEL))], dtype=dtype)
+    K = np.array([[int(x) * m // 2**62 for x in row]
+                  for row in rng.integers(0, 2**62, size=(PANEL, 6))], dtype=dtype)
     assert (_mulmod(L, K, m, p) == (L.astype(object) @ K.astype(object)) % m).all()
 
 
@@ -409,6 +420,69 @@ def test_pivot_block_inverse_lifts_to_the_working_precision():
         assert X.dtype == residue_dtype(m) and all(type(x) is int for x in X.ravel().tolist())
         assert ((G.astype(object) @ X.astype(object)) % m
                 == np.eye(len(rows), dtype=object)).all()
+
+
+def _unit_block(rng, p, w, s):
+    """A random s x s matrix mod p^w, invertible mod p, with entries near p^w."""
+    m = p**w
+    while True:
+        G = [[m - 1 - int(x) * (m // 7) // 2**62 for x in row]
+             for row in rng.integers(0, 2**62, size=(s, s))]
+        try:
+            inverse_mod_p(G, p)
+        except StopIteration:  # no unit pivot left: singular mod p
+            continue
+        return G
+
+
+@pytest.fixture
+def split_moduli(monkeypatch):
+    """The moduli of the Newton steps that take split products, as ``_inv_mod`` runs."""
+    moduli = []
+    exact_split = _kernels._exact_split
+    monkeypatch.setattr(_kernels, "_exact_split",
+                        lambda k, inner, p: moduli.append(k) or exact_split(k, inner, p))
+    return moduli
+
+
+@pytest.mark.parametrize("s", [1, 2, 63, 64])
+@pytest.mark.parametrize("p, w, split", [
+    (5, 13, False), (7, 11, False),  # every Newton step in float64
+    (5, 24, True), (7, 21, True),  # the last step by split products
+    (7, 24, True),  # Python-integer residues
+])
+def test_pivot_block_inverse_matches_python_integers(p, w, split, s, split_moduli):
+    m = p**w
+    rng = np.random.default_rng(100 * w + s)
+    blocks = [_unit_block(rng, p, w, s)]
+    if (s + 1) % p:  # m - 1 off the diagonal, m - 2 on it: -(J + I) mod p
+        blocks.append([[m - 1 - int(i == j) for j in range(s)] for i in range(s)])
+    for G in blocks:
+        split_moduli.clear()
+        X = _inv_mod(np.array(G, dtype=residue_dtype(m)),
+                     np.array(inverse_mod_p(G, p), dtype=np.float64), p, m)
+        assert X.dtype == residue_dtype(m)
+        assert X.tolist() == inverse_mod_prime_power(G, p, w)
+        assert split_moduli == ([m] if split else [])
+
+
+@pytest.mark.parametrize("p, after, s", [(8191, 8209, 1), (2887, 2897, 64)])
+def test_pivot_block_inverse_at_the_float64_edge(p, after, s, split_moduli):
+    # at p^4 every Newton step runs in float64, and the last one starts at
+    # k = p^2 with s k (k + 1) just below 2^52; at the next prime that step
+    # takes split products
+    k = p * p
+    assert s * k * (k + 1) < 1 << 52 <= s * after**2 * (after**2 + 1)
+    rng = np.random.default_rng(p)
+    for q in (p, after):
+        m = q**4
+        for G in ([[m - 1 - int(i == j) for j in range(s)] for i in range(s)],
+                  _unit_block(rng, q, 4, s)):
+            split_moduli.clear()
+            X = _inv_mod(np.array(G, dtype=np.int64),
+                         np.array(inverse_mod_p(G, q), dtype=np.float64), q, m)
+            assert X.tolist() == inverse_mod_prime_power(G, q, 4)
+            assert split_moduli == ([] if q == p else [m])
 
 
 def _dense_u(res):
