@@ -10,7 +10,6 @@ on the nose), and the suite checks that classification recovers the recipe.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import FinemwError, ResourceLimitError, ValidationError
@@ -309,6 +308,10 @@ def roundtrip_suite(p: int, instances: int, n_max: int | None = None, seed: int 
     arglist = [(p, n_max, seed * 1_000_003 + idx, steps, precision, checks)
                for idx in range(instances)]
     if jobs and jobs > 1 and instances > 1:
+        # imported here: the worker pool's modules cost every other command
+        # about 1 MB of resident memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_worker, arglist, chunksize=2))
     else:

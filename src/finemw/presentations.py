@@ -8,27 +8,37 @@ cokernel of an ordinary matrix, which Smith reduction then diagonalizes.  The
 omega_n multiples of the generators reduce to exact zero columns in this
 basis, so they are kept implicit.
 
-Every reduction modulo omega_n or Phi_j is one integer long division
-(``_poly_rem``) by T^q = sum wrap_k T^k: both moduli have rational-integer
-coefficients, so each coordinate of an O-polynomial divides on its own, in
-the relation entries (``reduced_entry``) as in the ambient columns.  One
-builder, ``FinLevelModule._expansion``, writes the expanded matrix mod m as
-one preallocated array per coordinate; ``matrix_int64`` reads it at the
-reduction's modulus and ``matrix_coords`` zips the coordinates into tuples
-at p^N.  The T-action and the transition maps use the same division.
+Every reduction modulo omega_n or Phi_j is one exact product with a power
+table (``_remainders``): with T^(q+k) = sum_i R[k, i] T^i, the remainder of
+y is y[:q] + y[q:] R.  Both moduli have rational-integer coefficients, so
+each coordinate of an O-polynomial divides on its own, and one product
+divides every relation entry of a level (``reduced_entry``), every
+generator segment of every ambient column (``reduce_columns``), or a
+T-shifted vector (``t_apply``).  One builder, ``FinLevelModule._expansion``,
+writes the expanded matrix mod m as one preallocated array per coordinate;
+``matrix_int64`` reads it at the reduction's modulus and ``matrix_coords``
+zips the coordinates into tuples at p^N.
+
+The Phi_j-component ranks take no expansion over Z_p.  Modulo Phi_j the
+module is the cokernel of the g x (c + k) matrix of the relations and the k
+quotient columns over O_j = Z_p[T]/Phi_j, a discrete valuation ring with
+uniformizer T (p at j = 0), and ``component_ranks_against`` counts its
+Smith invariants by elimination over O_j (``_dvr_pivots``), whose products
+are the same split products with the table of Phi_j.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import snf
-from ._kernels import residue_dtype
+from ._kernels import _exact_split, _single_blas_thread, residue_dtype
 from .errors import ResourceLimitError, ValidationError
 from .padics import CoefficientRing
-from .polynomials import IwasawaPoly, cyclotomic, hard_max_level, omega
+from .polynomials import IwasawaPoly, cyclotomic, hard_max_level, omega, phi_degree
 from .polynomials import weierstrass_divide  # noqa: F401  perfbench's BINDINGS resolve it here
 
 ROW_BUDGET_FACTOR = 4
@@ -125,17 +135,17 @@ def check_level_budget(pres: ModulePresentation, n: int):
             f"expansion needs {entries} entries > budget {budget**2}")
 
 
-def _wrap_vector(ring, h: IwasawaPoly):
-    """Coefficients of T^deg(h) modulo the monic h, as integers -h_k.
+@functools.lru_cache(maxsize=None)
+def _modulus(ring, level, component):
+    """omega_level, or Phi_component when one is given, and its wrap.
 
-    Both omega_n and the cyclotomic factors are built from rational integers,
-    so the wrap stays a scalar list for every coefficient ring.
+    The wrap lists the coefficients of T^q modulo the monic modulus h of
+    degree q, as integers -h_k mod p^N.  Both omega_n and the cyclotomic
+    factors are built from rational integers, so the wrap stays a scalar
+    tuple for every coefficient ring.
     """
-    pn = ring.modulus
-    wrap = []
-    for k in range(h.degree()):
-        wrap.append((-h.coefficient(k).coords[0]) % pn)
-    return wrap
+    h = omega(ring, level) if component is None else cyclotomic(ring, component)
+    return h, tuple(-h.coefficient(k).coords[0] % ring.modulus for k in range(h.degree()))
 
 
 class FinLevelModule:
@@ -144,9 +154,13 @@ class FinLevelModule:
     With ``component=None`` the expansion is modulo omega_n: the documented
     matrix has shape (g*q) x ((cols+g)*q), where the omega block is
     identically zero in the reduced basis and stays implicit.  With
-    ``component=j`` (j <= level) the expansion is modulo Phi_j, which
-    realizes M/Phi_j M; its free rank is the Phi_j-component rank of the
-    rationalized level-n coinvariants because (omega_n, Phi_j) = (Phi_j).
+    ``component=j`` (j <= level) the modulus is Phi_j, which realizes
+    M/Phi_j M, whose rank is the Phi_j-component rank of the rationalized
+    level-n coinvariants because (omega_n, Phi_j) = (Phi_j).  The component
+    ranks read its relation entries and its reduction of the level-n
+    quotient columns as a matrix over Z_p[T]/Phi_j (``component_matrix``);
+    its Z_p-expansion (``matrix_int64``, ``matrix_coords``) serves only as
+    the tests' referee.
     """
 
     def __init__(self, pres: ModulePresentation, level: int, component: int | None = None):
@@ -157,13 +171,9 @@ class FinLevelModule:
         self.level = level
         self.component = component
         self.ring = pres.ring
-        if component is None:
-            self.modulus_poly = omega(pres.ring, level)
-        else:
-            self.modulus_poly = cyclotomic(pres.ring, component)
+        self.modulus_poly, self._wrap = _modulus(pres.ring, level, component)
         self.q = self.modulus_poly.degree()
-        self._wrap = _wrap_vector(pres.ring, self.modulus_poly)
-        self._reduced = {}  # (i, j) -> reduced relation entry, one list per coordinate
+        self._reduced = None  # reduced relation entries, one list per coordinate
 
     @property
     def nrows(self) -> int:
@@ -180,13 +190,15 @@ class FinLevelModule:
     def t_apply(self, vec):
         """Multiply an ambient coordinate vector (length g*q) by T.
 
-        T v has degree <= q < p^(n+1): a column in the omega_(n+1) basis.
+        Each generator's T v has degree <= q, so its remainder takes one row
+        of the power table: T^q mod the modulus.
         """
-        q, width = self.q, self.ring.prime ** (self.level + 1)
-        shifted = []
-        for i in range(self.presentation.generators):
-            shifted += [0, *vec[i * q:(i + 1) * q]] + [0] * (width - q - 1)
-        return snf.plain(self.reduce_ambient_column(shifted), self.ring)
+        ring, q = self.ring, self.q
+        planes = _column_planes([vec], ring, ring.modulus).reshape(-1, q)
+        shifted = np.zeros((planes.shape[0], q + 1), dtype=planes.dtype)
+        shifted[:, 1:] = planes
+        out = self._remainders(shifted, ring.modulus).reshape(ring.unramified_degree, -1)
+        return snf.plain(list(zip(*out.tolist())), ring)
 
     def omega_annihilates(self, vec) -> bool:
         """Check (1+T)^(p^n) - 1 kills the vector, exactly at precision."""
@@ -204,45 +216,75 @@ class FinLevelModule:
         """Relation entry (i, j) modulo the expansion modulus, as integer coordinate planes.
 
         Plane s lists coordinate s of each coefficient, constant term first,
-        without trailing zero coefficients.  An entry of degree >= q is
-        divided once, each plane by ``_poly_rem``.
+        without trailing zero coefficients.  On first use the entries of
+        degree >= q are divided, all of them in one ``_remainders``.
         """
-        planes = self._reduced.get((i, j))
-        if planes is None:
-            coefficients = self.presentation.relations[i][j].coefficients
-            planes = [[a.coords[s] for a in coefficients]
-                      for s in range(self.ring.unramified_degree)]
-            if len(coefficients) > self.q:
-                planes = [_poly_rem(c, self.q, self._wrap, self.ring.modulus) for c in planes]
-                while planes[0] and not any(c[-1] for c in planes):
-                    for c in planes:
-                        c.pop()
-            self._reduced[i, j] = planes
-        return planes
+        if self._reduced is None:
+            self._reduced = self._reduce_entries()
+        return self._reduced[i][j]
 
-    def reduce_ambient_column(self, col):
-        """Reduce an ambient column into this expansion's basis, as coordinate tuples.
+    def _reduce_entries(self):
+        d, m = self.ring.unramified_degree, self.ring.modulus
+        entries = [f.coefficients for row in self.presentation.relations for f in row]
+        Y = np.zeros((d * len(entries), max([self.q] + [len(f) for f in entries])),
+                     dtype=residue_dtype(m))
+        for k, f in enumerate(entries):
+            for s in range(d):
+                Y[d * k + s, :len(f)] = [a.coords[s] for a in f]
+        Y = self._remainders(Y, m).tolist()
+        planes = [Y[d * k:d * (k + 1)] for k in range(len(entries))]
+        for entry in planes:
+            while entry[0] and not any(c[-1] for c in entry):
+                for c in entry:
+                    c.pop()
+        c = self.presentation.num_relations
+        return [planes[i * c:(i + 1) * c] for i in range(self.presentation.generators)]
 
-        The column has q coefficients per generator (this basis) or p^k (the
-        omega_k basis of a level k >= this level, which the modulus divides):
-        quotient columns in omega_n coordinates, and the level-(n+1) vectors
-        that ``transition_check`` pushes down to level n.
+    def reduce_columns(self, columns, m=None):
+        """Reduce ambient columns into this expansion's basis, all with one exact product.
+
+        ``columns`` lists ambient columns, or holds their coordinate planes
+        mod m as an array of shape (d, K, L), as this method returns them.
+        A column has q coefficients per generator (this basis) or p^k (the
+        omega_k basis of a level k >= this level, which the modulus
+        divides): quotient columns in omega_n coordinates, and the
+        level-(n+1) vectors that ``transition_check`` pushes down to level
+        n.  Returns the planes (d, K, g*q) of the remainders mod m, by
+        default the ring's p^N: every generator segment of every column is
+        one row of ``_remainders``.
         """
-        ring, g = self.ring, self.presentation.generators
-        width = len(col) // g if g else self.q
+        ring, g, q = self.ring, self.presentation.generators, self.q
+        m = ring.modulus if m is None else m
+        d = ring.unramified_degree
+        if not len(columns):
+            return np.zeros((d, 0, g * q), dtype=residue_dtype(m))
+        planes = _column_planes(columns, ring, m)
+        K, L = planes.shape[1:]
+        width = L // g if g else q
         k = self.level
         while ring.prime**k < width:
             k += 1
-        if len(col) != g * width or width not in (self.q, ring.prime**k):
+        if L != g * width or width not in (q, ring.prime**k):
             raise ValidationError("extra column has wrong length")
-        pad = (0,) * (ring.unramified_degree - 1)
-        out = []
-        for i in range(g):
-            seg = [x if isinstance(x, tuple) else (x,) + pad
-                   for x in col[i * width:(i + 1) * width]]
-            out.extend(zip(*(_poly_rem(c, self.q, self._wrap, ring.modulus)
-                             for c in zip(*seg))))
-        return out
+        return self._remainders(planes.reshape(d * K * g, width), m).reshape(d, K, g * q)
+
+    def reduce_ambient_column(self, col):
+        """Reduce one ambient column into this expansion's basis, as coordinate tuples."""
+        return list(zip(*(plane[0].tolist() for plane in self.reduce_columns([col]))))
+
+    def _remainders(self, Y, m):
+        """The rows of Y, polynomials mod m of at least q coefficients, reduced mod the modulus.
+
+        With T^(q+k) = sum_i R[k, i] T^i the remainder of a row y is
+        y[:q] + y[q:] R, one exact split product for all rows together.
+        """
+        q = self.q
+        if Y.shape[1] == q:
+            return Y
+        _single_blas_thread()  # thin products, as in the Smith kernel
+        split, digits = _power_table(tuple(w % m for w in self._wrap), m,
+                                     Y.shape[1] - q, self.ring.prime)
+        return split.mul_sub(Y[:, q:], digits, X0=Y[:, :q])
 
     def matrix_int64(self, working_exponent, extra_columns=()):
         """Relation block plus optional columns as a Z_p-matrix mod p^W.
@@ -268,8 +310,8 @@ class FinLevelModule:
         coordinate s of every entry, as ``residue_dtype(m)``.
         """
         g, c, q = self.presentation.generators, self.presentation.num_relations, self.q
-        columns = [self.reduce_ambient_column(col) for col in extra_columns]
-        planes = [np.zeros((g * q, c * q + len(columns)), dtype=residue_dtype(m))
+        columns = self.reduce_columns(extra_columns, m)
+        planes = [np.zeros((g * q, c * q + columns.shape[1]), dtype=residue_dtype(m))
                   for _ in range(self.ring.unramified_degree)]
         wrap = [w % m for w in self._wrap]
         for i in range(g):
@@ -278,25 +320,77 @@ class FinLevelModule:
                     if any(coeffs):
                         plane[i * q:(i + 1) * q, j * q:(j + 1) * q] = _mult_matrix(
                             coeffs, q, wrap, m)
-        for k, col in enumerate(columns):
-            for s, plane in enumerate(planes):
-                plane[:, c * q + k] = [x[s] % m for x in col]
+        for plane, cols in zip(planes, columns):
+            plane[:, c * q:] = cols.T
         return planes
 
+    def component_matrix(self, columns, m):
+        """The relation block and the columns mod (Phi_j, m) as a matrix over O_j.
 
-def _poly_rem(coeffs, q, wrap, m):
-    """Remainder mod m of the integer polynomial ``coeffs`` by the monic modulus.
+        An array of shape (g, c + K, q): entry (i, k) holds the q
+        coefficients of an element of O_j = Z_p[T]/Phi_j.  ``columns`` are
+        ambient columns, as ``reduce_columns`` takes them.  Over
+        the quadratic ring it is the regular representation over O_j
+        (``snf.regular_representation``), of shape (2g, 2(c + K), q).
+        """
+        g, c, q = self.presentation.generators, self.presentation.num_relations, self.q
+        d = self.ring.unramified_degree
+        cols = self.reduce_columns(columns, m)
+        K = cols.shape[1]
+        A = np.zeros((d, g, c + K, q), dtype=residue_dtype(m))
+        for i in range(g):
+            for j in range(c):
+                for s, coeffs in enumerate(self.reduced_entry(i, j)):
+                    A[s, i, j, :len(coeffs)] = [x % m for x in coeffs]
+        A[:, :, c:] = cols.reshape(d, K, g, q).transpose(0, 2, 1, 3)
+        return snf.regular_representation(A, self.ring, m)
 
-    The modulus has degree q and T^q = sum wrap_k T^k; long division from the
-    top coefficient down, on Python integers.
+
+def _column_planes(columns, ring, m):
+    """Ambient columns as coordinate planes mod m, an array of shape (d, K, L).
+
+    An array is taken as such planes already and only reduced mod m.
     """
-    c = [int(x) for x in coeffs] + [0] * (q - len(coeffs))
-    for t in range(len(c) - 1, q - 1, -1):
-        top = c[t] % m
+    if isinstance(columns, np.ndarray):
+        return columns % m
+    d = ring.unramified_degree
+    if len({len(col) for col in columns}) > 1:
+        raise ValidationError("extra column has wrong length")
+    if d == 1 and not (columns[0] and isinstance(columns[0][0], tuple)):
+        planes = np.array(columns, dtype=object).reshape(1, len(columns), -1)
+    else:
+        pad = (0,) * (d - 1)
+        planes = np.array([[x if isinstance(x, tuple) else (x,) + pad for x in col]
+                           for col in columns], dtype=object)
+        planes = np.moveaxis(planes.reshape(len(columns), -1, d), 2, 0)
+    return (planes % m).astype(residue_dtype(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _power_table(wrap, m, rows, p):
+    """The exact product scheme mod m for ``rows`` terms, and the digits of -R mod m.
+
+    ``wrap`` gives T^q = sum wrap_i T^i mod the monic modulus of degree q,
+    and row k of R holds T^(q+k) mod the modulus: row k + 1 is row k times
+    T, its top coefficient wrapped.  Each step adds top * wrap, a product
+    of two residues: int64 while that cannot overflow, Python integers
+    beyond, as in ``_mult_matrix``.  ``_remainders`` and the products in
+    O_j take the table, from which ``split.mul_sub(Y[:, q:], digits,
+    X0=Y[:, :q])`` is y[:q] + y[q:] R.  The cached digits are shared by
+    every caller and never written.
+    """
+    dtype = np.int64 if (m - 1) ** 2 + m < 1 << 63 else object
+    wrap = np.array(wrap, dtype=dtype)
+    R = np.empty((rows, wrap.size), dtype=dtype)
+    row = wrap
+    for k in range(rows):
+        R[k] = row
+        top = int(row[-1])
+        row = np.concatenate(([0], row[:-1]))
         if top:
-            for k, w in enumerate(wrap):
-                c[t - q + k] += top * w
-    return [x % m for x in c[:q]]
+            row = (row + top * wrap) % m
+    split = _exact_split(m, max(1, rows), p)
+    return split, split.digits((-R % m).astype(residue_dtype(m)))
 
 
 def _mult_matrix(coeffs, q, wrap, m):
@@ -384,27 +478,33 @@ def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
     Runs ``snf.reduce`` with U tracked when ``with_transforms`` is set, aiming
     at an answer exact at p^min(N, precision_cap).
     """
-    target = None
-    if precision_cap is not None:
-        if precision_cap < 4:
-            raise ValidationError(f"working precision {precision_cap} too low")
-        target = min(fin.ring.precision_exponent, precision_cap)
     return snf.reduce(_LevelSource(fin, extra_columns), fin.ring,
-                      with_transforms, target)
+                      with_transforms, _target_exponent(fin.ring, precision_cap))
+
+
+def _target_exponent(ring, precision_cap):
+    """The precision t of an answer exact at p^t: N, or min(N, precision_cap)."""
+    if precision_cap is None:
+        return ring.precision_exponent
+    if precision_cap < 4:
+        raise ValidationError(f"working precision {precision_cap} too low")
+    return min(ring.precision_exponent, precision_cap)
 
 
 class _LevelSource:
     """A level expansion and its quotient columns as a Smith source.
 
-    The columns are reduced into the expansion's basis once, here.  The
-    deep-entry test scans the relation coefficients and every coordinate of
-    the reduced columns.
+    The columns are reduced into the expansion's basis once, here, as the
+    coordinate planes that ``reduce_columns`` returns.  The deep-entry test
+    scans the relation coefficients and every coordinate of the reduced
+    columns.
     """
 
     def __init__(self, fin: FinLevelModule, extra_columns):
         self.fin = fin
-        self.columns = [fin.reduce_ambient_column(col) for col in extra_columns]
-        self.shape = (fin.nrows, fin.presentation.num_relations * fin.q + len(self.columns))
+        self.columns = fin.reduce_columns(extra_columns)
+        self.shape = (fin.nrows,
+                      fin.presentation.num_relations * fin.q + self.columns.shape[1])
 
     def matrix_int64(self, working_exponent):
         return self.fin.matrix_int64(working_exponent, extra_columns=self.columns)
@@ -418,9 +518,7 @@ class _LevelSource:
             for j in range(fin.presentation.num_relations):
                 for plane in fin.reduced_entry(i, j):
                     yield from plane
-        for col in self.columns:
-            for entry in col:
-                yield from entry
+        yield from self.columns.ravel().tolist()
 
 
 def phi_component_ranks(M: ModulePresentation, n: int, extra_columns=(),
@@ -431,8 +529,10 @@ def phi_component_ranks(M: ModulePresentation, n: int, extra_columns=(),
     c_j is the rank of ker(Phi_j(T)) on the free part of M_{Gamma_n}, or of
     its quotient by ambient ``extra_columns``.  Since Phi_j divides omega_n,
     quotienting the level-n module by the Phi_j-action columns is the same
-    as expanding the presentation modulo Phi_j, so c_j is the free rank of
-    that smaller Smith reduction.  The components must sum to the free rank
+    as reducing the presentation modulo Phi_j, so c_j is the Z_p-free rank
+    of M/Phi_j M: phi(p^j) times the free rank over O_j = Z_p[T]/Phi_j,
+    from a g-row elimination over that discrete valuation ring
+    (``component_ranks_against``).  The components must sum to the free rank
     of the coinvariants, or to ``base_free_rank`` when given (the
     unquotiented free rank checks that the columns did not move the rank);
     a mismatch signals a precision failure and raises.
@@ -455,14 +555,179 @@ def check_component_sum(ranks, free_rank: int, n: int):
 
 def component_ranks_against(M: ModulePresentation, n: int, extra_columns=(),
                             precision_cap=None) -> list:
-    """Component ranks c_0..c_n, optionally of a quotient by ambient columns."""
+    """Component ranks c_0..c_n, optionally of a quotient by ambient columns.
+
+    Modulo Phi_j the module is the cokernel of the g x (c + k) matrix of the
+    relations and the k columns over O_j = Z_p[T]/Phi_j (``component_matrix``),
+    a discrete valuation ring of rank q = phi(p^j) over Z_p.  With r its
+    Smith invariants below the precision p^t = T^(q t) (``_dvr_pivots``),
+    c_j = q (g - r); t is N, or ``precision_cap`` when given.  Over O the
+    elimination runs on the regular representation over O_j, which has
+    every invariant twice, so r is halved.
+    """
+    ring, g = M.ring, M.generators
+    t = _target_exponent(ring, precision_cap)
+    m = ring.prime**t
+    _single_blas_thread()  # thin products, as in the Smith kernel
+    extra_columns = tuple(extra_columns)
+    columns = _column_planes(extra_columns, ring, m) if extra_columns else ()
     ranks = []
     for j in range(n + 1):
         fin = FinLevelModule(M, n, component=j)
-        smith = _level_smith(fin, extra_columns=tuple(extra_columns),
-                             precision_cap=precision_cap)
-        ranks.append(smith.free_rank)
+        r = _dvr_pivots(fin.component_matrix(columns, m), _component_ring(ring.prime, j, t))
+        if ring.unramified_degree == 2:
+            if r % 2:
+                raise ArithmeticError(f"realified component rank {r} is odd")
+            r //= 2
+        ranks.append(fin.q * (g - r))
     return ranks
+
+
+def _dvr_pivots(X, oj) -> int:
+    """The number of Smith invariants of X over O_j below the valuation q t.
+
+    X holds coefficient vectors mod p^t, shape (R, C, q), known mod p^t O_j
+    = T^(q t).  Each step pivots on an entry of least valuation v and
+    divides the active block exactly by p^a T^b, v = q a + b, which is T^v
+    up to a unit (``_ComponentRing.divide``), and the precision drops by v;
+    the ring is local, so the pivots' invariants come out sorted.  The
+    pivot is then a unit u, and each other row with a nonzero entry f in
+    its column becomes u row - f (pivot row): a unimodular row operation,
+    since u is a unit, so no valuation compounds and no inverse is needed.
+    An entry of valuation at or past the precision is zero.
+    """
+    precision = oj.q * oj.t
+    count = 0
+    while X.shape[0] and X.shape[1]:
+        V = oj.valuations(X)
+        i, c = divmod(int(V.argmin()), V.shape[1])
+        v = int(V[i, c])
+        if v >= precision:
+            break
+        live = np.flatnonzero(V[:, c] < precision)
+        live = live[live != i]
+        if v:
+            X = oj.divide(X, v)
+            precision -= v
+        count += 1
+        rest = np.delete(np.arange(X.shape[0]), i)
+        keep = np.delete(np.arange(X.shape[1]), c)
+        if live.size and keep.size:
+            X[np.ix_(live, keep)] = oj.eliminate(X[i, c], X[live, c], X[i, keep],
+                                                 X[np.ix_(live, keep)])
+        X = X[np.ix_(rest, keep)]
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def _component_ring(p, j, t):
+    return _ComponentRing(p, j, t)
+
+
+class _ComponentRing:
+    """Arithmetic mod p^t in O_j = Z_p[T]/Phi_j on coefficient vectors (..., q).
+
+    Phi_j is Eisenstein of degree q = phi(p^j), so O_j is a discrete
+    valuation ring with uniformizer T and p = unit T^q; the valuation of
+    sum a_i T^i is the least q v_p(a_i) + i.  At j = 0, Phi_0 = T, O_0 = Z_p
+    and the uniformizer is p.  A product of x by f is one Toeplitz product
+    of x with the shifts of f, which gives the 2q - 1 coefficients of the
+    polynomial product, and one product with the power table of Phi_j
+    (``_power_table``), which reduces them; both are exact split products
+    mod p^t.  The digits of f are taken once and laid out as its Toeplitz
+    matrix, and the table's digits are cached.
+    """
+
+    def __init__(self, p, j, t):
+        q, m = phi_degree(p, j), p**t
+        wrap = _modulus(CoefficientRing(p, 1, t), None, j)[1]
+        self.p, self.q, self.t, self.m = p, q, t, m
+        self.split = _exact_split(m, q, p)
+        if q == 1:
+            return
+        self.tail, self.table = _power_table(wrap, m, q - 1, p)
+        # e_k = p / T^k for k < q: e_1 from p = -T (T^(q-1) + c_(q-1) T^(q-2) + ... + c_1),
+        # as c_0 = p; e_(k+1) = e_k / T = (e_k[0] / p) e_1 + (e_k shifted down).  Each
+        # step divides the error of a residue mod p^t by T, so e_k is exact below
+        # T^(q t - k + 1), past the precision that a division by T^b, b >= k, leaves.
+        e1 = list(wrap[1:]) + [m - 1]
+        rows = [e1]
+        for _ in range(q - 2):
+            z = rows[-1][0] // p
+            rows.append([(x + z * y) % m for x, y in zip(rows[-1][1:] + [0], e1)])
+        quotients = np.array(rows[::-1], dtype=object)  # e_(q-1), ..., e_1
+        self.quotients = self.tail.digits((-quotients % m).astype(residue_dtype(m)))
+
+    def valuations(self, X):
+        """The valuation of every entry of X, an array of shape (..., q); q t for zero.
+
+        An entry whose coefficients are divisible by p^e but not all by
+        p^(e+1) has valuation q e + (the first index of a coefficient that
+        p^(e+1) does not divide).
+        """
+        p, q = self.p, self.q
+        Z = X.reshape(-1, q)
+        V = np.full(Z.shape[0], q * self.t, dtype=np.int64)
+        ids = np.flatnonzero((Z != 0).any(axis=1))
+        Z = Z[ids]
+        base = 0
+        while ids.size:
+            unit = Z % p != 0
+            found = unit.any(axis=1)
+            V[ids[found]] = base + unit[found].argmax(axis=1)
+            ids, Z = ids[~found], Z[~found] // p
+            base += q
+        return V.reshape(X.shape[:-1])
+
+    def divide(self, X, v):
+        """X / (p^a T^b) for X of valuation >= v = q a + b, b < q.
+
+        p^a T^b is T^v up to a unit, which leaves the Smith invariants
+        below the precision as they are.  Every coefficient is divisible
+        by p^a; then those below T^b are divisible by p, and x / T^b =
+        sum over i >= b of x_i T^(i-b) + sum over i < b of (x_i / p)
+        e_(b-i): one product with the table of the e_k = p / T^k.
+        """
+        a, b = divmod(v, self.q)
+        if a:
+            X = X // self.p**a
+        if b:
+            R, C, q = X.shape
+            shifted = np.zeros_like(X)
+            shifted[..., :q - b] = X[..., b:]
+            low = (X[..., :b] // self.p).reshape(R * C, b)
+            X = self.tail.mul_sub(low, [d[q - 1 - b:] for d in self.quotients],
+                                  X0=shifted.reshape(R * C, q)).reshape(R, C, q)
+        return X
+
+    def eliminate(self, u, F, P, X):
+        """u X[l] - F[l] P for every row l, over O_j: shape (L, C, q) like X."""
+        L, C, q = X.shape
+        split, w = self.split, 2 * q - 1
+        Y = split.mul_sub(P, [_toeplitz(d) for d in split.digits(F)])  # -F[l] P
+        Y = Y.reshape(C, L, w).transpose(1, 0, 2).reshape(L * C, w)
+        Y = split.mul_sub(X.reshape(L * C, q),
+                          [_toeplitz(d) for d in split.digits((-u % self.m)[None])], X0=Y)
+        if q > 1:
+            Y = self.tail.mul_sub(Y[:, q:], self.table, X0=Y[:, :q])
+        return Y.reshape(L, C, q)
+
+
+def _toeplitz(F):
+    """The shifts of each row of F (L x q) side by side: a q x L(2q - 1) matrix.
+
+    Block l has F[l] shifted right by b in row b, so x @ block l holds the
+    2q - 1 coefficients of the polynomial product of x and F[l]: a strided
+    view of the zero-padded rows, read from column q - 1 - b of the padding
+    onwards, copied once.
+    """
+    L, q = F.shape
+    G = np.zeros((L, 3 * q - 2), dtype=F.dtype)
+    G[:, q - 1:2 * q - 1] = F
+    row, step = G.strides
+    shifts = np.lib.stride_tricks.as_strided(G[:, q - 1:], shape=(q, L, 2 * q - 1),
+                                             strides=(-step, row, step), writeable=False)
+    return shifts.reshape(q, L * (2 * q - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -274,11 +274,13 @@ def regular_representation(planes, ring, m):
     plane 0.  Over the quadratic ring entry (i, j) = a + b x becomes rows
     2i, 2i + 1 and columns 2j, 2j + 1 of a 2R x 2C matrix: the block
     [[a, nu b], [b, a]] of multiplication by a + b x on the basis (1, x).
+    An entry may be a vector along trailing axes, such as the coefficients
+    of an element of Z_p[T]/Phi_j, on which nu b acts coefficientwise.
     """
     if ring.unramified_degree == 1:
         return planes[0]
     a, b = planes
-    A = np.empty((2 * a.shape[0], 2 * a.shape[1]), dtype=a.dtype)
+    A = np.empty((2 * a.shape[0], 2 * a.shape[1], *a.shape[2:]), dtype=a.dtype)
     A[0::2, 0::2] = A[1::2, 1::2] = a
     A[1::2, 0::2] = b
     # nu b leaves int64 for larger primes (p = 17 at 17^15 is admitted)

@@ -117,9 +117,9 @@ class StructureAnalysis:
     def phi_ranks(self) -> list:
         """Phi_j-component ranks c_0..c_{n_max} of the unquotiented module.
 
-        The expansion modulo Phi_j does not depend on the level n >= j, so
-        one pass at n_max serves every level: level n reads the prefix
-        c_0..c_n.
+        M/Phi_j M, a g-row matrix over Z_p[T]/Phi_j, does not depend on the
+        level n >= j, so one call at n_max serves every level: level n reads
+        the prefix c_0..c_n.
         """
         if self._phi_ranks is None:
             self._phi_ranks = presentations.component_ranks_against(self.presentation,

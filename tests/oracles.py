@@ -333,3 +333,36 @@ def smith_exponents_mod_prime_power(rows, p, w):
                 row[:] = [(a - f * b) % m for a, b in zip(row, pivot_row)]
         exps.append(v)
     return sorted(exps)
+
+
+def component_ranks_zp(M, n, extra_columns=(), precision=None):
+    """Referee for the Phi_j-component ranks c_0..c_n: Smith forms over Z_p.
+
+    c_j is the free rank of M/Phi_j M, quotiented by the ambient columns, as
+    a module over the coefficient ring at precision p^t (t = N, or
+    ``precision``).  The package expands it over Z_p
+    (``FinLevelModule(M, n, component=j).matrix_coords``); here the
+    quadratic ring is realified by the blocks [[a, nu b], [b, a]] and the
+    divisors mod p^t are counted by ``smith_exponents_mod_prime_power``.
+    Exponents at or past t count as free rank, so this route and the one
+    over Z_p[T]/Phi_j agree unless an invariant over Z_p[T]/Phi_j lies
+    strictly between phi(p^j)(t - 1) and phi(p^j) t.  Keep inputs small.
+    """
+    from finemw.presentations import FinLevelModule
+
+    ring = M.ring
+    t = ring.precision_exponent if precision is None else min(precision,
+                                                               ring.precision_exponent)
+    ranks = []
+    for j in range(n + 1):
+        coords = FinLevelModule(M, n, component=j).matrix_coords(list(extra_columns))
+        if ring.unramified_degree == 1:
+            rows = [[x[0] for x in row] for row in coords]
+        else:
+            rows = []
+            for row in coords:
+                rows.append([c for a, b in row for c in (a, ring.nu * b)])
+                rows.append([c for a, b in row for c in (b, a)])
+        divisors = smith_exponents_mod_prime_power(rows, ring.prime, t)
+        ranks.append((len(rows) - len(divisors)) // ring.unramified_degree)
+    return ranks

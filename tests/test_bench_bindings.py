@@ -111,3 +111,24 @@ def test_expand_spans_are_not_nested_and_count_their_entries(monkeypatch):
         assert span[5]["entries"] == shape[0] * shape[1]
     assert any(hasattr(r, "shape") for r in results)
     assert any(isinstance(r, list) for r in results)
+
+
+def test_level_smith_attributes_the_benchmark_reads():
+    # spans._level_smith_attrs reads level, component and ring.precision_exponent
+    # off _level_smith's first argument and precision_used off its result,
+    # outside BINDINGS: renaming any of them would break traced runs only
+    from finemw.polynomials import IwasawaPoly
+    from finemw.presentations import ModulePresentation, coinvariants
+
+    ring = CoefficientRing(5, 1, 24)
+    M = ModulePresentation(ring, 1, [[IwasawaPoly(ring, [5, 0, 1])]])
+    tracer = _spans_module().Tracer(finemw)
+    tracer.install()
+    try:
+        coinvariants(M, 1)
+        coinvariants(M, 1, [[1, 0, 0, 0, 0]], precision_cap=20)
+    finally:
+        tracer.uninstall()
+    spans = [s[5] for s in tracer.spans if s[0] == "presentations.level_smith"]
+    assert spans == [{"level": 1, "component": None, "extra": 0, "reduced": False},
+                     {"level": 1, "component": None, "extra": 1, "reduced": True}]

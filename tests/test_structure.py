@@ -197,19 +197,25 @@ def test_verify_reduces_each_distinct_matrix_once(name, torsion_levels, int64_tr
     from finemw import _kernels, presentations
     from finemw.cli import main
 
-    reductions, kernel_calls = [], []
+    reductions, kernel_calls, components = [], [], []
     level_smith, snf_int64 = presentations._level_smith, _kernels.snf_int64
+    ranks_against = presentations.component_ranks_against
 
     def counted_level_smith(fin, extra_columns=(), with_transforms=False, **kwargs):
         reductions.append((fin.level, fin.component, len(tuple(extra_columns)),
                            with_transforms))
         return level_smith(fin, extra_columns, with_transforms, **kwargs)
 
+    def counted_ranks_against(M, n, extra_columns=(), precision_cap=None):
+        components.append((n, len(tuple(extra_columns))))
+        return ranks_against(M, n, extra_columns, precision_cap)
+
     def counted_snf_int64(A, p, m, track):
         kernel_calls.append(track)
         return snf_int64(A, p, m, track)
 
     monkeypatch.setattr(presentations, "_level_smith", counted_level_smith)
+    monkeypatch.setattr(presentations, "component_ranks_against", counted_ranks_against)
     monkeypatch.setattr(_kernels, "snf_int64", counted_snf_int64)
     path = tmp_path / "module.json"
     path.write_text(json.dumps(presentation_to_json(VERIFY_MODULES[name])))
@@ -223,10 +229,12 @@ def test_verify_reduces_each_distinct_matrix_once(name, torsion_levels, int64_tr
 
     plain = [r[0] for r in reductions if r[1] is None and not r[2] and not r[3]]
     tracked = [r[0] for r in reductions if r[3]]
-    phi = [r[1] for r in reductions if r[1] is not None and not r[2]]
     assert plain == [0, 1, 2, 3]
     assert tracked == torsion_levels
-    assert sorted(phi) == [0, 1, 2, 3]
+    # the Phi_j components take no Smith reduction of a level expansion, and
+    # the unquotiented ranks c_0..c_3 are computed once, at n_max
+    assert all(r[1] is None for r in reductions)
+    assert [n for n, k in components if not k] == [3]
     assert sum(1 for track in kernel_calls if track) == int64_tracked
 
 
