@@ -15,9 +15,13 @@ block takes one exact product per panel.
 ``_unit_layer`` keeps the active rows and columns as sorted ids into the
 matrix instead of compacting it after every panel, and a panel's update
 touches only the rows where its multipliers are nonzero and the column
-ranges where its pivot rows are: a level expansion is banded apart from its
-wrap columns, so most of each update is exact zeros.  Gathers copy row
-segments (a row index with a column slice) in chunks, never whole rows.
+ranges where its pivot rows are.  An untracked level expansion arrives in
+T-adic echelon order (``presentations.FinLevelModule._echelon_relations``):
+mod p the first nonzero rows of its columns strictly increase, so a panel
+pivots in one run, and a pivot row of power k meets only the columns of
+powers k - deg f to k and the wrapping ones, so most of each update is
+exact zeros.  Gathers copy row segments (a row index with a column slice)
+in chunks, never whole rows.
 Products run in float64 BLAS on digit splits (``_exact_split``): one operand
 in base-2^h digits and the other whole where that is exact (two products for
 p = 5, 7 at the reduced working precision p^W), else both operands in

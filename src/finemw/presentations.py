@@ -13,11 +13,20 @@ table (``_remainders``): with T^(q+k) = sum_i R[k, i] T^i, the remainder of
 y is y[:q] + y[q:] R.  Both moduli have rational-integer coefficients, so
 each coordinate of an O-polynomial divides on its own, and one product
 divides every relation entry of a level (``reduced_entry``), every
-generator segment of every ambient column (``reduce_columns``), or a
-T-shifted vector (``t_apply``).  One builder, ``FinLevelModule._expansion``,
+generator segment of every ambient column (``reduce_columns``), the
+wrapping columns of every multiplication matrix (``_wrapped_columns``), or
+a T-shifted vector (``t_apply``).  One builder, ``FinLevelModule._expansion``,
 writes the expanded matrix mod m as one preallocated array per coordinate;
 ``matrix_int64`` reads it at the reduction's modulus and ``matrix_coords``
 zips the coordinates into tuples at p^N.
+
+Block order puts each relation's q columns side by side.  An untracked
+reduction instead takes relations with the same span over Z_p[T]/omega_n,
+put in T-adic echelon form mod p, with rows ordered by power of T and
+columns by their first nonzero row mod p (``_echelon_relations``): the
+Smith form is the same, and the kernel's updates stay in a band.  Tracked
+reductions keep the block order, whose pivots fix the torsion bases that
+reports draw from.
 
 The Phi_j-component ranks take no expansion over Z_p.  Modulo Phi_j the
 module is the cokernel of the g x (c + k) matrix of the relations and the k
@@ -161,6 +170,11 @@ class FinLevelModule:
     quotient columns as a matrix over Z_p[T]/Phi_j (``component_matrix``);
     its Z_p-expansion (``matrix_int64``, ``matrix_coords``) serves only as
     the tests' referee.
+
+    The reduced relation entries are kept as given (``reduced_entry``, which
+    the deep-entry test scans); ``matrix_int64(..., echelon=True)`` expands
+    the echelon relations instead, whose column operation mod p is found
+    once per instance.
     """
 
     def __init__(self, pres: ModulePresentation, level: int, component: int | None = None):
@@ -173,7 +187,8 @@ class FinLevelModule:
         self.ring = pres.ring
         self.modulus_poly, self._wrap = _modulus(pres.ring, level, component)
         self.q = self.modulus_poly.degree()
-        self._reduced = None  # reduced relation entries, one list per coordinate
+        self._reduced = None  # reduced relation entries: lists per coordinate, and one array
+        self._echelon = None  # the echelon column operation mod p and its keys
 
     @property
     def nrows(self) -> int:
@@ -219,26 +234,30 @@ class FinLevelModule:
         without trailing zero coefficients.  On first use the entries of
         degree >= q are divided, all of them in one ``_remainders``.
         """
-        if self._reduced is None:
-            self._reduced = self._reduce_entries()
-        return self._reduced[i][j]
+        return self._reduce_entries()[0][i][j]
+
+    def _entries(self):
+        """Every reduced relation entry mod p^N: an array of shape (d, g, c, q)."""
+        return self._reduce_entries()[1]
 
     def _reduce_entries(self):
-        d, m = self.ring.unramified_degree, self.ring.modulus
+        if self._reduced is not None:
+            return self._reduced
+        d, m, q = self.ring.unramified_degree, self.ring.modulus, self.q
+        g, c = self.presentation.generators, self.presentation.num_relations
         entries = [f.coefficients for row in self.presentation.relations for f in row]
-        Y = np.zeros((d * len(entries), max([self.q] + [len(f) for f in entries])),
+        Y = np.zeros((d * len(entries), max([q] + [len(f) for f in entries])),
                      dtype=residue_dtype(m))
         for k, f in enumerate(entries):
             for s in range(d):
                 Y[d * k + s, :len(f)] = [a.coords[s] for a in f]
-        Y = self._remainders(Y, m).tolist()
-        planes = [Y[d * k:d * (k + 1)] for k in range(len(entries))]
-        for entry in planes:
-            while entry[0] and not any(c[-1] for c in entry):
-                for c in entry:
-                    c.pop()
-        c = self.presentation.num_relations
-        return [planes[i * c:(i + 1) * c] for i in range(self.presentation.generators)]
+        Y = self._remainders(Y, m).reshape(len(entries), d, q)
+        nonzero = (Y != 0).any(axis=1)
+        tops = np.where(nonzero.any(axis=1), q - nonzero[:, ::-1].argmax(axis=1), 0)
+        planes = [entry[:, :top].tolist() for entry, top in zip(Y, tops.tolist())]
+        self._reduced = ([planes[i * c:(i + 1) * c] for i in range(g)],
+                         Y.reshape(g, c, d, q).transpose(2, 0, 1, 3))
+        return self._reduced
 
     def reduce_columns(self, columns, m=None):
         """Reduce ambient columns into this expansion's basis, all with one exact product.
@@ -286,43 +305,137 @@ class FinLevelModule:
                                      Y.shape[1] - q, self.ring.prime)
         return split.mul_sub(Y[:, q:], digits, X0=Y[:, :q])
 
-    def matrix_int64(self, working_exponent, extra_columns=()):
+    def matrix_int64(self, working_exponent, extra_columns=(), echelon=False):
         """Relation block plus optional columns as a Z_p-matrix mod p^W.
 
         Entries are ``residue_dtype`` residues: int64 while p^W <= 2^63,
         Python integers beyond.  Over the quadratic ring this is the regular
         representation of the O-matrix (``snf.regular_representation``): the
         two coordinate planes interleaved, twice as many rows and columns.
+        With ``echelon`` the relations and the order are those of
+        ``_echelon_relations``: the same cokernel, so the same Smith form.
         """
         m = self.ring.prime**working_exponent
-        return snf.regular_representation(self._expansion(m, extra_columns), self.ring, m)
+        return snf.regular_representation(self._expansion(m, extra_columns, echelon),
+                                          self.ring, m)
 
     def matrix_coords(self, extra_columns=()):
         """Full-precision expansion as rows of coordinate tuples (either degree)."""
         planes = [plane.tolist() for plane in self._expansion(self.ring.modulus, extra_columns)]
         return [list(zip(*rows)) for rows in zip(*planes)]
 
-    def _expansion(self, m, extra_columns):
+    def _expansion(self, m, extra_columns, echelon=False):
         """The relation block and the extra columns mod m, one array per coordinate.
 
         The modulus has rational-integer coefficients, so each coordinate of
         an O-polynomial is multiplied and divided on its own: plane s holds
-        coordinate s of every entry, as ``residue_dtype(m)``.
+        coordinate s of every entry, as ``residue_dtype(m)``.  Block order
+        puts generator i's q rows and relation j's q columns side by side.
+        ``echelon`` writes the relations of ``_echelon_relations`` straight
+        into the places it gives their columns, with rows power-major over
+        the h generators that some relation meets (row k h + r for T^k at
+        the r-th of them) and the rows of the others after them in block
+        order; the extra columns take the same row order.
         """
         g, c, q = self.presentation.generators, self.presentation.num_relations, self.q
         columns = self.reduce_columns(extra_columns, m)
         planes = [np.zeros((g * q, c * q + columns.shape[1]), dtype=residue_dtype(m))
                   for _ in range(self.ring.unramified_degree)]
-        wrap = [w % m for w in self._wrap]
-        for i in range(g):
-            for j in range(c):
-                for plane, coeffs in zip(planes, self.reduced_entry(i, j)):
-                    if any(coeffs):
-                        plane[i * q:(i + 1) * q, j * q:(j + 1) * q] = _mult_matrix(
-                            coeffs, q, wrap, m)
+        if echelon:
+            entries, place = self._echelon_relations(m)
+            # generators that no relation meets keep whole rows of zeros at the
+            # end, which are never written (numpy backs large arrays by huge pages)
+            live = entries.any(axis=(0, 2, 3))
+            h = int(live.sum())
+            rank = np.empty(g, dtype=np.int64)
+            rank[np.argsort(~live, kind="stable")] = np.arange(g)
+            rows = np.where(live[:, None], np.arange(q) * h + rank[:, None],
+                            rank[:, None] * q + np.arange(q))
+        else:
+            entries = (self._entries() % m).astype(residue_dtype(m))
+            rows = np.arange(g * q).reshape(g, q)
+            place = np.arange(c * q).reshape(c, q)
+        for plane, coeffs in zip(planes, entries):
+            wrapped = self._wrapped_columns(coeffs.reshape(g * c, q), m)
+            for i in range(g):
+                for j in range(c):
+                    _put_mult_matrix(plane, coeffs[i, j], wrapped[i * c + j], rows[i], place[j])
         for plane, cols in zip(planes, columns):
-            plane[:, c * q:] = cols.T
+            plane[rows.ravel(), c * q:] = cols.T
         return planes
+
+    def _wrapped_columns(self, F, m):
+        """The columns of each multiplication matrix that wrap, for the rows f of F mod m.
+
+        Column k of the multiplication-by-f matrix is the remainder of f T^k,
+        which differs from f shifted down by k only for the deg f values
+        k >= q - deg f.  Those columns of every f are one ``_remainders`` of
+        the shifted rows.  Returns one array per f, of shape (deg f, q), row
+        w holding column q - deg f + w.
+        """
+        q = self.q
+        nonzero = F != 0
+        degrees = np.where(nonzero.any(axis=1), q - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
+        Y = np.zeros((int(degrees.sum()), q + int(degrees.max(initial=0))), dtype=F.dtype)
+        row = 0
+        for f, deg in zip(F, degrees.tolist()):
+            if deg:
+                shift = np.arange(deg)[:, None]
+                Y[row + shift, q - deg + shift + np.arange(deg + 1)] = f[:deg + 1]
+                row += deg
+        return np.split(self._remainders(Y, m), np.cumsum(degrees)[:-1])
+
+    def _echelon_relations(self, m):
+        """Relations with the same span over R_n mod m, and where each expanded column goes.
+
+        Modulo p, omega_n = T^q and R_n/p = F_p[T]/T^q (over O, with
+        coefficients in O/p).  ``_echelon`` finds, on the entries mod p, a
+        column operation E over it after which the key of each relation j
+        (the least ord_T(a_ij mod p) g + i) names a generator no other key
+        names, or j has none.  Any lift of E is invertible over R_n, so the
+        relations A E mod omega_n, which this returns mod m as an array of
+        shape (d, g, c, q), span the same R_n-module.
+
+        With rows power-major, column (j, k), which is T^k times relation j,
+        has its first nonzero row mod p at T^(k + key_j // g) of generator
+        key_j mod g (zero mod p from k g + key_j >= q g on).  Keys on
+        distinct generators make these rows distinct, and k g + key_j orders
+        them, so the columns sorted by it (``place[j][k]``, its rank) have
+        strictly increasing first nonzero rows: the runs that
+        ``_kernels._panel_factor`` pivots at once.  Columns of a relation
+        without a key follow in block order.
+        """
+        if self._echelon is None:
+            self._echelon = _echelon(self._entries() % self.ring.prime, self.ring)
+        E, keys = self._echelon
+        g, c, q = self.presentation.generators, self.presentation.num_relations, self.q
+        p, d, nu = self.ring.prime, self.ring.unramified_degree, self.ring.nu
+        A = self._entries() % m
+        step = E.copy()
+        step[0, np.arange(c), np.arange(c), 0] -= 1  # A E = A + A (E - 1)
+        step %= p
+        terms = np.transpose(np.nonzero(step.any(axis=0))).tolist()
+        if terms:
+            dtype = np.int64 if p * (2 + abs(nu)) * m < 1 << 63 else object
+            A = A.astype(dtype)
+            out = np.zeros((d, g, c, 2 * q - 1), dtype=dtype)
+            out[..., :q] = A
+            for a, b, t in terms:
+                out[:, :, b, t:t + q] = (out[:, :, b, t:t + q]
+                                         + _o_scale(step[:, a, b, t].tolist(), A[:, :, a], nu)) % m
+            # only the coefficients up to the top one are divided: below deg A
+            # past T^q, so the power table stays that short
+            out = out.reshape(-1, 2 * q - 1)
+            top = np.flatnonzero(out.any(axis=0))
+            A = self._remainders(out[:, :max(q, int(top[-1]) + 1 if top.size else 0)]
+                                 .astype(residue_dtype(m)), m).reshape(d, g, c, q)
+        # column (j, k) sorts by k g + key_j, a relation without a key after all of them
+        lead = np.array([(2 + j) * q * g if key is None else key for j, key in enumerate(keys)],
+                        dtype=np.int64)
+        sort = lead[:, None] + np.arange(q) * g
+        place = np.empty(c * q, dtype=np.int64)
+        place[np.argsort(sort, axis=None, kind="stable")] = np.arange(c * q)
+        return A.astype(residue_dtype(m)), place.reshape(c, q)
 
     def component_matrix(self, columns, m):
         """The relation block and the columns mod (Phi_j, m) as a matrix over O_j.
@@ -338,10 +451,7 @@ class FinLevelModule:
         cols = self.reduce_columns(columns, m)
         K = cols.shape[1]
         A = np.zeros((d, g, c + K, q), dtype=residue_dtype(m))
-        for i in range(g):
-            for j in range(c):
-                for s, coeffs in enumerate(self.reduced_entry(i, j)):
-                    A[s, i, j, :len(coeffs)] = [x % m for x in coeffs]
+        A[:, :, :c] = self._entries() % m
         A[:, :, c:] = cols.reshape(d, K, g, q).transpose(0, 2, 1, 3)
         return snf.regular_representation(A, self.ring, m)
 
@@ -393,23 +503,94 @@ def _power_table(wrap, m, rows, p):
     return split, split.digits((-R % m).astype(residue_dtype(m)))
 
 
-def _mult_matrix(coeffs, q, wrap, m):
-    """q x q multiplication-by-f matrix on Z[T]/(modulus) mod m, f of integer ``coeffs``.
+def _put_mult_matrix(plane, coeffs, wrapped, rows, cols):
+    """Write the multiplication-by-f matrix into rows ``rows`` and columns ``cols`` of ``plane``.
 
-    Column k holds f T^k.  Each step adds top * wrap, a product of two
-    residues: int64 while that cannot overflow, Python integers beyond
-    (m >= 2^31.5).
+    f has the q residues ``coeffs``, and entry (r, k) of the matrix, the T^r
+    coefficient of f T^k modulo the modulus, goes to plane[rows[r], cols[k]].
+    Up to column q - 1 - deg f, column k is f shifted down by k: the band,
+    whose entries take one assignment into the flattened, C-contiguous
+    plane.  The deg f later columns are ``wrapped`` (``_wrapped_columns``).
+    A zero f writes nothing.
     """
-    dtype = np.int64 if (m - 1) ** 2 + m < 1 << 63 else object
-    wrap = np.array(wrap, dtype=dtype)
-    M = np.zeros((q, q), dtype=dtype)
-    M[:len(coeffs), 0] = [x % m for x in coeffs]
-    for k in range(1, q):
-        M[1:, k] = M[:-1, k - 1]
-        top = int(M[q - 1, k - 1])
-        if top:
-            M[:, k] = (M[:, k] + top * wrap) % m
-    return M
+    nonzero = np.flatnonzero(coeffs)
+    if not nonzero.size:
+        return
+    q, deg = len(coeffs), len(wrapped)
+    band = np.arange(q - deg)
+    plane.reshape(-1)[rows[nonzero[:, None] + band] * plane.shape[1] + cols[band]] = \
+        coeffs[nonzero][:, None]
+    if deg:
+        plane[rows[:, None], cols[q - deg:]] = wrapped.T
+
+
+def _o_scale(e, X, nu):
+    """e X for e in O given by its coordinates and X of shape (d, ...), coordinate planes first."""
+    if len(e) == 1:
+        return e[0] * X
+    return np.stack((e[0] * X[0] + nu * e[1] * X[1], e[0] * X[1] + e[1] * X[0]))
+
+
+def _echelon(A, ring):
+    """A column operation E mod p that puts relations mod p in T-adic echelon form.
+
+    A holds the reduced relation entries mod p, shape (d, g, c, q), as
+    elements of F_p[T]/T^q (O/p[T]/T^q over O).  Column j is read
+    power-major, entry k g + i holding the T^k coefficient of generator i,
+    and its key is its first nonzero entry.  Columns are taken in order;
+    when column b's key names the same generator as the key of a column a
+    already placed, with key_a <= key_b, column b loses the entry: b -= c
+    T^s a with s = (key_b - key_a) / g and c the ratio of the two leading
+    coefficients.  Each such step raises key_b, until it names a free
+    generator or column b has no key (it is zero mod p, mod T^q).  A column
+    with a smaller key than the placed one takes the generator and the
+    placed one is taken again.  Over O a column is scaled to a leading
+    coefficient 1 when it is placed, so that the 2 x 2 block of its
+    leading entry in the regular representation is the identity mod p.
+
+    Returns (E, keys): E of shape (d, c, c, q) with entries in [0, p), the
+    relations A E having these keys, and keys[j] an int or None.
+    """
+    p, nu = ring.prime, ring.nu
+    d, g, c, q = A.shape
+    B = np.ascontiguousarray(A.transpose(0, 2, 3, 1).reshape(d, c, q * g), dtype=np.int64)
+    E = np.zeros((d, c, c, q), dtype=np.int64)
+    E[0, np.arange(c), np.arange(c), 0] = 1
+    keys, inverse, owner = [None] * c, [None] * c, {}
+    todo = list(range(c))[::-1]
+    while todo:
+        b = todo.pop()
+        while True:
+            nonzero = B[:, b].any(axis=0)
+            if not nonzero.any():
+                keys[b] = None
+                break
+            key = int(nonzero.argmax())
+            lead = B[:, b, key]
+            a = owner.get(key % g)
+            if a is None or keys[a] > key:
+                inverse[b] = _residue_inverse(lead.tolist(), p, nu)
+                if d == 2:
+                    B[:, b] = _o_scale(inverse[b], B[:, b], nu) % p
+                    E[:, :, b] = _o_scale(inverse[b], E[:, :, b], nu) % p
+                    inverse[b] = [1, 0]
+                owner[key % g], keys[b] = b, key
+                if a is not None:
+                    todo.append(a)
+                break
+            ratio = (_o_scale(inverse[a], lead, nu) % p).tolist()
+            s = (key - keys[a]) // g
+            B[:, b, s * g:] = (B[:, b, s * g:] - _o_scale(ratio, B[:, a, :(q - s) * g], nu)) % p
+            E[:, :, b, s:] = (E[:, :, b, s:] - _o_scale(ratio, E[:, :, a, :q - s], nu)) % p
+    return E, keys
+
+
+def _residue_inverse(x, p, nu):
+    """The inverse in O/p of a unit given by its coordinates: its conjugate over its norm."""
+    if len(x) == 1:
+        return [pow(x[0], -1, p)]
+    norm = pow((x[0] ** 2 - nu * x[1] ** 2) % p, -1, p)
+    return [x[0] * norm % p, -x[1] * norm % p]
 
 
 def _entry_add(a, b, ring):
@@ -476,9 +657,10 @@ def _level_smith(fin: FinLevelModule, extra_columns=(), with_transforms=False,
     """Smith reduction of a level expansion quotiented by ambient columns.
 
     Runs ``snf.reduce`` with U tracked when ``with_transforms`` is set, aiming
-    at an answer exact at p^min(N, precision_cap).
+    at an answer exact at p^min(N, precision_cap).  Untracked, the kernel
+    reduces the expansion in echelon order; tracked, the block order.
     """
-    return snf.reduce(_LevelSource(fin, extra_columns), fin.ring,
+    return snf.reduce(_LevelSource(fin, extra_columns, echelon=not with_transforms), fin.ring,
                       with_transforms, _target_exponent(fin.ring, precision_cap))
 
 
@@ -495,19 +677,23 @@ class _LevelSource:
     """A level expansion and its quotient columns as a Smith source.
 
     The columns are reduced into the expansion's basis once, here, as the
-    coordinate planes that ``reduce_columns`` returns.  The deep-entry test
-    scans the relation coefficients and every coordinate of the reduced
-    columns.
+    coordinate planes that ``reduce_columns`` returns.  With ``echelon`` the
+    kernel's matrix is the echelon-ordered expansion, with the columns in
+    its row order; ``coordinate_rows`` keeps the block order.  The
+    deep-entry test scans the relation coefficients as given, never the
+    echelon ones, and every coordinate of the reduced columns.
     """
 
-    def __init__(self, fin: FinLevelModule, extra_columns):
+    def __init__(self, fin: FinLevelModule, extra_columns, echelon=False):
         self.fin = fin
+        self.echelon = echelon
         self.columns = fin.reduce_columns(extra_columns)
         self.shape = (fin.nrows,
                       fin.presentation.num_relations * fin.q + self.columns.shape[1])
 
     def matrix_int64(self, working_exponent):
-        return self.fin.matrix_int64(working_exponent, extra_columns=self.columns)
+        return self.fin.matrix_int64(working_exponent, extra_columns=self.columns,
+                                     echelon=self.echelon)
 
     def coordinate_rows(self):
         return self.fin.matrix_coords(extra_columns=self.columns)

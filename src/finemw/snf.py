@@ -8,7 +8,9 @@ source hides the matrix format: it gives the shape, the matrix mod p^W
 (``matrix_int64``), the full-precision coordinate rows and the coordinates
 the deep-entry test scans.  ``smith_normal_form`` wraps coordinate rows;
 ``presentations`` wraps a level expansion together with its quotient
-columns.  Over the quadratic ring the kernel reduces the regular
+columns.  Untracked, that source hands the kernel the expansion of
+column-equivalent relations in T-adic echelon order, which has the same
+Smith form, while the deep-entry test scans the relation entries as given.  Over the quadratic ring the kernel reduces the regular
 representation (``regular_representation``): each entry a + b x becomes the
 2 x 2 block [[a, nu b], [b, a]], and its Smith exponents over Z_p are the
 O-exponents, each twice, because O/p^e is (Z_p/p^e)^2 as a Z_p-module.  The

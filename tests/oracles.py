@@ -217,6 +217,22 @@ def expand_exact(relations_int, g, p, n):
         [[] for _ in range(g * q)]
 
 
+def mult_matrix_by_columns(coeffs, q, wrap, m):
+    """q x q matrix mod m of multiplication by f (integer ``coeffs``) on Z[T]/(h).
+
+    ``wrap`` lists T^q = sum wrap_i T^i mod the monic h of degree q.  One
+    column at a time: column k is column k - 1 times T, shifted down with its
+    top coefficient times ``wrap`` added.  Rows of Python integers.
+    """
+    col = [x % m for x in coeffs] + [0] * (q - len(coeffs))
+    cols = [col]
+    for _ in range(1, q):
+        top = col[-1]
+        col = [(x + top * w) % m for x, w in zip([0] + col[:-1], wrap)]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
 def t_action_matrix_exact(g, p, n):
     """Exact multiplication-by-T matrix on (Z[T]/omega_n)^g."""
     q = p**n

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from finemw._kernels import residue_dtype
+from finemw import snf
+from finemw._kernels import int64_precision_cap, residue_dtype
 from finemw.errors import ResourceLimitError, ValidationError
 from finemw.oracle import build_elementary, obfuscate, sample_recipe
 from finemw.padics import CoefficientRing
@@ -14,6 +15,7 @@ from finemw.presentations import (
     ModulePresentation,
     _LevelSource,
     _component_ring,
+    _echelon,
     _level_smith,
     check_level_budget,
     coinvariants,
@@ -34,9 +36,11 @@ from oracles import (
     cyclotomic_int,
     expand_exact,
     integer_smith_p_exponents,
+    mult_matrix_by_columns,
     mulmod_monic,
     omega_int,
     poly_divmod_z,
+    smith_exponents_mod_prime_power,
 )
 
 RING = CoefficientRing(5, 1, 24)
@@ -576,9 +580,11 @@ def test_reduced_entry_matches_weierstrass_remainder(p):
         polys = [IwasawaPoly(rings[1], [[rng.randrange(rings[1].modulus) for _ in range(2)]
                                         for _ in range(top + 1)])
                  for top in tops]
-        # remainders with trailing zero coefficients, and none at all
+        # remainders with trailing zero coefficients, and none at all; a top
+        # coefficient x, whose plane 0 is zero: over Z_p its entry is shorter
         unit = IwasawaPoly.constant(rings[1], [3, 1])
-        polys += [modulus * unit + unit, modulus * unit]
+        polys += [modulus * unit + unit, modulus * unit,
+                  IwasawaPoly(rings[1], [[2, 1]] * (q - 1) + [[0, 1]])]
         coords = [[a.coords for a in f.coefficients] for f in polys]
         remainders = [weierstrass_divide(f, modulus)[1] for f in polys]
         for ring in rings:
@@ -587,8 +593,14 @@ def test_reduced_entry_matches_weierstrass_remainder(p):
             fin = FinLevelModule(ModulePresentation(ring, 1, [entries]), level, component)
             for j, rem in enumerate(remainders):
                 expect = IwasawaPoly(ring, [a.coords[:d] for a in rem.coefficients])
-                assert fin.reduced_entry(0, j) == [[a.coords[s] for a in expect.coefficients]
-                                                   for s in range(d)]
+                planes = fin.reduced_entry(0, j)
+                assert planes == [[a.coords[s] for a in expect.coefficients] for s in range(d)]
+                # trimmed in one step: equal lengths, a nonzero last coefficient,
+                # and the untrimmed array is the planes padded with zeros
+                assert len({len(plane) for plane in planes}) == 1
+                assert not planes[0] or any(plane[-1] for plane in planes)
+                assert fin._entries()[:, 0, j].tolist() == [plane + [0] * (q - len(plane))
+                                                            for plane in planes]
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -616,3 +628,177 @@ def test_level_source_scans_the_reduced_entry_coordinates(degree):
     expect += [c for entry in fin.reduce_ambient_column(cols[0]) for c in entry]
     assert sorted(source.coords()) == sorted(expect)
     assert has_deep_entries(source.coords(), 5, 11)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_multiplication_blocks_match_the_column_loop(p):
+    # each block's band is written by diagonals and only its deg f wrapping
+    # columns are divided; the referee steps through every column.  At p^24
+    # the products leave int64 (object arrays), at p^W they stay in it.
+    # Entries of degree 0, 4 and q - 1, one with inner zeros, and zero.
+    ring = CoefficientRing(p, 1, 24)
+    rng = random.Random(41 + p)
+    for level in (1, 2):
+        q = p**level
+        h = omega_int(p, level)
+
+        def coeffs(count):
+            return [rng.randrange(ring.modulus) for _ in range(count - 1)] + \
+                [rng.randrange(1, ring.modulus)]
+
+        sparse = [0] * q
+        sparse[1] = sparse[q - 2] = 1 + ring.modulus // 2
+        entries = [coeffs(1), coeffs(5), coeffs(q), sparse, []]
+        M = ModulePresentation(ring, 1, [[IwasawaPoly(ring, [[x] for x in f]) for f in entries]])
+        fin = FinLevelModule(M, level)
+        for W in (24, int64_precision_cap(p)):
+            m = p**W
+            wrap = [-h[k] % m for k in range(q)]
+            blocks = [mult_matrix_by_columns(f, q, wrap, m) for f in entries]
+            assert fin.matrix_int64(W).tolist() == [sum((b[r] for b in blocks), [])
+                                                    for r in range(q)]
+
+
+def test_echelon_clears_a_dependent_column_and_skips_a_mu_column():
+    # mod p the second relation is (1 + T) times the first, so it climbs by
+    # T-shifts of the first until it is zero mod T^q; the third is p times a
+    # unit, zero mod p from the start
+    ring = CoefficientRing(5, 1, 24)
+    f = IwasawaPoly(ring, [5, 0, 1])
+    M = ModulePresentation(ring, 1, [[f, IwasawaPoly(ring, [1, 1]) * f + IwasawaPoly(ring, [10]),
+                                      IwasawaPoly(ring, [5, 5])]])
+    for level in range(4):
+        fin = FinLevelModule(M, level)
+        E, keys = _echelon(fin._entries() % 5, ring)
+        if level == 0:  # q = 1: T^2 + 5 is zero mod (5, T)
+            assert keys == [None, None, None]
+            continue
+        assert keys == [2, None, None]
+        assert E[0, :, 1, :3].tolist() == [[4, 4, 0], [1, 0, 0], [0, 0, 0]]  # - (1 + T), 1
+
+
+def _echelon_case(ring, seed, deep):
+    """Two generators and four relations, valid mod omega_3.
+
+    The first relation is random, coefficient k divisible by p^(o - k) below
+    a T-order o of 0 to 2; the second is T - p^8 at generator 1, p^4 times a
+    random entry at generator 0, so the level-n invariants reach p^(n + 8)
+    or so; the third is a multiple of the first mod p^6; the fourth, a mu
+    column, has p^6 times and p^deep times random entries.
+    """
+    p, d, m = ring.prime, ring.unramified_degree, ring.modulus
+    rng = random.Random(seed)
+
+    def poly(top, order=0, scale=1):
+        return IwasawaPoly(ring, [[rng.randrange(m) * p**max(order - k, 0) * scale % m
+                                   for _ in range(d)] for k in range(top + 1)])
+
+    first = [poly(rng.randrange(2, 7), rng.randrange(3)) for _ in range(2)]
+    second = [poly(3, scale=p**4), IwasawaPoly(ring, [-p**8, 1])]
+    unit = poly(3)
+    dependent = [unit * f + poly(4, scale=p**6) for f in first]
+    mu = [poly(4, scale=p**6), poly(2, scale=p**deep)]
+    return ModulePresentation(ring, 2, [[first[i], second[i], dependent[i], mu[i]]
+                                        for i in range(2)], level_cap=3)
+
+
+def _realified(coords, ring):
+    if ring.unramified_degree == 1:
+        return [[x[0] for x in row] for row in coords]
+    rows = []
+    for row in coords:
+        rows.append([c for a, b in row for c in (a, ring.nu * b)])
+        rows.append([c for a, b in row for c in (b, a)])
+    return rows
+
+
+@pytest.mark.parametrize("p, degree", [(5, 1), (7, 1), (5, 2)])
+def test_echelon_order_keeps_the_smith_form(p, degree):
+    # untracked reductions take the echelon-ordered expansion; its exponents,
+    # certification and working precision must be those of the block order,
+    # with and without quotient columns and below a precision cap (where
+    # exponent 6 is uncertified), and up to level 2 the block-ordered
+    # coordinates, Smith-reduced by the referee, give the same exponents
+    ring = CoefficientRing(p, degree, 24)
+    for seed, deep in enumerate((10, 3)):
+        M = _echelon_case(ring, 100 * p + 10 * degree + seed, deep)
+        rng = random.Random(seed)
+        for level in range(4):
+            fin = FinLevelModule(M, level)
+            quotients = [[tuple(rng.randrange(ring.modulus) * p**(k % 3)
+                                for _ in range(degree)) for _ in range(fin.nrows)]
+                         for k in range(2)]
+            for columns in ((), quotients):
+                for cap in (None, 8):
+                    echelon = _level_smith(fin, columns, precision_cap=cap)
+                    block = snf.reduce(_LevelSource(fin, columns), ring, False,
+                                       min(24, cap or 24))
+                    assert (echelon.exponents, echelon.certified, echelon.precision_used) == \
+                        (block.exponents, block.certified, block.precision_used)
+            if level < 3:  # the last reduction above; at level 3 the referee takes seconds
+                rows = _realified(fin.matrix_coords(quotients), ring)
+                expect = smith_exponents_mod_prime_power(rows, p, echelon.precision_used)
+                assert expect[::degree] == echelon.exponents
+
+
+@pytest.mark.parametrize("p, degree, draw, level", [(7, 1, 1, 3), (5, 1, 10, 3), (7, 1, 4, 3),
+                                                  (5, 2, 1, 2)])
+def test_echelon_expansion_is_one_run_of_leading_rows(p, degree, draw, level):
+    # corpus draws of classify_p7 and verify_p5, one with a mu summand, whose
+    # column has no key, and one over O: mod p the columns that are nonzero
+    # come first and their first nonzero rows strictly increase, so each
+    # panel of the unit layer pivots in one run; they are as many as the
+    # unit pivots
+    recipe = sample_recipe(2024 * 1000003 + draw, p)
+    M = obfuscate(build_elementary(recipe, CoefficientRing(p, degree, 24)),
+                  seed=recipe.seed ^ 0x5EED, steps=24)
+    fin = FinLevelModule(M, level)
+    units = fin.matrix_int64(int64_precision_cap(p), echelon=True) % p != 0
+    live = units.any(axis=0)
+    count = int(live.sum())
+    assert count and live[:count].all() and count < live.size
+    assert (np.diff(units[:, :count].argmax(axis=0)) > 0).all()
+    assert coinvariants(M, level).smith.exponents.count(0) * degree == count
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_echelon_relations_are_the_relations_times_the_column_operation(degree):
+    # the relations that the echelon order expands are A E mod omega_n, with
+    # the keys that _echelon reports: checked against products of ring
+    # polynomials and their weierstrass remainders, at p^24 and at p^W.
+    # Over O the leading coefficients are units outside Z_p, which the
+    # scaling to 1 turns into leading 2 x 2 blocks = 1 mod p: the expansion
+    # is one run of first nonzero rows
+    ring = CoefficientRing(5, degree, 24)
+    M = _echelon_case(ring, 7 + degree, 10)
+    g, c = M.generators, M.num_relations
+    for level in (1, 2):
+        fin = FinLevelModule(M, level)
+        q = fin.q
+        for W in (24, int64_precision_cap(5)):
+            m = 5**W
+            units = fin.matrix_int64(W, echelon=True) % 5 != 0
+            live = units.any(axis=0)
+            assert live[:int(live.sum())].all()
+            assert (np.diff(units[:, live].argmax(axis=0)) > 0).all()
+            entries, place = fin._echelon_relations(m)
+            E, keys = fin._echelon
+            ops = [[IwasawaPoly(ring, [E[:, a, b, t].tolist() for t in range(q)])
+                    for b in range(c)] for a in range(c)]
+            for i in range(g):
+                for b in range(c):
+                    f = IwasawaPoly(ring, [])
+                    for a in range(c):
+                        f = f + M.relations[i][a] * ops[a][b]
+                    rem = weierstrass_divide(f, fin.modulus_poly)[1]
+                    expect = [[0] * q for _ in range(degree)]
+                    for k, coeff in enumerate(rem.coefficients):
+                        for s in range(degree):
+                            expect[s][k] = coeff.coords[s] % m
+                    assert entries[:, i, b].tolist() == expect
+            residues = (entries % 5 != 0).any(axis=0).transpose(1, 2, 0).reshape(c, q * g)
+            for b, key in enumerate(keys):
+                assert key == (int(residues[b].argmax()) if residues[b].any() else None)
+            assert len({key % g for key in keys if key is not None}) == \
+                sum(key is not None for key in keys)
+            assert sorted(place.ravel().tolist()) == list(range(c * q))
