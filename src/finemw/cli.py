@@ -26,8 +26,9 @@ from .errors import (
     ValidationError,
 )
 from .oracle import roundtrip_suite
-from .polynomials import default_max_level, hard_max_level
+from .polynomials import char_ideal_render, hard_max_level
 from .predictors import (
+    SETTINGS,
     RankTable,
     SettingTag,
     anticyclotomic_parity_check,
@@ -35,8 +36,6 @@ from .predictors import (
     predict,
     question_report,
     resolve_setting,
-    SETTING_KIND,
-    SETTING_OBJECT,
 )
 from .presentations import presentation_from_json
 from .structure import TowerSpec, analyze, verify_finite_quotients, verify_rank_identity
@@ -115,10 +114,9 @@ def _render_text(doc) -> str:
             lines.append(f"note: {note}")
     elif kind == "classify":
         t = doc["type"]
-        mults = t["cyclo_multiplicities"]
-        prod = "·".join(f"Φ_{n}^{m}" for n, m in sorted(mults.items(), key=lambda x: int(x[0])))
+        factors = [(int(n), m) for n, m in t["cyclo_multiplicities"].items()]
         lines.append(f"free rank: {t['free_rank']}")
-        lines.append(f"cyclotomic part: {prod or '1'}")
+        lines.append(f"cyclotomic part: {char_ideal_render(factors, expand=False).text}")
         lines.append(f"mu: {t['mu']}  residual lambda: {t['residual_lambda']}")
         lines.append(f"torsion-limit vanishes: {t['g_functor_vanishes']}")
         lines.append(f"ranks: {doc['evidence']['ranks']}")
@@ -189,9 +187,9 @@ def cmd_predict(args) -> int:
     ranks = _read_ranks(args, config)
     rank_kind = args.rank_kind or config.get("rank_kind", "Z")
     setting = resolve_setting(args.setting, args.root_number)
-    kind = SETTING_KIND[setting]
+    record = SETTINGS[setting]
     table = RankTable(int(p), tuple(ranks), rank_kind)
-    growth = growth_sequence(table, kind)
+    growth = growth_sequence(table, record.kind)
     prediction = predict(setting, growth)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -202,7 +200,7 @@ def cmd_predict(args) -> int:
         "ranks": list(table.values),
         "growth": list(growth.values),
         "growth_kind": growth.kind,
-        "object": SETTING_OBJECT[setting][0],
+        "object": record.object,
         "status": "proven-shape",
         "prediction": prediction.as_dict(),
         "notes": [],
@@ -215,7 +213,7 @@ def cmd_predict(args) -> int:
             "status": q["status"],
         }
         doc["notes"].extend(q["notes"])
-    if setting in (SettingTag.CM_INERT_ANTICYC,) and args.parity_check:
+    if record.parity_check and args.parity_check:
         doc["parity_check"] = anticyclotomic_parity_check(growth)
     _emit(doc, args)
     return EXIT_OK
@@ -234,13 +232,12 @@ def _load_presentation(path):
 
 def cmd_classify(args) -> int:
     M = _load_presentation(args.file)
-    n_max = args.n_max if args.n_max is not None else default_max_level(M.ring.prime)
-    analysis = analyze(M, n_max)
+    analysis = analyze(M, args.n_max)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "classify",
         "p": M.ring.prime,
-        "n_max": n_max,
+        "n_max": analysis.n_max,
         "evidence": analysis.evidence(),
     }
     try:
@@ -259,10 +256,9 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     M = _load_presentation(args.file)
-    n_max = args.n_max if args.n_max is not None else default_max_level(M.ring.prime)
-    analysis = analyze(M, n_max)
+    analysis = analyze(M, args.n_max)
     checks = []
-    rank_rep = verify_rank_identity(M, n_max, analysis=analysis)
+    rank_rep = verify_rank_identity(M, analysis=analysis)
     checks.append(rank_rep)
     try:
         etype = analysis.classify()
@@ -282,7 +278,7 @@ def cmd_verify(args) -> int:
         else:
             for sel in ("zero", "full-torsion", "random-subgroup"):
                 rep = verify_finite_quotients(TowerSpec(M, sel, seed=args.seed),
-                                              n_max, expected=etype, analysis=analysis)
+                                              expected=etype, analysis=analysis)
                 rep["selector"] = sel
                 checks.append(rep)
     failed = [c for c in checks if c["verdict"] == "fail"]
@@ -290,7 +286,7 @@ def cmd_verify(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "verify",
         "p": M.ring.prime,
-        "n_max": n_max,
+        "n_max": analysis.n_max,
         "checks": checks,
         "verdict": "fail" if failed else "pass",
     }

@@ -26,19 +26,28 @@ from .errors import NonUnitError, ValidationError
 ZERO_AT_PRECISION = math.inf
 
 
+#: Miller-Rabin on the prime bases up to 41 decides primality for every n
+#: below this bound (Sorenson and Webster, 2015); larger primes are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    for q in range(2, int(n**0.5) + 1):
-        if n % q == 0:
+    """Deterministic Miller-Rabin for n < PRIME_LIMIT."""
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
     return True
 
 
 def smallest_quadratic_nonresidue(p: int) -> int:
-    squares = {(x * x) % p for x in range(1, p)}
+    """Smallest c with c^((p - 1)/2) = -1 mod p (Euler's criterion)."""
     for c in range(2, p):
-        if c not in squares:
+        if pow(c, (p - 1) // 2, p) == p - 1:
             return c
     raise ValidationError(f"no quadratic non-residue mod {p}")
 
@@ -57,6 +66,8 @@ class CoefficientRing:
 
     def __post_init__(self):
         p, d, n = self.prime, self.unramified_degree, self.precision_exponent
+        if p >= PRIME_LIMIT:
+            raise ValidationError(f"prime must be below {PRIME_LIMIT}, got {p}")
         if p < 5 or not _is_prime(p):
             raise ValidationError(f"prime must be a prime >= 5, got {p}")
         if d not in (1, 2):

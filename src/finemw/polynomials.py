@@ -25,7 +25,8 @@ def hard_max_level(p: int) -> int:
 
 
 def degree_budget(p: int) -> int:
-    return 4 * p**hard_max_level(p)
+    """Largest degree and expansion row count: 4 p^(hard max level), at most p = 7's."""
+    return min(4 * p**hard_max_level(p), 4 * 7**4)
 
 
 def phi_degree(p: int, n: int) -> int:

@@ -3,16 +3,10 @@
 Given the ranks of an elliptic curve (or abelian variety) up the layers of a
 Z_p-extension, the normalized jumps e_n (over Z) or f_n (over the CM order)
 determine, setting by setting, the predicted pseudo-isomorphism type of the
-relevant Iwasawa module as a product of cyclotomic-polynomial powers:
-
-* CM with p inert (supersingular), cyclotomic or anticyclotomic tower:
-  multiplicities max{0, f_n - 1} over the two-dimensional coefficient ring.
-* CM with p split (ordinary): the single-prime tower uses max{0, f_n - 1};
-  the cyclotomic and anticyclotomic towers use 2 max{0, e_n - 1}, with the
-  concluded object depending on the root number in the anticyclotomic case.
-* Generalized Heegner setting: the BDP-Selmer dual gets exactly e_n - 1
-  (all e_n >= 1 is forced and enforced), while the fine Mordell-Weil side is
-  only pinned to the interval [max{0, e_n - 2}, max{0, e_n - 1}].
+relevant Iwasawa module as a product of cyclotomic-polynomial powers.
+``SETTINGS`` holds one record per setting: CM with p inert (supersingular)
+or split (ordinary), and the generalized Heegner setting, where the
+BDP-Selmer dual gets exact multiplicities but the fine side only intervals.
 
 Theorem-backed conclusions are labeled "proven-shape"; the corresponding
 characteristic-ideal formulas for the full fine-Selmer dual are emitted
@@ -23,11 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisError, InvalidRankTableError, SettingError, ValidationError
-from .polynomials import phi_degree
+from .polynomials import char_ideal_render, phi_degree
 
 
 class SettingTag(enum.Enum):
@@ -41,40 +36,69 @@ class SettingTag(enum.Enum):
     HEEGNER_FINE = "heegner_fine"
 
 
-#: Which growth sequence each setting consumes.
-SETTING_KIND = {
-    SettingTag.CM_INERT_CYC: "f",
-    SettingTag.CM_INERT_ANTICYC: "f",
-    SettingTag.CM_SPLIT_SINGLE_Q: "f",
-    SettingTag.CM_SPLIT_CYC: "e",
-    SettingTag.CM_SPLIT_ANTICYC_ROOT_PLUS: "e",
-    SettingTag.CM_SPLIT_ANTICYC_ROOT_MINUS: "e",
-    SettingTag.HEEGNER_BDP: "e",
-    SettingTag.HEEGNER_FINE: "e",
-}
+def _excess(n, v):
+    return max(0, v - 1)
 
-#: The module the theorem concludes about, and its coefficient ring.
-SETTING_OBJECT = {
-    SettingTag.CM_INERT_CYC: ("ℳ(E/F^cyc)^∨", "Lambda_Op"),
-    SettingTag.CM_INERT_ANTICYC: ("Y_f(E/F^ac)", "Lambda_Op"),
-    SettingTag.CM_SPLIT_SINGLE_Q: ("ℳ_q(E/F_{q^∞})^∨", "Lambda"),
-    SettingTag.CM_SPLIT_CYC: ("ℳ(E/F^cyc)^∨", "Lambda"),
-    SettingTag.CM_SPLIT_ANTICYC_ROOT_PLUS: ("ℳ(E/F^ac)^∨", "Lambda"),
-    SettingTag.CM_SPLIT_ANTICYC_ROOT_MINUS: ("Y_f(E/F^ac)", "Lambda"),
-    SettingTag.HEEGNER_BDP: ("X_f^BDP(E/F^ac)", "Lambda"),
-    SettingTag.HEEGNER_FINE: ("Y_f(E/F^ac)", "Lambda"),
-}
 
-#: The object whose characteristic ideal the companion conjecture describes.
-SETTING_CONJECTURE_OBJECT = {
-    SettingTag.CM_INERT_CYC: "Y(E/F^cyc)",
-    SettingTag.CM_INERT_ANTICYC: "Y(E/F^ac)",
-    SettingTag.CM_SPLIT_SINGLE_Q: "Y_q(E/F_{q^∞})",
-    SettingTag.CM_SPLIT_CYC: "Y(E/F^cyc)",
-    SettingTag.CM_SPLIT_ANTICYC_ROOT_PLUS: "Y(E/F^ac)",
-    SettingTag.CM_SPLIT_ANTICYC_ROOT_MINUS: "Y(E/F^ac)",
-    SettingTag.HEEGNER_BDP: "Y(E/F^ac)",
-    SettingTag.HEEGNER_FINE: "Y(E/F^ac)",
+def _twice_excess(n, v):
+    return 2 * max(0, v - 1)
+
+
+def _bdp_excess(n, v):
+    if v < 1:
+        raise HypothesisError(
+            f"level {n}: e_n = 0 contradicts the surjectivity of the "
+            "local restriction in the Heegner setting")
+    return v - 1
+
+
+def _heegner_interval(n, v):
+    return max(0, v - 2), max(0, v - 1)
+
+
+@dataclass(frozen=True)
+class SettingRecord:
+    """What the paper proves in one setting, and what it conjectures there.
+
+    A multiplicity rule maps (level n, growth value v) to the exact exponent
+    of Φ_n, or to an interval (lo, hi) where the theorem pins only that.
+    """
+
+    kind: str  # growth sequence consumed: "e" or "f"
+    object: str  # module the theorem concludes about
+    ring: str  # its coefficient ring: "Lambda" or "Lambda_Op"
+    rule: Callable
+    conjecture_object: str  # module whose characteristic ideal is conjectured
+    conjecture_note: str | None = None
+    conjecture_rule: Callable | None = None  # None: the proven rule
+    parity_check: bool = False  # the anticyclotomic parity diagnostic applies
+
+
+_CYC_NOTE = ("the conjectural equality is equivalent to finiteness of the fine "
+             "Tate-Shafarevich group over the cyclotomic tower")
+_SINGLE_Q_NOTE = ("the conjectural equality is equivalent to finiteness of the "
+                  "q-primary fine Tate-Shafarevich group over the single-prime tower")
+_INTERVAL_NOTE = ("the interval leaves the exact multiplicities undetermined; no "
+                  "distinguished value inside it is preferred")
+
+SETTINGS = {
+    SettingTag.CM_INERT_CYC: SettingRecord(
+        "f", "ℳ(E/F^cyc)^∨", "Lambda_Op", _excess, "Y(E/F^cyc)", _CYC_NOTE),
+    SettingTag.CM_INERT_ANTICYC: SettingRecord(
+        "f", "Y_f(E/F^ac)", "Lambda_Op", _excess, "Y(E/F^ac)", parity_check=True),
+    SettingTag.CM_SPLIT_SINGLE_Q: SettingRecord(
+        "f", "ℳ_q(E/F_{q^∞})^∨", "Lambda", _excess, "Y_q(E/F_{q^∞})", _SINGLE_Q_NOTE),
+    SettingTag.CM_SPLIT_CYC: SettingRecord(
+        "e", "ℳ(E/F^cyc)^∨", "Lambda", _twice_excess, "Y(E/F^cyc)", _CYC_NOTE),
+    SettingTag.CM_SPLIT_ANTICYC_ROOT_PLUS: SettingRecord(
+        "e", "ℳ(E/F^ac)^∨", "Lambda", _twice_excess, "Y(E/F^ac)"),
+    SettingTag.CM_SPLIT_ANTICYC_ROOT_MINUS: SettingRecord(
+        "e", "Y_f(E/F^ac)", "Lambda", _twice_excess, "Y(E/F^ac)"),
+    SettingTag.HEEGNER_BDP: SettingRecord(
+        "e", "X_f^BDP(E/F^ac)", "Lambda", _bdp_excess, "Y(E/F^ac)", _INTERVAL_NOTE,
+        conjecture_rule=_heegner_interval),
+    SettingTag.HEEGNER_FINE: SettingRecord(
+        "e", "Y_f(E/F^ac)", "Lambda", _heegner_interval, "Y(E/F^ac)", _INTERVAL_NOTE),
 }
 
 
@@ -123,10 +147,6 @@ class RankTable:
                     f"level {n}: jump {jump} not divisible by {deg}", level=n)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
 
 def ranks_over_O_from_Z(values) -> tuple:
     """Explicit rank_O = 2 rank_Z converter for the CM settings."""
@@ -156,8 +176,6 @@ class GrowthSequence:
 
 def growth_sequence(table: RankTable, kind: str) -> GrowthSequence:
     """e_0 = rank at level 0; e_n = (rank_n - rank_{n-1}) / phi(p^n)."""
-    if kind not in ("e", "f"):
-        raise ValidationError("growth kind must be 'e' or 'f'")
     if kind == "f" and table.rank_kind != "O":
         raise SettingError("f-sequences require a rank table over the CM order (rank_kind 'O')")
     if kind == "e" and table.rank_kind != "Z":
@@ -173,7 +191,6 @@ class PredictedCharIdeal:
     """Exact multiplicities or per-level intervals for a cyclotomic product."""
 
     ring: str  # "Lambda" or "Lambda_Op"
-    provenance: str  # setting name + status
     multiplicities: tuple = ()  # (level, mult), zero entries dropped
     intervals: tuple = ()  # (level, lo, hi); empty unless interval-valued
 
@@ -185,8 +202,7 @@ class PredictedCharIdeal:
         if self.is_interval:
             parts = [f"Φ_{n}^[{lo},{hi}]" for n, lo, hi in self.intervals if hi > 0]
             return "·".join(parts) if parts else "1"
-        parts = [f"Φ_{n}^{m}" for n, m in self.multiplicities]
-        return "·".join(parts) if parts else "1"
+        return char_ideal_render(self.multiplicities, expand=False).text
 
     def as_dict(self) -> dict:
         doc = {"ring": self.ring, "text": self.text()}
@@ -197,37 +213,21 @@ class PredictedCharIdeal:
         return doc
 
 
-def _exact(levels_mults, ring, provenance):
-    mults = tuple((n, m) for n, m in levels_mults if m > 0)
-    return PredictedCharIdeal(ring=ring, provenance=provenance, multiplicities=mults)
+def _apply(rule, s: GrowthSequence, ring: str) -> PredictedCharIdeal:
+    bounds = [(n, rule(n, v)) for n, v in enumerate(s.values)]
+    return PredictedCharIdeal(
+        ring=ring,
+        multiplicities=tuple((n, m) for n, m in bounds if not isinstance(m, tuple) and m > 0),
+        intervals=tuple((n, *m) for n, m in bounds if isinstance(m, tuple)))
 
 
 def predict(setting: SettingTag, s: GrowthSequence) -> PredictedCharIdeal:
-    """Apply the setting's multiplicity formula to a growth sequence."""
-    kind = SETTING_KIND[setting]
-    if s.kind != kind:
+    """Apply the setting's multiplicity rule to a growth sequence."""
+    record = SETTINGS[setting]
+    if s.kind != record.kind:
         raise SettingError(
-            f"setting {setting.value} needs a {kind!r}-sequence, got {s.kind!r}")
-    _, ring = SETTING_OBJECT[setting]
-    prov = f"{setting.value}/proven-shape"
-    vals = s.values
-    if setting in (SettingTag.CM_INERT_CYC, SettingTag.CM_INERT_ANTICYC,
-                   SettingTag.CM_SPLIT_SINGLE_Q):
-        return _exact(((n, max(0, v - 1)) for n, v in enumerate(vals)), ring, prov)
-    if setting in (SettingTag.CM_SPLIT_CYC, SettingTag.CM_SPLIT_ANTICYC_ROOT_PLUS,
-                   SettingTag.CM_SPLIT_ANTICYC_ROOT_MINUS):
-        return _exact(((n, 2 * max(0, v - 1)) for n, v in enumerate(vals)), ring, prov)
-    if setting is SettingTag.HEEGNER_BDP:
-        bad = [n for n, v in enumerate(vals) if v < 1]
-        if bad:
-            raise HypothesisError(
-                f"level {bad[0]}: e_n = 0 contradicts the surjectivity of the "
-                "local restriction in the Heegner setting")
-        return _exact(((n, v - 1) for n, v in enumerate(vals)), ring, prov)
-    if setting is SettingTag.HEEGNER_FINE:
-        intervals = tuple((n, max(0, v - 2), max(0, v - 1)) for n, v in enumerate(vals))
-        return PredictedCharIdeal(ring=ring, provenance=prov, intervals=intervals)
-    raise SettingError(f"unhandled setting {setting}")
+            f"setting {setting.value} needs a {record.kind!r}-sequence, got {s.kind!r}")
+    return _apply(record.rule, s, record.ring)
 
 
 def mw_tate_prediction(s: GrowthSequence, n: int):
@@ -269,39 +269,20 @@ def question_report(setting: SettingTag, s: GrowthSequence) -> dict:
     "proven-shape" part; the characteristic-ideal formula for Y itself is
     conjectural and labeled as such.
     """
+    record = SETTINGS[setting]
     proven = predict(setting, s)
-    conj_object = SETTING_CONJECTURE_OBJECT[setting]
-    notes = [
-        "level-0 factor follows the convention that the zeroth cyclotomic "
-        "factor is T with degree 1",
-    ]
-    if setting in (SettingTag.CM_INERT_CYC, SettingTag.CM_SPLIT_CYC):
-        notes.append(
-            "the conjectural equality is equivalent to finiteness of the fine "
-            "Tate-Shafarevich group over the cyclotomic tower")
-    if setting is SettingTag.CM_SPLIT_SINGLE_Q:
-        notes.append(
-            "the conjectural equality is equivalent to finiteness of the "
-            "q-primary fine Tate-Shafarevich group over the single-prime tower")
-    if setting in (SettingTag.HEEGNER_BDP, SettingTag.HEEGNER_FINE):
-        notes.append(
-            "the interval leaves the exact multiplicities undetermined; no "
-            "distinguished value inside it is preferred")
-        conj = predict(SettingTag.HEEGNER_FINE, s)
-        conj = PredictedCharIdeal(ring=conj.ring,
-                                  provenance=f"{setting.value}/conjectural",
-                                  intervals=conj.intervals)
-    else:
-        conj = PredictedCharIdeal(ring=proven.ring,
-                                  provenance=f"{setting.value}/conjectural",
-                                  multiplicities=proven.multiplicities)
+    conj = _apply(record.conjecture_rule or record.rule, s, record.ring)
+    notes = ["level-0 factor follows the convention that the zeroth cyclotomic "
+             "factor is T with degree 1"]
+    if record.conjecture_note:
+        notes.append(record.conjecture_note)
     return {
         "setting": setting.value,
-        "object": conj_object,
+        "object": record.conjecture_object,
         "status": "conjectural",
         "prediction": conj.as_dict(),
         "proven_shape": {
-            "object": SETTING_OBJECT[setting][0],
+            "object": record.object,
             "prediction": proven.as_dict(),
             "status": "proven-shape",
         },

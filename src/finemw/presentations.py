@@ -47,10 +47,8 @@ from . import snf
 from ._kernels import _exact_split, _single_blas_thread, residue_dtype
 from .errors import ResourceLimitError, ValidationError
 from .padics import CoefficientRing
-from .polynomials import IwasawaPoly, cyclotomic, hard_max_level, omega, phi_degree
+from .polynomials import IwasawaPoly, cyclotomic, degree_budget, hard_max_level, omega, phi_degree
 from .polynomials import weierstrass_divide  # noqa: F401  perfbench's BINDINGS resolve it here
-
-ROW_BUDGET_FACTOR = 4
 
 
 @dataclass
@@ -71,6 +69,8 @@ class ModulePresentation:
             raise ValidationError("generators must be >= 0")
         if len(self.relations) != self.generators:
             raise ValidationError("relation matrix must have one row per generator")
+        if self.level_cap is not None and self.level_cap < 0:
+            raise ValidationError(f"level_cap must be >= 0, got {self.level_cap}")
         width = None
         for row in self.relations:
             if width is None:
@@ -133,7 +133,7 @@ def check_level_budget(pres: ModulePresentation, n: int):
     if pres.level_cap is not None and n > pres.level_cap:
         raise ResourceLimitError(
             f"presentation entries are only valid modulo omega_{pres.level_cap}")
-    budget = ROW_BUDGET_FACTOR * p**nmax
+    budget = degree_budget(p)
     rows = pres.generators * p**n
     if rows > budget:
         raise ResourceLimitError(f"expansion needs {rows} rows > budget {budget}")
@@ -483,11 +483,11 @@ def _power_table(wrap, m, rows, p):
     ``wrap`` gives T^q = sum wrap_i T^i mod the monic modulus of degree q,
     and row k of R holds T^(q+k) mod the modulus: row k + 1 is row k times
     T, its top coefficient wrapped.  Each step adds top * wrap, a product
-    of two residues: int64 while that cannot overflow, Python integers
-    beyond, as in ``_mult_matrix``.  ``_remainders`` and the products in
-    O_j take the table, from which ``split.mul_sub(Y[:, q:], digits,
-    X0=Y[:, :q])`` is y[:q] + y[q:] R.  The cached digits are shared by
-    every caller and never written.
+    of two residues: int64 while (m - 1)^2 + m fits in it, Python integers
+    beyond.  ``_remainders`` and the products in O_j take the table, from
+    which ``split.mul_sub(Y[:, q:], digits, X0=Y[:, :q])`` is
+    y[:q] + y[q:] R.  The cached digits are shared by every caller and never
+    written.
     """
     dtype = np.int64 if (m - 1) ** 2 + m < 1 << 63 else object
     wrap = np.array(wrap, dtype=dtype)

@@ -348,30 +348,36 @@ class _TorsionSpan:
     def _insert(self, v) -> bool:
         """Reduce against the span; insert if new.  Returns True if span grew.
 
-        Position-ordered echelon over Z/p^cap: stored rows vanish before
-        their pivot, swaps strictly decrease a pivot valuation, so the loop
-        terminates.
+        Position-ordered echelon over Z/p^cap, kept Howell-complete: storing
+        a row of pivot valuation r also inserts p^(cap - r) times it, which
+        vanishes at the pivot, so a vector reduces to zero exactly when it is
+        in the span.  A row displaced by one of lower pivot valuation is
+        inserted again.  Stored rows vanish before their pivot and every store
+        fills a pivot or lowers its valuation, so the closure terminates.
         """
         m, p = self.modulus, self.p
-        grew = False
-        for _ in range(16 * self.cap * (len(v) + 1) + 16):
-            pos = next((i for i, c in enumerate(v) if c % m), None)
-            if pos is None:
-                return grew
-            vval = _vp(v[pos], p, self.cap)
-            stored = self.by_pos.get(pos)
-            if stored is None:
-                self.by_pos[pos] = (vval, v)
-                return True
-            rval, rvec = stored
-            if vval >= rval:
+        pending, grew = [v], False
+        while pending:
+            v = pending.pop()
+            for _ in range(16 * self.cap * (len(v) + 1) + 16):
+                pos = next((i for i, c in enumerate(v) if c % m), None)
+                if pos is None:
+                    break
+                vval = _vp(v[pos], p, self.cap)
+                stored = self.by_pos.get(pos)
+                if stored is None or vval < stored[0]:
+                    self.by_pos[pos] = (vval, v)
+                    grew = True
+                    pending.append([c * p ** (self.cap - vval) % m for c in v])
+                    if stored:
+                        pending.append(stored[1])
+                    break
+                rval, rvec = stored
                 q = (v[pos] // p**rval) * pow((rvec[pos] // p**rval) % m, -1, m) % m
                 v = [(a - q * b) % m for a, b in zip(v, rvec)]
             else:
-                self.by_pos[pos] = (vval, v)
-                grew = True
-                v = rvec
-        raise ValidationError("span closure failed to terminate")
+                raise ValidationError("span closure failed to terminate")
+        return grew
 
 
 def _vp(c, p, cap):

@@ -141,6 +141,34 @@ def test_classify_exit_4_on_relation_entries(capsys, tmp_path):
     assert "entries" in capsys.readouterr().err
 
 
+def test_classify_exit_4_at_a_large_prime_before_any_reduction(capsys, tmp_path, monkeypatch):
+    # at p = 101 level 2 needs 101^2 = 10201 rows, over the 9604-row cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was reduced")
+
+    monkeypatch.setattr("finemw.snf.reduce", refuse)
+    path = tmp_path / "p101.json"
+    path.write_text(json.dumps({"p": 101, "generators": 1, "relations": [[[["0"], ["1"]]]]}))
+    code = main(["classify", "--file", str(path), "--n-max", "2"])
+    assert code == 4
+    assert "rows" in capsys.readouterr().err
+
+
+def test_classify_exit_2_on_negative_level_cap(capsys, tmp_path):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"p": 5, "generators": 1, "relations": [[[["0"], ["1"]]]],
+                                "level_cap": -1}))
+    assert main(["classify", "--file", str(path)]) == 2
+    assert "level_cap" in capsys.readouterr().err
+
+
+def test_classify_exit_2_on_prime_beyond_the_primality_bound(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 10**25 + 13, "generators": 1,
+                                "relations": [[[["0"], ["1"]]]]}))
+    assert main(["classify", "--file", str(path)]) == 2
+
+
 def _deep_summand_file(tmp_path, precision):
     # Lambda/(7^12) + (Lambda/Phi_1)^3
     ring = CoefficientRing(7, 1, precision)

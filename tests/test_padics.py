@@ -1,10 +1,11 @@
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finemw.errors import NonUnitError, ValidationError
-from finemw.padics import CoefficientRing, ZERO_AT_PRECISION, ring_arith
+from finemw.padics import PRIME_LIMIT, CoefficientRing, ZERO_AT_PRECISION, _is_prime, ring_arith
 from oracles import mulmod_monic
 
 R5 = CoefficientRing(5, 1, 3)
@@ -60,6 +61,38 @@ def test_prime_validation():
         CoefficientRing(3, 1, 4)
     with pytest.raises(ValidationError):
         CoefficientRing(9, 1, 4)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("took over a second")
+
+
+def test_large_prime_ring_builds_within_a_second():
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        ring = CoefficientRing(2**61 - 1, 2, 24)
+        assert _is_prime(10**18 + 3) and not _is_prime(10**18 + 1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # 2^61 - 1 = 1 mod 3 and 3 mod 4, so 3 is its smallest non-residue
+    assert ring.nu == 3 - (2**61 - 1)
+
+
+def test_primality_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to every prime base up to 13, 23 and 37 respectively
+    for n in (3474749660383, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+
+
+def test_primes_beyond_the_primality_bound_are_refused():
+    with pytest.raises(ValidationError, match="below"):
+        CoefficientRing(PRIME_LIMIT + 2, 1, 4)
 
 
 def test_default_quadratic_nonresidue_modulus():

@@ -131,6 +131,11 @@ def test_resource_limit_on_omega():
     with pytest.raises(ResourceLimitError):
         omega(RING, 7)
     assert degree_budget(5) == 4 * 5**4
+    # the budget stops growing with p past p = 7; p <= 13 keeps its own
+    assert [degree_budget(p) for p in (7, 11, 13, 17, 1000003)] == [
+        9604, 4 * 11**3, 4 * 13**3, 9604, 9604]
+    with pytest.raises(ResourceLimitError):
+        omega(CoefficientRing(1000003, 1, 4), 1)
 
 
 def test_char_ideal_render_examples():

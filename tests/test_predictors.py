@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finemw.errors import HypothesisError, InvalidRankTableError, SettingError, ValidationError
+from finemw.oracle import ConstructionRecipe, build_elementary
+from finemw.padics import CoefficientRing
 from finemw.polynomials import phi_degree
+from finemw.presentations import coinvariants
 from finemw.predictors import (
+    SETTINGS,
     GrowthSequence,
     RankTable,
     SettingTag,
@@ -104,6 +108,21 @@ def test_mw_tate_consistency_with_rank_table():
         assert total == table.values[n]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([5, 7]), st.integers(0, 3), st.data())
+def test_mw_tate_prediction_realises_the_rank_table(p, n, data):
+    # the predicted Tate module, built as a sum of (Lambda/Phi_j)^(e_j), has
+    # the table's Z_p-rank at every level up to n
+    e = []
+    for _ in range(n + 1):
+        e.append(data.draw(st.integers(0, 4 - sum(e))))
+    ranks = [sum(e[j] * phi_degree(p, j) for j in range(k + 1)) for k in range(n + 1)]
+    s = growth_sequence(RankTable(p, tuple(ranks), "Z"), "e")
+    recipe = ConstructionRecipe(seed=0, cyclo_multiplicities=dict(mw_tate_prediction(s, n)))
+    M = build_elementary(recipe, CoefficientRing(p, 1, 24))
+    assert [coinvariants(M, k).free_rank for k in range(n + 1)] == ranks
+
+
 def test_local_mw_prediction():
     assert local_mw_prediction(1, 1, 2) == [(0, 1), (1, 1), (2, 1)]
     assert local_mw_prediction(1, 2, 1) == [(0, 2), (1, 2)]
@@ -173,8 +192,7 @@ def test_resolve_setting():
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=5), st.integers(0, 4),
        st.sampled_from([t for t in SettingTag if t is not SettingTag.HEEGNER_BDP]))
 def test_predict_is_monotone(values, bump_at, setting):
-    kind = "f" if setting in (SettingTag.CM_INERT_CYC, SettingTag.CM_INERT_ANTICYC,
-                              SettingTag.CM_SPLIT_SINGLE_Q) else "e"
+    kind = SETTINGS[setting].kind
     s = seq(kind, 5, values)
     bumped_vals = list(values)
     idx = bump_at % len(values)

@@ -14,6 +14,7 @@ from finemw.presentations import (
     free_module,
     presentation_to_json,
 )
+from finemw.snf import smith_normal_form
 from finemw.structure import (
     ElementaryType,
     StructureAnalysis,
@@ -345,3 +346,16 @@ def test_torsion_span_tracks_the_o_span():
     assert span.add([(1, 0)])
     assert not span.add(x_e0)
     assert not span.add([(3, 2)])
+
+
+def test_torsion_span_add_is_membership():
+    # over (Z/25)^2, 5 r = (0, 5) lies in the span of r = (5, 1) although its
+    # pivot sits where no stored row has one
+    smith = smith_normal_form([[25, 0], [0, 25]], RING, with_transforms=True)
+    span = _TorsionSpan(smith, 5)
+    assert span.add([5, 1])
+    assert not span.add([25, 5])
+    assert not span.add([0, 5])
+    assert span.add([0, 1])
+    assert not span.add([5, 0])
+    assert span.add([1, 0])
