@@ -11,7 +11,12 @@ step: columns whose residuals' first nonzero rows strictly increase pivot on
 those rows at once, since no pivot of the run touches a later run column.
 It also gives the inverse mod p of the pivot block, which ``_inv_mod`` lifts
 by Newton steps in plain float64 while that is exact, and the trailing
-block takes one exact product per panel.
+block takes one exact product per panel.  A level expansion is
+block-Toeplitz, so its panels present the same pivot blocks again and
+again: each reduction keeps the inverses it has taken (``_Inverses``), keyed
+by the exact content of the block mod p and at the layer's modulus, and
+inverts and lifts each distinct block once.  Nothing is kept between
+reductions.
 ``_unit_layer`` keeps the active rows and columns as sorted ids into the
 matrix instead of compacting it after every panel, and a panel's update
 touches only the rows where its multipliers are nonzero and the column
@@ -370,17 +375,80 @@ def _unit_triangular_inverse(T, p, mul, submul):
     return out
 
 
-def _panel_factor(P, p):
+def _unit_inverses(d, p):
+    """Inverses mod p of the units d, residues in [0, p) of ``_residue_ops``'s dtype.
+
+    float64 residues, whose products of two stay exact under ``_reduce``,
+    take d^(p-2) by vectorised squaring; int64 ones (primes where a product
+    of two residues passes 2^52) take ``pow`` one by one.
+    """
+    if d.dtype != np.float64:
+        return np.array([pow(int(x), -1, p) for x in d.tolist()], dtype=d.dtype)
+    out = np.ones_like(d)
+    e = p - 2
+    while e:
+        if e & 1:
+            out *= d
+            _reduce(out, p)
+        e >>= 1
+        if e:
+            d = d * d
+            _reduce(d, p)
+    return out
+
+
+class _Inverses:
+    """The pivot-block inverses of one reduction, keyed by exact block content.
+
+    A level expansion is block-Toeplitz, column (k, j) being T^k times
+    relation j, so successive panels present the same pivot block again and
+    again; each distinct block is inverted once.  A key holds the moduli,
+    the shape and the bytes of the block, and a lookup compares it in full.
+    Blocks of Python integers are never stored: their bytes are pointers.
+    The store lives in one ``_snf_layered`` call and keeps at most about
+    ``BUDGET`` bytes of keys and inverses, dropping the oldest first.
+    """
+
+    BUDGET = 1 << 20  # 16 float64 blocks of 64 x 64 with their keys
+
+    def __init__(self):
+        self.store = {}
+        self.free = self.BUDGET
+
+    def get(self, moduli, block, invert):
+        """invert(), computed once per content of ``block`` under ``moduli``."""
+        if block.dtype == object:
+            return invert()
+        key = (moduli, block.dtype.str, block.shape, block.tobytes())
+        X = self.store.get(key)
+        if X is None:
+            X = invert()
+            X.flags.writeable = False
+            self.store[key] = X
+            self.free -= len(key[-1]) + X.nbytes
+            while self.free < 0 and len(self.store) > 1:
+                old = next(iter(self.store))
+                self.free += len(old[-1]) + self.store.pop(old).nbytes
+        return X
+
+
+def _panel_factor(P, p, inverses=None):
     """Rank profile mod p of the panel P and the inverse mod p of its pivot block.
 
-    P is an int64 panel; only its residues mod p matter.  Left-looking
-    elimination, one run of columns per step.  With t pivots found and j the
-    first column not yet handled, one product forms the residual
-    C = P[:, j:hi] - L[:, :t] U[:t, j:hi] of a window of columns, and f_c is
-    the lowest nonzero row of column c of C.  The run is the longest prefix
-    of C's nonzero columns whose f_c strictly increase, and every run column
-    pivots at its own f_c: row f_a lies above the first nonzero row of each
-    later run column c, so pivot a leaves c as it is (U[a, c] = C[f_a, c] = 0).
+    P is an int64 panel; only its residues mod p matter.  When the first
+    nonzero rows of P's nonzero columns strictly increase (every layer-0
+    panel of an untracked level expansion), those rows are the pivots, row
+    f_a being zero on every later column, and the pivot block G is lower
+    triangular mod p: Ginv is one ``_unit_triangular_inverse`` of D^-1 G
+    times D^-1, D the diagonal, whose inverses ``_unit_inverses`` takes at
+    once.  Otherwise, left-looking elimination, one run of columns per step.
+    With t pivots found and j the first column not yet handled, one product
+    forms the residual C = P[:, j:hi] - L[:, :t] U[:t, j:hi] of a window of
+    columns, and f_c is the lowest nonzero row of column c of C.  The run is
+    the longest prefix of C's nonzero columns whose f_c strictly increase,
+    and every run column pivots at its own f_c: row f_a lies above the first
+    nonzero row of each later run column c, so pivot a leaves c as it is
+    (U[a, c] = C[f_a, c] = 0).
     L takes the run's columns of C as they are.  U's run rows are 1 on their
     own pivot (written into V below) and zero elsewhere on the run, and over
     the later columns they are M^-1 D^-1 X, with X the run rows' residual, D
@@ -398,14 +466,30 @@ def _panel_factor(P, p):
     P[:i, :j] counts the pivots inside it), which is unique.  Pivot rows have
     a zero residual after their pivot, so G = L[rows] U[:, cols] =
     (L[rows] D^-1) D V with V = U[:, cols] unit upper triangular, and
-    Ginv = V^-1 D^-1 (L[rows] D^-1)^-1.
+    Ginv = V^-1 D^-1 (L[rows] D^-1)^-1.  With ``inverses`` (an ``_Inverses``)
+    a block G mod p met before in the reduction takes its stored Ginv.
     """
     R, w = P.shape
     dtype, mul, submul = _residue_ops(p, w)
     P = np.asfortranarray((P % p).astype(dtype))
     nonzero = P != 0
     lead = np.flatnonzero(nonzero.any(axis=0))
+    if not lead.size:
+        return [], [], None
     top = nonzero.argmax(axis=0)[lead]
+    if (top[1:] > top[:-1]).all():  # one run: G is lower triangular
+        G = P[np.ix_(top, lead)]
+
+        def invert():
+            dinv = _unit_inverses(np.diagonal(G), p)
+            Gbar = dinv[:, None] * G
+            _reduce(Gbar, p)
+            X = _unit_triangular_inverse(Gbar, p, mul, submul) * dinv
+            _reduce(X, p)
+            return X
+
+        Ginv = inverses.get(p, G, invert) if inverses is not None else invert()
+        return top.tolist(), lead.tolist(), Ginv
     ends = lead[1:][top[1:] <= top[:-1]].tolist() + [w]  # where windows end
     ids = np.arange(w)
     L = np.empty((R, w), dtype=dtype, order="F")
@@ -448,16 +532,20 @@ def _panel_factor(P, p):
         dinv += inv
         t += r
         j = nxt
-    if not rows:
-        return rows, cols, None
-    dinv = np.array(dinv, dtype=dtype)
-    V = U[:t, cols]
-    V[ids[:t], ids[:t]] = 1
-    Lbar = L[rows, :t] * dinv
-    _reduce(Lbar, p)
-    Linv = dinv[:, None] * _unit_triangular_inverse(Lbar, p, mul, submul)
-    _reduce(Linv, p)
-    return rows, cols, mul(_unit_triangular_inverse(V, p, mul, submul), Linv)
+
+    def invert():
+        d = np.array(dinv, dtype=dtype)
+        V = U[:t, cols]
+        V[ids[:t], ids[:t]] = 1
+        Lbar = L[rows, :t] * d
+        _reduce(Lbar, p)
+        Linv = d[:, None] * _unit_triangular_inverse(Lbar, p, mul, submul)
+        _reduce(Linv, p)
+        return mul(_unit_triangular_inverse(V, p, mul, submul), Linv)
+
+    if inverses is None:
+        return rows, cols, invert()
+    return rows, cols, inverses.get(p, P[np.ix_(rows, cols)], invert)
 
 
 def _inv_mod(G, Ginv, p, m):
@@ -558,7 +646,7 @@ def _runs(cols, gap):
 _GAP = 16
 
 
-def _unit_layer(X, p, m, split, transform=None):
+def _unit_layer(X, p, m, split, inverses, transform=None):
     """Eliminate a maximal set of unit pivots of X over Z/m, panel by panel.
 
     X is updated in place and ``split`` forms its exact products mod m.  The
@@ -571,7 +659,10 @@ def _unit_layer(X, p, m, split, transform=None):
     Eliminated rows and columns are never read again, so the columns inside
     a range that were eliminated may take garbage.  Columns left of ``done``
     have no unit on the remaining rows; they still take every later update.
-    A ``transform`` records each panel's row operation.
+    A ``transform`` records each panel's row operation.  ``inverses`` (an
+    ``_Inverses`` of the reduction) hands back the inverse of a pivot block
+    met before, mod p to ``_panel_factor`` and lifted to the layer's
+    modulus, or to the transform's, in place of ``_inv_mod``.
 
     Returns (S, count): S is a leading view of X's buffer, into which the
     active block, the Schur complement, is compacted at the end; every entry
@@ -586,7 +677,7 @@ def _unit_layer(X, p, m, split, transform=None):
         panel = _take(X, rows, cols[done:hi])
         live = np.flatnonzero(panel.any(axis=1))  # a zero row is never a pivot
         panel = panel[live]
-        prow, pcol, Ginv = _panel_factor(panel, p) if live.size else ([], [], None)
+        prow, pcol, Ginv = _panel_factor(panel, p, inverses) if live.size else ([], [], None)
         if not prow:
             done = hi
             continue
@@ -600,10 +691,9 @@ def _unit_layer(X, p, m, split, transform=None):
         P = rows[live[prow]]
         rows = np.delete(rows, live[prow])
         cols = np.delete(cols, done + np.asarray(pcol))
-        if transform is None:
-            Ginv = _inv_mod(G, Ginv, p, m)
-        else:
-            Ginv = _inv_mod(G, Ginv, p, transform.modulus)
+        lift = m if transform is None else transform.modulus
+        Ginv = inverses.get((m, lift), G, functools.partial(_inv_mod, G, Ginv, p, lift))
+        if transform is not None:
             transform.record(P, rows, lrows, L, G, Ginv)
             Ginv = (Ginv % m).astype(X.dtype, copy=False)
         # K = G^-1 X[P, keep] vanishes exactly where X[P, keep] does
@@ -640,14 +730,16 @@ def _snf_layered(A, p, m, transform=None):
     next layer works mod p^(W-k-1).  Each pivot of layer k contributes
     exponent k, so the exponents come out nondecreasing.  A is overwritten,
     and a ``transform`` records the row operations.  Each layer holds
-    ``residue_dtype`` residues of its own modulus.
+    ``residue_dtype`` residues of its own modulus.  The pivot-block inverses
+    of all layers share one ``_Inverses``, freed on return.
     """
     exps = []
+    inverses = _Inverses()
     X = A.astype(residue_dtype(m), copy=False)
     k = 0
     _single_blas_thread()
     while m > 1 and X.size:
-        X, count = _unit_layer(X, p, m, _exact_split(m, PANEL, p), transform)
+        X, count = _unit_layer(X, p, m, _exact_split(m, PANEL, p), inverses, transform)
         exps.extend([k] * count)
         if not X.any():
             break

@@ -113,12 +113,16 @@ def _render_text(doc) -> str:
         for note in doc.get("notes", []):
             lines.append(f"note: {note}")
     elif kind == "classify":
-        t = doc["type"]
-        factors = [(int(n), m) for n, m in t["cyclo_multiplicities"].items()]
-        lines.append(f"free rank: {t['free_rank']}")
-        lines.append(f"cyclotomic part: {char_ideal_render(factors, expand=False).text}")
-        lines.append(f"mu: {t['mu']}  residual lambda: {t['residual_lambda']}")
-        lines.append(f"torsion-limit vanishes: {t['g_functor_vanishes']}")
+        t = doc.get("type")
+        if t is None:  # no elementary fit: the verdict comes from the evidence alone
+            lines.append(f"status: {doc['status']}  ({doc['error']})")
+            lines.append(f"torsion-limit vanishes: {doc['g_functor']}")
+        else:
+            factors = [(int(n), m) for n, m in t["cyclo_multiplicities"].items()]
+            lines.append(f"free rank: {t['free_rank']}")
+            lines.append(f"cyclotomic part: {char_ideal_render(factors, expand=False).text}")
+            lines.append(f"mu: {t['mu']}  residual lambda: {t['residual_lambda']}")
+            lines.append(f"torsion-limit vanishes: {t['g_functor_vanishes']}")
         lines.append(f"ranks: {doc['evidence']['ranks']}")
         lines.append(f"torsion orders: {doc['evidence']['torsion_orders']}")
     elif kind == "verify":

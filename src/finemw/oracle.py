@@ -9,7 +9,9 @@ on the nose), and the suite checks that classification recovers the recipe.
 
 from __future__ import annotations
 
+import os
 import random
+import traceback
 from dataclasses import dataclass, field
 
 from .errors import FinemwError, ResourceLimitError, ValidationError
@@ -272,6 +274,8 @@ def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
     except Exception as exc:  # noqa: BLE001 - failures are data for the summary
         record["status"] = "fail"
         record["error"] = f"{type(exc).__name__}: {exc}"
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        record["error_at"] = f"{os.path.basename(frame.filename)}:{frame.lineno}"
     if record["status"] == "fail":
         # dump the disguised presentation so the failure replays standalone
         try:

@@ -328,6 +328,44 @@ def test_text_format_renders_paper_notation(capsys, phi1_file):
     assert "Φ_1^2" in out
 
 
+def test_classify_text_format_without_an_elementary_fit(capsys, tmp_path):
+    # corpus draw 4 over O at n_max 2 has no elementary fit; the text report
+    # gives the status, the verdict from the evidence and the evidence itself
+    from finemw.oracle import build_elementary, obfuscate, sample_recipe
+
+    recipe = sample_recipe(2024 * 1000003 + 4, 5)
+    M = obfuscate(build_elementary(recipe, CoefficientRing(5, 2, 24)),
+                  seed=recipe.seed ^ 0x5EED, steps=24)
+    path = tmp_path / "draw4.json"
+    path.write_text(json.dumps(presentation_to_json(M)))
+    args = ["classify", "--file", str(path), "--n-max", "2"]
+    code, out = run_cli(args, capsys)
+    doc = json.loads(out)
+    assert code == 3 and doc["status"] == "no-elementary-fit"
+    code, out = run_cli(args + ["--format", "text"], capsys)
+    assert code == 3
+    assert out.splitlines() == [
+        f"status: no-elementary-fit  ({doc['error']})",
+        f"torsion-limit vanishes: {doc['g_functor']}",
+        f"ranks: {doc['evidence']['ranks']}",
+        f"torsion orders: {doc['evidence']['torsion_orders']}",
+    ]
+
+
+def test_classify_text_format_of_a_classified_module(capsys, phi1_file):
+    code, out = run_cli(["classify", "--file", phi1_file, "--n-max", "2", "--format", "text"],
+                        capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "free rank: 0",
+        "cyclotomic part: Φ_1^1",
+        "mu: 0  residual lambda: 0",
+        "torsion-limit vanishes: undetermined",
+        "ranks: [0, 4, 4]",
+        "torsion orders: [1, 0, 0]",
+    ]
+
+
 def test_oracle_rejects_low_precision(capsys):
     code, _ = run_cli(["oracle", "--p", "5", "--instances", "1", "--precision", "2"], capsys)
     assert code == 2

@@ -169,6 +169,20 @@ def test_run_instance_fails_a_verdict_contradicting_the_recipe():
     assert r["checks"]["type_recovery"] == "pass"
 
 
+def test_failure_record_keeps_the_failing_frame(monkeypatch):
+    from finemw import oracle
+
+    def broken(M, n_max):
+        raise RuntimeError("no analysis")
+
+    monkeypatch.setattr(oracle, "analyze", broken)
+    r = run_instance(5, 2, 3)
+    assert r["status"] == "fail"
+    assert r["error"] == "RuntimeError: no analysis"
+    assert r["error_at"] == f"test_oracle.py:{broken.__code__.co_firstlineno + 1}"
+    assert "presentation" in r
+
+
 def test_run_instance_keeps_undetermined_apart_from_failures():
     # Lambda/Phi_2 leaves transient torsion at level 1: the verdict stays open,
     # which contradicts nothing

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from finemw.errors import ValidationError
+from finemw.oracle import build_elementary, obfuscate, sample_recipe
 from finemw.padics import CoefficientRing, _int_valuation
+from finemw.polynomials import IwasawaPoly
+from finemw.presentations import FinLevelModule, ModulePresentation, _LevelSource
 from finemw import _kernels, snf
 from finemw.snf import _normalize_rows, _run_python, smith_normal_form
 from finemw._kernels import (PANEL, _ObjectSplit, _PadicSplit, _exact_split, _inv_mod,
@@ -929,3 +932,120 @@ def test_layered_kernel_memory_stays_within_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * A.nbytes
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    """Counts of ``_panel_factor`` and ``_inv_mod`` calls, as the kernel runs."""
+    calls = {"panels": 0, "lifts": 0}
+
+    def counted(key, f):
+        def run(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(_kernels, "_panel_factor", counted("panels", _kernels._panel_factor))
+    monkeypatch.setattr(_kernels, "_inv_mod", counted("lifts", _kernels._inv_mod))
+    return calls
+
+
+def _reuse_case(ring, seed):
+    """Two generators and three relations: a distinguished polynomial of
+    degree 2 to 4 with a p^2-multiple beside it, T - p^3 with a p^3-multiple
+    beside it, and a mu column of p^2 and p^4 multiples."""
+    p, m = ring.prime, ring.modulus
+    rng = random.Random(seed)
+
+    def poly(top, scale=1):
+        return IwasawaPoly.from_ints(ring, [rng.randrange(m) * scale % m for _ in range(top + 1)])
+
+    top = rng.randrange(2, 5)
+    first = [IwasawaPoly.from_ints(ring, [rng.randrange(m) * p for _ in range(top)] + [1]),
+             poly(3, p**2)]
+    second = [poly(2, p**3), IwasawaPoly.from_ints(ring, [-p**3, 1])]
+    mu = [poly(3, p**2), poly(2, p**4)]
+    return ModulePresentation(ring, 2, [[first[i], second[i], mu[i]] for i in range(2)])
+
+
+@pytest.mark.parametrize("p, level, seed", [(5, 2, 0), (5, 2, 1), (7, 1, 2)])
+def test_repeated_pivot_blocks_keep_the_smith_form(p, level, seed, lifts, monkeypatch):
+    """With 8-column panels a level expansion spans several panels whose
+    pivot blocks repeat, so blocks inverted once are met again; exponents
+    against the referee, untracked (echelon order) and tracked (block order,
+    with the transform checks)."""
+    _large_route(monkeypatch)
+    monkeypatch.setattr(_kernels, "PANEL", 8)
+    ring = CoefficientRing(p, 1, 24)
+    M = _reuse_case(ring, seed)
+    fin = FinLevelModule(M, level)
+    rng = random.Random(seed)
+    quotients = [[(rng.randrange(ring.modulus) * p ** (k % 3),) for _ in range(fin.nrows)]
+                 for k in range(2)]
+    for columns in ((), quotients):
+        for track in (False, True):
+            lifts.update(panels=0, lifts=0)
+            source = _LevelSource(fin, columns, echelon=not track)
+            res = snf.reduce(source, ring, track)
+            assert res.engine == "int64" and lifts["lifts"] < lifts["panels"]
+            rows = [[x[0] for x in row] for row in source.coordinate_rows()]
+            assert res.exponents == smith_exponents_mod_prime_power(rows, p, res.precision_used)
+            assert max(res.exponents) >= 2
+            if track:
+                _check_transform(rows, p, res.exponents, res.reduce_vector,
+                                 res.generator_column)
+
+
+@pytest.mark.parametrize("draw, shape, panels, most", [(0, (686, 686), 11, 3),
+                                                       (1, (1372, 1029), 16, 8)])
+def test_each_distinct_pivot_block_is_lifted_once_per_reduction(draw, shape, panels, most,
+                                                                lifts):
+    # level-3 expansions of the corpus draws behind the classify_p7 benchmark
+    # at p^W: the panels repeat a few pivot blocks, and a second reduction of
+    # the same matrix lifts as often as the first, so nothing is kept between
+    # reductions
+    p = 7
+    recipe = sample_recipe(2024 * 1000003 + draw, p)
+    M = obfuscate(build_elementary(recipe, CoefficientRing(p, 1, 24)),
+                  seed=recipe.seed ^ 0x5EED, steps=24)
+    W = int64_precision_cap(p)
+    A = FinLevelModule(M, 3).matrix_int64(W, echelon=True)
+    assert W == 11 and A.shape == shape
+    counts, results = [], []
+    for _ in range(2):
+        lifts.update(panels=0, lifts=0)
+        results.append(snf_int64(A.copy(), p, p**W, False)[0])
+        counts.append(dict(lifts))
+    assert counts[0] == counts[1] and results[0] == results[1]
+    assert counts[0]["panels"] == panels and counts[0]["lifts"] <= most
+
+
+def test_inverse_store_keys_on_content_and_drops_the_oldest(monkeypatch):
+    # room for two 8 x 8 float64 blocks with their inverses; the same bytes
+    # under another modulus or dtype are another block, and Python-integer
+    # blocks are never kept
+    monkeypatch.setattr(_kernels._Inverses, "BUDGET", 4 * 8 * 8 * 8)
+    store = _kernels._Inverses()
+    calls = []
+
+    def inverse(block):
+        def invert():
+            calls.append(block)
+            return np.linalg.inv(block)
+        return invert
+
+    rng = np.random.default_rng(0)
+    a, b, c = (rng.integers(0, 5, size=(8, 8)).astype(np.float64) + 8 * np.eye(8)
+               for _ in range(3))
+    for block in (a, b, a.copy(), b):
+        X = store.get(5, block, inverse(block))
+        assert np.allclose(X @ block, np.eye(8)) and not X.flags.writeable
+    assert len(calls) == 2
+    store.get(7, a, inverse(a))
+    store.get(5, a.astype(np.int64), inverse(a))
+    assert len(calls) == 4 and len(store.store) == 2
+    store.get(5, b, inverse(b))  # dropped
+    assert len(calls) == 5
+    store.get(5, c.astype(object), inverse(c))
+    store.get(5, c.astype(object), inverse(c))
+    assert len(calls) == 7 and len(store.store) == 2
