@@ -1,10 +1,16 @@
 """The layered Smith-form kernel over Z/p^w.
 
 All arithmetic is exact in Z/m for every prime power m = p^w.  Residues are
-int64 while m <= 2^63 and Python integers in numpy object arrays beyond
-(``residue_dtype``); a matrix over the quadratic ring arrives as its regular
-representation over Z_p (``snf.regular_representation``).  ``_snf_layered``
-works one valuation layer at a time.
+stored in the narrowest type that holds them (``residue_dtype``): int32
+while m <= 2^31, so the reduced working precision p^W of p = 5, 7 and every
+layer below 2^31 take half the bytes, int64 while m <= 2^63 and Python
+integers in numpy object arrays beyond.  Arithmetic widens before it could
+pass the storage type (a sum of two residues passes 2^31 once m > 2^30):
+the split products take int32 operands and return int64 or Python
+integers, and a residue array is only written back once reduced.  A
+matrix over the quadratic ring arrives as its regular representation over
+Z_p (``snf.regular_representation``).  ``_snf_layered`` works one
+valuation layer at a time.
 ``_panel_factor`` finds the unit pivots mod p of each 64-column panel, its
 rank profile, by left-looking elimination that takes a run of columns per
 step: columns whose residuals' first nonzero rows strictly increase pivot on
@@ -55,7 +61,14 @@ HAVE_NUMBA = False
 
 
 def residue_dtype(m):
-    """The dtype of residues mod m: int64 while m <= 2^63, Python integers beyond."""
+    """The dtype of residues mod m: int32 while m <= 2^31, int64 while m <= 2^63,
+    Python integers beyond.
+
+    It stores residues only: sums and products of two of them may pass it
+    (2m - 2 >= 2^31 once m > 2^30), so arithmetic on them widens first.
+    """
+    if m <= 1 << 31:
+        return np.int32
     return np.int64 if m <= 1 << 63 else object
 
 
@@ -130,7 +143,8 @@ class _BitSplit:
 
     h comes from ``_split_bits``.  The low digit product is subtracted
     unreduced and the others after one reduction, so two digits take two
-    int64 passes of ``%``.  Operands must be int64 (m < 2^53 here).
+    int64 passes of ``%``.  Operands are int32 or int64 residues (m < 2^53
+    here); the result is int64.
     """
 
     def __init__(self, m, inner):
@@ -139,7 +153,11 @@ class _BitSplit:
         self.products = -(-max(1, (m - 1).bit_length()) // self.h)
 
     def digits(self, K):
-        """Base-2^h digits of K (entries in [0, m)) as float64 arrays, low first."""
+        """Base-2^h digits of K (entries in [0, m)) as float64 arrays, low first.
+
+        K is widened to int64 first: the mask 2^h - 1 passes int32 for h >= 31.
+        """
+        K = K.astype(np.int64, copy=False)
         mask = (1 << self.h) - 1
         return [((K >> (self.h * d)) & mask).astype(np.float64) for d in range(self.products)]
 
@@ -403,13 +421,14 @@ class _Inverses:
     A level expansion is block-Toeplitz, column (k, j) being T^k times
     relation j, so successive panels present the same pivot block again and
     again; each distinct block is inverted once.  A key holds the moduli,
-    the shape and the bytes of the block, and a lookup compares it in full.
+    the dtype, the shape and the bytes of the block, and a lookup compares
+    it in full; blocks mod p come as uint8 for p < 256 (``_mod_p_key``).
     Blocks of Python integers are never stored: their bytes are pointers.
     The store lives in one ``_snf_layered`` call and keeps at most about
     ``BUDGET`` bytes of keys and inverses, dropping the oldest first.
     """
 
-    BUDGET = 1 << 20  # 16 float64 blocks of 64 x 64 with their keys
+    BUDGET = 1 << 20  # 28 blocks of 64 x 64 mod p: uint8 keys, float64 inverses
 
     def __init__(self):
         self.store = {}
@@ -467,7 +486,8 @@ def _panel_factor(P, p, inverses=None):
     a zero residual after their pivot, so G = L[rows] U[:, cols] =
     (L[rows] D^-1) D V with V = U[:, cols] unit upper triangular, and
     Ginv = V^-1 D^-1 (L[rows] D^-1)^-1.  With ``inverses`` (an ``_Inverses``)
-    a block G mod p met before in the reduction takes its stored Ginv.
+    a block G mod p met before in the reduction takes its stored Ginv; the
+    block is keyed as uint8 residues for p < 256 (``_mod_p_key``).
     """
     R, w = P.shape
     dtype, mul, submul = _residue_ops(p, w)
@@ -488,7 +508,7 @@ def _panel_factor(P, p, inverses=None):
             _reduce(X, p)
             return X
 
-        Ginv = inverses.get(p, G, invert) if inverses is not None else invert()
+        Ginv = inverses.get(p, _mod_p_key(G, p), invert) if inverses is not None else invert()
         return top.tolist(), lead.tolist(), Ginv
     ends = lead[1:][top[1:] <= top[:-1]].tolist() + [w]  # where windows end
     ids = np.arange(w)
@@ -545,7 +565,12 @@ def _panel_factor(P, p, inverses=None):
 
     if inverses is None:
         return rows, cols, invert()
-    return rows, cols, inverses.get(p, P[np.ix_(rows, cols)], invert)
+    return rows, cols, inverses.get(p, _mod_p_key(P[np.ix_(rows, cols)], p), invert)
+
+
+def _mod_p_key(G, p):
+    """G mod p as ``_Inverses`` keys it: uint8 residues, an eighth of float64, for p < 256."""
+    return G.astype(np.uint8) if p < 256 else G
 
 
 def _inv_mod(G, Ginv, p, m):
@@ -572,6 +597,7 @@ def _inv_mod(G, Ginv, p, m):
     floats.
     """
     s = G.shape[0]
+    G = G.astype(np.result_type(G, np.int64), copy=False)  # int32 % reach passes int32
     X = Ginv.astype(np.float64)
     k = reach = p
     while reach < m and s * reach * (reach + 1) < 1 << 52:
@@ -662,7 +688,10 @@ def _unit_layer(X, p, m, split, inverses, transform=None):
     A ``transform`` records each panel's row operation.  ``inverses`` (an
     ``_Inverses`` of the reduction) hands back the inverse of a pivot block
     met before, mod p to ``_panel_factor`` and lifted to the layer's
-    modulus, or to the transform's, in place of ``_inv_mod``.
+    modulus, or to the transform's, in place of ``_inv_mod``.  An untracked
+    panel without an update (no row of L, or pivot rows zero on every
+    active column) lifts nothing: only the update and the transform read
+    the lift.
 
     Returns (S, count): S is a leading view of X's buffer, into which the
     active block, the Schur complement, is compacted at the end; every entry
@@ -691,13 +720,15 @@ def _unit_layer(X, p, m, split, inverses, transform=None):
         P = rows[live[prow]]
         rows = np.delete(rows, live[prow])
         cols = np.delete(cols, done + np.asarray(pcol))
-        lift = m if transform is None else transform.modulus
-        Ginv = inverses.get((m, lift), G, functools.partial(_inv_mod, G, Ginv, p, lift))
-        if transform is not None:
-            transform.record(P, rows, lrows, L, G, Ginv)
-            Ginv = (Ginv % m).astype(X.dtype, copy=False)
         # K = G^-1 X[P, keep] vanishes exactly where X[P, keep] does
         hit = cols[_take(X, np.sort(P), cols).any(axis=0)] if lrows.size else cols[:0]
+        lift = m if transform is None else transform.modulus
+        if transform is not None or hit.size:  # else nothing reads the lift
+            Ginv = inverses.get((m, lift), G, functools.partial(_inv_mod, G, Ginv, p, lift))
+        if transform is not None:
+            transform.record(P, rows, lrows, L, G, Ginv)
+            if lift > m:  # past layer 0; at m = 2^31, % m would pass int32
+                Ginv = (Ginv % m).astype(X.dtype, copy=False)
         for a, b in _runs(hit, _GAP):
             # eliminated columns inside the range take garbage
             K = split.digits(_mulmod(Ginv, X[P, a:b], m, p))

@@ -308,7 +308,8 @@ class FinLevelModule:
     def matrix_int64(self, working_exponent, extra_columns=(), echelon=False):
         """Relation block plus optional columns as a Z_p-matrix mod p^W.
 
-        Entries are ``residue_dtype`` residues: int64 while p^W <= 2^63,
+        Entries are ``residue_dtype`` residues: int32 while p^W <= 2^31 (the
+        reduced working precision at p = 5, 7), int64 while p^W <= 2^63,
         Python integers beyond.  Over the quadratic ring this is the regular
         representation of the O-matrix (``snf.regular_representation``): the
         two coordinate planes interleaved, twice as many rows and columns.

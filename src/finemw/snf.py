@@ -25,8 +25,11 @@ p^N:
   and a Z_p-linear transform of the regular representation is not
   O-linear.
 * Every other reduction runs the valuation-layered kernel of ``_kernels``,
-  which is exact at every modulus: it sums its products in int64 while they
-  fit and as Python integers beyond (7^24).
+  which is exact at every modulus: it stores residues as int32 while the
+  modulus is at most 2^31 (the reduced working precision at p = 5, 7), as
+  int64 up to 2^63 and as Python integers beyond (``residue_dtype``), and
+  sums its products in int64 while they fit and as Python integers beyond
+  (7^24).
 * A larger matrix over Z_p first runs the kernel at the reduced working
   precision p^W, W = min(target, int64 cap), with or without the row
   transform.  Exponents below W - 2 equal the full-precision answer.  An
@@ -285,8 +288,10 @@ def regular_representation(planes, ring, m):
     A = np.empty((2 * a.shape[0], 2 * a.shape[1], *a.shape[2:]), dtype=a.dtype)
     A[0::2, 0::2] = A[1::2, 1::2] = a
     A[1::2, 0::2] = b
-    # nu b leaves int64 for larger primes (p = 17 at 17^15 is admitted)
-    A[0::2, 1::2] = (b if (m - 1) * -ring.nu < 1 << 63 else b.astype(object)) * ring.nu % m
+    # nu b passes the residue dtype: int32 from m > 2^31 / |nu| on, int64 for
+    # larger primes (p = 17 at 17^15 is admitted)
+    wide = np.int64 if (m - 1) * -ring.nu < 1 << 63 else object
+    A[0::2, 1::2] = b.astype(wide, copy=False) * ring.nu % m
     return A
 
 

@@ -392,3 +392,23 @@ def test_oracle_refuses_levels_and_steps_it_cannot_run(flag, value, field, capsy
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert field in captured.err
+
+
+def test_parser_is_built_once_and_survives_a_refused_call(capsys):
+    # main reuses one parser per process: a call that argparse refuses
+    # (exit 2) leaves nothing behind for the next one, and --help prints
+    # what a freshly built parser prints
+    from finemw.cli import build_parser
+
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as refused:
+        main(["classify", "--file", "x.json", "--n-max", "three"])
+    assert refused.value.code == 2
+    assert "invalid int value: 'three'" in capsys.readouterr().err
+    code, out = run_cli(["predict", "--setting", "cm_split_cyc", "--ranks", "1,5",
+                         "--p", "5", "--rank-kind", "Z"], capsys)
+    assert code == 0 and json.loads(out)["growth"] == [1, 1]
+    with pytest.raises(SystemExit) as helped:
+        main(["--help"])
+    assert helped.value.code == 0
+    assert capsys.readouterr().out == build_parser.__wrapped__().format_help()

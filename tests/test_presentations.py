@@ -514,6 +514,57 @@ def test_component_ring_arithmetic_matches_polynomial_products(p, j, t):
     assert oj.eliminate(u, F, P, X).tolist() == expect
 
 
+# (p, w, dtype): the largest p^w below 2^31, whose residues are int32, and the
+# smallest p^w past it, the int64 control
+BOUNDARY = [(5, 13, np.int32), (5, 14, np.int64), (7, 11, np.int32), (7, 12, np.int64)]
+
+
+@pytest.mark.parametrize("p, w, dtype", BOUNDARY)
+def test_remainders_of_the_largest_residues_at_the_int32_boundary(p, w, dtype):
+    # rows of m - 1 divided by omega_2 and Phi_2 mod m, against exact
+    # integer division; one power-table row is the widest bit digits
+    m = p**w
+    M = free_module(CoefficientRing(p, 1, 24), 1)
+    for component, modulus in ((None, omega_int(p, 2)), (2, cyclotomic_int(p, 2))):
+        fin = FinLevelModule(M, 2, component)
+        q = fin.q
+        for extra in (1, 2 * q + 3):
+            Y = np.full((3, q + extra), m - 1, dtype=dtype)
+            rem = [x % m for x in poly_divmod_z([m - 1] * (q + extra), modulus)[1]]
+            assert fin._remainders(Y, m).tolist() == [rem + [0] * (q - len(rem))] * 3
+
+
+@pytest.mark.parametrize("p, w, dtype", BOUNDARY)
+def test_component_ring_at_the_int32_boundary(p, w, dtype):
+    """Division and elimination in O_j at a capped precision p^t = m, on entries
+    near m, against schoolbook products mod the integer Phi_j."""
+    m = p**w
+    for j in (0, 1, 2):
+        oj = _component_ring(p, j, w)
+        q = oj.q
+        h = cyclotomic_int(p, j)
+
+        def times(x, f):
+            return mulmod_monic([int(a) for a in x], [int(a) for a in f], h, m)
+
+        # X / (p^a T^b) for X of valuation q a + b: the coefficients below T^b
+        # are divisible by p^(a + 1), the others by p^a, and p^a T^b Y = X
+        for a, b in ((0, 0), (0, 1), (0, q - 1), (1, 0), (2, q - 1)):
+            if b >= q:
+                continue
+            X = np.full((2, 3, q), m - p**a, dtype=dtype)
+            X[..., :b] = m - p ** (a + 1)
+            Y = oj.divide(X, q * a + b)
+            power = [0] * b + [p**a]
+            assert [[times(y, power) for y in row] for row in Y] == X.tolist()
+        # u X[l] - F[l] P with every operand m - 1
+        u, F, P, X = (np.full(shape + (q,), m - 1, dtype=dtype)
+                      for shape in ((), (3,), (4,), (3, 4)))
+        expect = [[[(x - y) % m for x, y in zip(times(u, X[l, c]), times(F[l], P[c]))]
+                   for c in range(4)] for l in range(3)]
+        assert oj.eliminate(u, F, P, X).tolist() == expect
+
+
 def _small_modules(ring):
     """Small modules with Phi_1, Phi_2, finite, p-power and free parts."""
     p = ring.prime

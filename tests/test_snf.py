@@ -11,7 +11,7 @@ from finemw.polynomials import IwasawaPoly
 from finemw.presentations import FinLevelModule, ModulePresentation, _LevelSource
 from finemw import _kernels, snf
 from finemw.snf import _normalize_rows, _run_python, smith_normal_form
-from finemw._kernels import (PANEL, _ObjectSplit, _PadicSplit, _exact_split, _inv_mod,
+from finemw._kernels import (PANEL, _BitSplit, _ObjectSplit, _PadicSplit, _exact_split, _inv_mod,
                              _mulmod, _panel_factor, _residue_ops, _split_bits,
                              _unit_triangular_inverse, int64_precision_cap, residue_dtype,
                              snf_int64)
@@ -917,11 +917,12 @@ def test_layered_kernel_memory_stays_within_chunks():
     """Temporaries of a sparse 686 x 686 reduction stay well below the matrix.
 
     Every gathered block is bounded by a panel or by a chunk of the trailing
-    update, and the peak is about a quarter of A.nbytes; a gather of
+    update, and the peak is about a third of A.nbytes; a gather of
     full-width row blocks copies most of the matrix and passes the bound.
     """
     p, n, W = 7, 3, 11
-    A = _expansion_shaped(random.Random(686), p, n, W, 2, 2, 14)
+    # in the kernel's residue dtype (int32 at 7^11), which it reduces in place
+    A = _expansion_shaped(random.Random(686), p, n, W, 2, 2, 14).astype(residue_dtype(p**W))
     assert A.shape == (686, 686) and (A != 0).mean() < 0.1
     snf_int64(A.copy(), p, p**W, False)  # caches and BLAS buffers
     X = A.copy()
@@ -1020,6 +1021,36 @@ def test_each_distinct_pivot_block_is_lifted_once_per_reduction(draw, shape, pan
     assert counts[0]["panels"] == panels and counts[0]["lifts"] <= most
 
 
+@pytest.mark.parametrize("shape, untracked", [("diagonal", 0), ("lower", 0), ("corner", 2)])
+def test_untracked_panels_without_an_update_lift_nothing(shape, untracked, lifts):
+    """Only the trailing update and the transform read a lifted pivot block.
+
+    On a unit diagonal no other row meets a panel's pivot columns, and on a
+    unit lower triangle the pivot rows vanish on every later column, so
+    untracked no panel lifts; one entry in the top right corner gives the
+    first two panels an update.  Tracked, every distinct block is lifted.
+    """
+    p, W = 7, 11
+    m = p**W
+    n = 2 * PANEL + 9
+    rng = np.random.default_rng(n)
+    A = rng.integers(0, m, size=(n, n))
+    A = np.diag(np.diag(A)) if shape == "diagonal" else np.tril(A)
+    A[np.diag_indices(n)] = rng.integers(1, p, n) + p * rng.integers(0, m // p, n)
+    if shape == "corner":
+        A[0, -1] = 1
+    A = A.astype(residue_dtype(m))
+    assert smith_exponents_mod_prime_power(A.tolist(), p, W) == [0] * n
+    lifts.update(panels=0, lifts=0)
+    assert snf_int64(A.copy(), p, m, False) == ([0] * n, None)
+    assert lifts == {"panels": 3, "lifts": untracked}
+    lifts.update(panels=0, lifts=0)
+    exponents, transform = snf_int64(A.copy(), p, m, True)
+    assert exponents == [0] * n and lifts == {"panels": 3, "lifts": 3}
+    _check_transform(A.tolist(), p, exponents, transform.reduce_vector,
+                     transform.generator_column)
+
+
 def test_inverse_store_keys_on_content_and_drops_the_oldest(monkeypatch):
     # room for two 8 x 8 float64 blocks with their inverses; the same bytes
     # under another modulus or dtype are another block, and Python-integer
@@ -1049,3 +1080,156 @@ def test_inverse_store_keys_on_content_and_drops_the_oldest(monkeypatch):
     store.get(5, c.astype(object), inverse(c))
     store.get(5, c.astype(object), inverse(c))
     assert len(calls) == 7 and len(store.store) == 2
+
+
+# -- residues at the int32 boundary -------------------------------------------
+
+# (p, w, dtype): the largest p^w below 2^31, whose residues are int32, and the
+# smallest p^w past it, the int64 control
+BOUNDARY = [(5, 13, np.int32), (5, 14, np.int64), (7, 11, np.int32), (7, 12, np.int64)]
+
+
+def test_residue_dtype_is_the_narrowest_that_holds_the_residues():
+    moduli = (2, 2**31, 2**31 + 1, 2**63, 2**63 + 1)
+    assert [residue_dtype(m) for m in moduli] == [np.int32, np.int32, np.int64, np.int64, object]
+    assert [residue_dtype(p**w) for p, w, _ in BOUNDARY] == [dtype for _, _, dtype in BOUNDARY]
+
+
+@pytest.mark.parametrize("p, w, dtype", BOUNDARY)
+def test_split_products_of_the_largest_residues_at_the_int32_boundary(p, w, dtype):
+    """Operands m - 1, whose sums and products pass int32 once m > 2^30.
+
+    Every split scheme, at inner dimension 1 (the widest bit digits) and at
+    the panel width, against Python integers.
+    """
+    m = p**w
+    assert residue_dtype(m) is dtype
+    for inner in (1, PANEL):
+        L = np.full((3, inner), m - 1, dtype=dtype)
+        K = np.full((inner, 5), m - 1, dtype=dtype)
+        X0 = np.full((3, 5), m - 1, dtype=dtype)
+        exact = (L.astype(object) @ K.astype(object)) % m
+        for split in (_BitSplit(m, inner), _PadicSplit(p, m, inner), _ObjectSplit(m)):
+            assert (split.mul_sub(L, split.digits(K)) == -exact % m).all()
+            assert (split.mul_sub(L, split.digits(K), X0=X0)
+                    == (X0.astype(object) - exact) % m).all()
+        assert (_mulmod(L, K, m, p) == exact).all()
+
+
+def test_bit_digits_wider_than_int32():
+    # the deep layers of a reduction work mod small powers, where the bit
+    # split's digits are 31 bits or wider: their mask passes int32
+    p, m = 5, 5**5
+    split = _BitSplit(m, PANEL)
+    assert split.h >= 31
+    L = np.full((3, PANEL), m - 1, dtype=residue_dtype(m))
+    K = np.full((PANEL, 5), m - 1, dtype=residue_dtype(m))
+    assert (_mulmod(L, K, m, p) == (L.astype(object) @ K.astype(object)) % m).all()
+
+
+@pytest.mark.parametrize("p, w, dtype", BOUNDARY)
+def test_regular_representation_of_the_largest_residues(p, w, dtype):
+    """nu b for b = m - 1 passes int32 (nu = -3 at p = 5, -4 at p = 7)."""
+    m = p**w
+    ring = CoefficientRing(p, 2, 24)
+    planes = np.full((2, 3, 4, 2), m - 1, dtype=dtype)  # entries in O_j, as components take them
+    planes[1, 0, 0] = [1, 0]
+    A = snf.regular_representation(planes, ring, m)
+    a, b = planes.astype(object)
+    expected = np.empty((6, 8, 2), dtype=object)
+    expected[0::2, 0::2] = expected[1::2, 1::2] = a
+    expected[1::2, 0::2] = b
+    expected[0::2, 1::2] = ring.nu * b % m
+    assert A.dtype == dtype and (A == expected).all()
+
+
+@pytest.mark.parametrize("p, w, dtype", BOUNDARY)
+def test_pivot_block_inverse_at_the_int32_boundary(p, w, dtype):
+    # lifted to the block's own modulus, and from a block of int32 residues
+    # to the transform's p^24, as a tracked layer below 2^31 lifts it
+    m = p**w
+    rng = np.random.default_rng(p * w)
+    for s in (1, 17):
+        G = _unit_block(rng, p, w, s)
+        Ginv = np.array(inverse_mod_p(G, p), dtype=np.float64)
+        for lift in (m, p**24):
+            X = _inv_mod(np.array(G, dtype=dtype), Ginv, p, lift)
+            assert X.dtype == residue_dtype(lift)
+            assert X.tolist() == inverse_mod_prime_power(G, p, 24 if lift > m else w)
+
+
+def _replay(transform, y, backwards=False):
+    """U y, or U^-1 y with ``backwards``, from the recorded panels on Python ints."""
+    m = transform.modulus
+    y = [int(x) % m for x in y]
+
+    def apply(M, v):
+        return [sum(int(a) * b for a, b in zip(row, v)) for row in M.tolist()]
+
+    for P, F, L, G, Ginv in (reversed(transform.panels) if backwards else transform.panels):
+        P, F = P.tolist(), F.tolist()
+        t = [y[i] for i in P]
+        if backwards:
+            y_P, sign = apply(G, t), 1
+        else:
+            t = y_P = [x % m for x in apply(Ginv, t)]
+            sign = -1
+        for i, x in zip(F, apply(L, t)):
+            y[i] = (y[i] + sign * x) % m
+        for i, x in zip(P, y_P):
+            y[i] = x % m
+    return y
+
+
+@pytest.mark.parametrize("p, w, dtype", BOUNDARY + [(2, 31, np.int32)])
+def test_kernel_and_transform_at_the_int32_boundary(p, w, dtype):
+    """Exponents against the referee, and U w and the columns of U^-1 against
+    a replay of the recorded panels on Python ints, for w filled with m - 1.
+    Deep blocks take the reduction through layers mod small powers.  At
+    m = 2^31 itself the residues still fit int32, while m does not."""
+    m = p**w
+    rng = random.Random(p * 100 + w)
+    full = [[m - 1] * 9 for _ in range(7)]
+    for mat in (full, _disguised_blocks(rng, 70, 2 * PANEL + 3, p, w)[0]):
+        R = len(mat)
+        expected = smith_exponents_mod_prime_power(mat, p, w)
+        A = np.array(mat, dtype=dtype)
+        assert snf_int64(A.copy(), p, m, False) == (expected, None)
+        exponents, transform = snf_int64(A, p, m, True)
+        assert exponents == expected
+        for vector in ([m - 1] * R, [rng.randrange(m) for _ in range(R)]):
+            U_w = transform.reduce_vector(vector)
+            order = transform.pivots + transform.rows.tolist()
+            replayed = _replay(transform, vector)
+            assert U_w == [replayed[i] for i in order]
+        for k in (0, len(exponents) - 1, R - 1):
+            e_k = [0] * R
+            e_k[order[k]] = 1
+            assert transform.generator_column(k) == _replay(transform, e_k, backwards=True)
+        _check_transform(mat, p, exponents, transform.reduce_vector, transform.generator_column)
+
+
+def test_mod_p_blocks_key_on_uint8_residues_below_256(monkeypatch):
+    """A 64 x 64 block mod p < 256 keys on 4 KB of uint8 residues, an eighth
+    of its float64 bytes, and the budget counts the smaller key: room for
+    two such blocks with their float64 inverses keeps two, where float64 keys
+    would keep one.  Both ways of factoring a panel key alike."""
+    block = PANEL * PANEL
+    monkeypatch.setattr(_kernels._Inverses, "BUDGET", 2 * (block + 8 * block))
+    p, m = 7, 7**11
+    rng = np.random.default_rng(3)
+    lower = [np.tril(rng.integers(0, m, (PANEL, PANEL)), -1) + np.diag(rng.integers(1, p, PANEL))
+             for _ in range(3)]  # one run
+    dense = rng.integers(0, m, (PANEL + 9, PANEL))  # left-looking elimination
+    panels = [P.astype(residue_dtype(m)) for P in lower + [dense]]
+    store = _kernels._Inverses()
+    first = [_panel_factor(P, p, store) for P in panels]
+    assert [len(rows) for rows, _, _ in first] == [PANEL] * 4
+    assert len(store.store) == 2 and store.free == 0
+    assert all(key[1] == "|u1" and len(key[-1]) == block for key in store.store)
+    assert _panel_factor(panels[3], p, store)[2] is first[3][2]
+    again = _panel_factor(panels[0], p, store)[2]  # dropped: inverted anew
+    assert again is not first[0][2] and (again == first[0][2]).all()
+    wide = _kernels._Inverses()
+    _panel_factor(panels[0], 257, wide)
+    assert [(key[1], len(key[-1])) for key in wide.store] == [("<f8", 8 * block)]
