@@ -41,8 +41,12 @@ scaled digit groups still sum in int64 and only their total is scaled and
 subtracted on Python integers.  Only primes too large for exact float64
 digit products multiply Python integers (``_ObjectSplit``).  A tracked
 reduction also keeps each panel's row operation as thin factors
-(``RowTransform``), from which U w and the columns of U^-1 are applied; no
-R x R transform is formed.
+(``RowTransform``), which are replayed once per panel on a whole block of
+vectors: forwards for U W, backwards for columns of U^-1; no R x R
+transform is formed.  Vectors come and go as coordinate planes, an array of
+shape (d, K, L) (``to_planes``); lists enter and leave only through
+``to_planes`` and ``to_vectors``.  ``residues`` reduces any array mod m,
+widening before the remainder.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ import glob
 import os
 
 import numpy as np
+
+from .errors import ValidationError
 
 # There is no jitted kernel; the flag stays for callers that report which
 # Smith kernel runs (the benchmark harness's machine fingerprint).
@@ -594,16 +600,17 @@ def _inv_mod(G, Ginv, p, m):
     steps past it (at p = 5, 7 the last one, from p^16, at every modulus
     beyond p^16) form G X - I and X (G X - I) by exact split products mod
     k2.  A float64 X goes through int64: float64 to object gives Python
-    floats.
+    floats.  G is reduced mod each precision by ``residues``, which widens
+    it first: an int32 G to int64, and onto Python integers at 2^63, where
+    the int64 remainder overflows.
     """
     s = G.shape[0]
-    G = G.astype(np.result_type(G, np.int64), copy=False)  # int32 % reach passes int32
     X = Ginv.astype(np.float64)
     k = reach = p
     while reach < m and s * reach * (reach + 1) < 1 << 52:
         reach = min(reach * reach, m)
     if reach > p:
-        Gr = (G % reach).astype(np.float64)
+        Gr = residues(G, reach).astype(np.float64)
         eye = np.eye(s)
         while k < reach:
             k2 = min(k * k, m)
@@ -625,13 +632,11 @@ def _inv_mod(G, Ginv, p, m):
             X += Z
             k = k2
     X = X.astype(np.int64)
-    G = G.astype(residue_dtype(m), copy=False)  # int64 % m overflows past 2^63
     eye = np.eye(s, dtype=np.int64)
     while k < m:
         k = min(k * k, m)
         split = _exact_split(k, s, p)
-        Gq = (G % k).astype(residue_dtype(k), copy=False)
-        excess = -split.mul_sub(Gq, split.digits(X), X0=eye) % k  # G X - I
+        excess = -split.mul_sub(residues(G, k), split.digits(X), X0=eye) % k  # G X - I
         X = split.mul_sub(X, split.digits(excess), X0=X)
     return X.astype(residue_dtype(m), copy=False)
 
@@ -727,8 +732,8 @@ def _unit_layer(X, p, m, split, inverses, transform=None):
             Ginv = inverses.get((m, lift), G, functools.partial(_inv_mod, G, Ginv, p, lift))
         if transform is not None:
             transform.record(P, rows, lrows, L, G, Ginv)
-            if lift > m:  # past layer 0; at m = 2^31, % m would pass int32
-                Ginv = (Ginv % m).astype(X.dtype, copy=False)
+            if lift > m:  # past layer 0
+                Ginv = residues(Ginv, m)
         for a, b in _runs(hit, _GAP):
             # eliminated columns inside the range take garbage
             K = split.digits(_mulmod(Ginv, X[P, a:b], m, p))
@@ -781,24 +786,79 @@ def _snf_layered(A, p, m, transform=None):
     return exps
 
 
-class RowTransform:
+def residues(A, m):
+    """A mod m as ``residue_dtype(m)`` residues, for an array A of any dtype.
+
+    A is widened first: to int64 below 2^63, to Python integers from 2^63 on,
+    where the int64 remainder by m overflows.
+    """
+    if A.dtype != object:
+        A = A.astype(np.int64 if m < 1 << 63 else object, copy=False)
+    return (A % m).astype(residue_dtype(m), copy=False)
+
+
+def to_planes(vectors, degree, m):
+    """Vectors as coordinate planes mod m, an array (d, K, L) of ``residue_dtype(m)``.
+
+    Plane s holds coordinate s of the K vectors of length L.  ``vectors`` are
+    such planes or a list of K vectors of ints or coordinate tuples (an int a
+    is (a, 0) over the quadratic ring), which may pass int64.
+    """
+    if isinstance(vectors, np.ndarray):
+        return residues(vectors, m)
+    if len({len(v) for v in vectors}) > 1:
+        raise ValidationError("extra column has wrong length")
+    pad = (0,) * (degree - 1)
+    entries = [[x if isinstance(x, tuple) else (x,) + pad for x in v] for v in vectors]
+    shape = (len(entries), len(entries[0]) if entries else 0, degree)
+    return residues(np.moveaxis(np.array(entries, dtype=object).reshape(shape), 2, 0), m)
+
+
+def to_vectors(planes):
+    """The vectors of coordinate planes (d, K, L) as K lists: ints over Z_p, tuples over O."""
+    if planes.shape[0] == 1:
+        return planes[0].tolist()
+    return [list(zip(*vector)) for vector in planes.transpose(1, 0, 2).tolist()]
+
+
+class BlockTransform:
+    """A row transform U applied to blocks of vectors given as planes (d, K, R).
+
+    A subclass gives ``modulus``, ``reduce_block`` (U W, in summand order)
+    and ``generator_columns`` (the columns of U^-1 for a list of summands);
+    the one-vector calls convert through ``to_planes`` and ``to_vectors``.
+    """
+
+    degree = 1
+
+    def reduce_vector(self, w):
+        """U w for one vector of ints (tuples over O), which may pass int64."""
+        return to_vectors(self.reduce_block(to_planes([w], self.degree, self.modulus)))[0]
+
+    def generator_column(self, k):
+        """Column k of U^-1, the ambient vector of summand k."""
+        return to_vectors(self.generator_columns([k]))[0]
+
+
+class RowTransform(BlockTransform):
     """The row transform U of a tracked layered reduction, as panel factors.
 
     A panel with pivot rows P, pivot columns Q and remaining rows F (original
-    row ids) acts on a vector w by t = G^-1 w_P, w_F -= L t, w_P = t, where
-    G = X[P, Q] and L = X[F, Q] are read off the working matrix of its layer
-    k; only the rows of F where L is nonzero are kept.  U A then has the pivot rows in the order found, scaled to p^k on
-    their pivot columns, followed by the rows left, which vanish mod p^W.
+    row ids) acts on a block W of column vectors by T = G^-1 W_P,
+    W_F -= L T, W_P = T, where G = X[P, Q] and L = X[F, Q] are read off the
+    working matrix of its layer k; only the rows of F where L is nonzero are
+    kept.  Each panel is replayed once for the whole block, with two exact
+    products.  U A then has the pivot rows in the order found, scaled to p^k
+    on their pivot columns, followed by the rows left, which vanish mod p^W.
     G^-1 is kept exact mod p^W, not only mod p^(W-k), so U^-1 U = I mod p^W:
-    column k of U^-1, which replays the factors backwards as w_P = G t,
-    w_F += L t, is mapped by U to the unit vector e_k exactly.
+    the columns of U^-1, which replay the factors backwards as W_P = G T,
+    W_F += L T, are mapped by U to unit vectors exactly.
     """
 
     def __init__(self, nrows, p, modulus):
         self.p = p
         self.modulus = modulus
         self.panels = []  # (P, F, L, G, Ginv)
-        self.ends = []  # pivots found up to and including each panel
         self.pivots = []
         self.rows = np.arange(nrows)  # original ids of the rows not yet pivots, in order
         self._layer = self.rows  # original ids of the rows of the current layer's matrix
@@ -813,46 +873,39 @@ class RowTransform:
         self.rows = self._layer[rest]
         self.panels.append((P, self._layer[lrows], L, G, Ginv))
         self.pivots.extend(P.tolist())
-        self.ends.append(len(self.pivots))
 
     def next_layer(self):
         """The next layer's matrix holds the rows left, in order."""
         self._layer = self.rows
 
-    def _mul(self, M, v):
-        return _mulmod(M, v[:, None], self.modulus, self.p)[:, 0]
+    def _order(self):
+        """Original row ids in summand order: the pivots as found, then the rows left."""
+        return np.concatenate((np.asarray(self.pivots, dtype=np.int64), self.rows))
 
-    def reduce_vector(self, w):
-        """U w for a vector of Python ints, as Python ints."""
-        m = self.modulus
-        # callers pass ints beyond int64 (p-power scalings, the T-action mod
-        # p^N); reduce before converting
-        y = np.asarray([int(x) % m for x in w], dtype=residue_dtype(m))
+    def reduce_block(self, planes):
+        """U W for the planes (1, K, R) of K vectors, in summand order."""
+        m, p = self.modulus, self.p
+        Y = residues(planes[0].T, m)
         for P, F, L, G, Ginv in self.panels:
-            t = self._mul(Ginv, y[P])
-            y[F] = (y[F] - self._mul(L, t)) % m
-            y[P] = t
-        return [int(x) for x in y[self.pivots + self.rows.tolist()]]
+            T = _mulmod(Ginv, Y[P], m, p)
+            Y[F] = (Y[F] - _mulmod(L, T, m, p)) % m
+            Y[P] = T
+        return Y[self._order()].T[None]
 
-    def generator_column(self, k):
-        """Column k of U^-1, as Python ints.
+    def generator_columns(self, ks):
+        """The columns ``ks`` of U^-1 as planes (1, K, R), rows in original order.
 
-        A pivot row is untouched by the panels after its own, so only its
-        panel and those before it are replayed.
+        Every panel is replayed backwards on the whole block: the panels after
+        a pivot's own have it in neither P nor F, so they leave its column.
         """
-        m = self.modulus
-        y = np.zeros(len(self.pivots) + self.rows.size, dtype=residue_dtype(m))
-        if k < len(self.pivots):
-            y[self.pivots[k]] = 1
-            last = bisect.bisect_right(self.ends, k)
-        else:
-            y[self.rows[k - len(self.pivots)]] = 1
-            last = len(self.panels) - 1
-        for P, F, L, G, Ginv in reversed(self.panels[:last + 1]):
-            t = y[P]
-            y[F] = (y[F] + self._mul(L, t)) % m
-            y[P] = self._mul(G, t)
-        return [int(x) for x in y]
+        m, p = self.modulus, self.p
+        Y = np.zeros((self.rows.size + len(self.pivots), len(ks)), dtype=residue_dtype(m))
+        Y[self._order()[ks], np.arange(len(ks))] = 1
+        for P, F, L, G, Ginv in reversed(self.panels):
+            T = Y[P]
+            Y[F] = (Y[F] + _mulmod(L, T, m, p)) % m
+            Y[P] = _mulmod(G, T, m, p)
+        return Y.T[None]
 
 
 def snf_int64(A: np.ndarray, p: int, m: int, track: bool):

@@ -192,14 +192,6 @@ class RingElem:
         v = min(_int_valuation(c, p) for c in self.coords if c)
         return v
 
-    def unit_part(self) -> "RingElem":
-        """Self divided by p^valuation; identity on units."""
-        v = self.valuation()
-        if v is ZERO_AT_PRECISION:
-            raise NonUnitError("zero at precision has no unit part")
-        pv = self.ring.prime**v
-        return RingElem(self.ring, tuple(c // pv for c in self.coords))
-
 
 def _int_valuation(c: int, p: int) -> int:
     v = 0

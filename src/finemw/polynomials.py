@@ -74,9 +74,6 @@ class IwasawaPoly:
             return self.coefficients[k]
         return self.ring.zero()
 
-    def constant_term(self) -> RingElem:
-        return self.coefficient(0)
-
     def leading_coefficient(self) -> RingElem:
         if self.is_zero():
             return self.ring.zero()
@@ -132,13 +129,6 @@ class IwasawaPoly:
         return IwasawaPoly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def evaluate(self, x) -> RingElem:
-        x = self.ring.element(x)
-        acc = self.ring.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
     def substitute(self, g: "IwasawaPoly") -> "IwasawaPoly":
         """Composition self(g(T)), exact; degree multiplies."""

@@ -15,10 +15,14 @@ each coordinate of an O-polynomial divides on its own, and one product
 divides every relation entry of a level (``reduced_entry``), every
 generator segment of every ambient column (``reduce_columns``), the
 wrapping columns of every multiplication matrix (``_wrapped_columns``), or
-a T-shifted vector (``t_apply``).  One builder, ``FinLevelModule._expansion``,
-writes the expanded matrix mod m as one preallocated array per coordinate;
-``matrix_int64`` reads it at the reduction's modulus and ``matrix_coords``
-zips the coordinates into tuples at p^N.
+every T-shifted vector of a block (``t_apply``).  Ambient vectors are
+coordinate planes, an array of shape (d, K, L) (``_kernels.to_planes``),
+which ``reduce_columns`` and ``t_apply`` take and return, and which
+``transition_check`` reduces and tests for torsion all at once.  One
+builder, ``FinLevelModule._expansion``, writes the expanded matrix mod m as
+one preallocated array per coordinate; ``matrix_int64`` reads it at the
+reduction's modulus and ``matrix_coords`` zips the coordinates into tuples
+at p^N.
 
 Block order puts each relation's q columns side by side.  An untracked
 reduction instead takes relations with the same span over Z_p[T]/omega_n,
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import snf
-from ._kernels import _exact_split, _single_blas_thread, residue_dtype
+from ._kernels import _exact_split, _single_blas_thread, residue_dtype, to_planes
 from .errors import ResourceLimitError, ValidationError
 from .padics import CoefficientRing
 from .polynomials import IwasawaPoly, cyclotomic, degree_budget, hard_max_level, omega, phi_degree
@@ -194,36 +198,20 @@ class FinLevelModule:
     def nrows(self) -> int:
         return self.presentation.generators * self.q
 
-    @property
-    def full_shape(self):
-        """Documented shape including the implicit omega block."""
-        g, c, q = self.presentation.generators, self.presentation.num_relations, self.q
-        return (g * q, (c + g) * q)
-
     # -- T-action ---------------------------------------------------------
 
-    def t_apply(self, vec):
-        """Multiply an ambient coordinate vector (length g*q) by T.
+    def t_apply(self, vectors):
+        """T times ambient vectors in this basis: planes (d, K, g*q) mod p^N.
 
+        ``vectors`` are such planes or a list of vectors (``_kernels.to_planes``).
         Each generator's T v has degree <= q, so its remainder takes one row
         of the power table: T^q mod the modulus.
         """
-        ring, q = self.ring, self.q
-        planes = _column_planes([vec], ring, ring.modulus).reshape(-1, q)
-        shifted = np.zeros((planes.shape[0], q + 1), dtype=planes.dtype)
-        shifted[:, 1:] = planes
-        out = self._remainders(shifted, ring.modulus).reshape(ring.unramified_degree, -1)
-        return snf.plain(list(zip(*out.tolist())), ring)
-
-    def omega_annihilates(self, vec) -> bool:
-        """Check (1+T)^(p^n) - 1 kills the vector, exactly at precision."""
-        if self.component is not None:
-            raise ValidationError("omega check only applies to the omega expansion")
-        cur = list(vec)
-        for _ in range(self.q):
-            tv = self.t_apply(cur)
-            cur = [_entry_add(a, b, self.ring) for a, b in zip(cur, tv)]
-        return all(a == b for a, b in zip(cur, vec))
+        m, q = self.ring.modulus, self.q
+        planes = to_planes(vectors, self.ring.unramified_degree, m)
+        shifted = np.zeros((planes.size // q, q + 1), dtype=planes.dtype)
+        shifted[:, 1:] = planes.reshape(-1, q)
+        return self._remainders(shifted, m).astype(residue_dtype(m)).reshape(planes.shape)
 
     # -- expanded matrices --------------------------------------------------
 
@@ -277,7 +265,7 @@ class FinLevelModule:
         d = ring.unramified_degree
         if not len(columns):
             return np.zeros((d, 0, g * q), dtype=residue_dtype(m))
-        planes = _column_planes(columns, ring, m)
+        planes = to_planes(columns, d, m)
         K, L = planes.shape[1:]
         width = L // g if g else q
         k = self.level
@@ -286,10 +274,6 @@ class FinLevelModule:
         if L != g * width or width not in (q, ring.prime**k):
             raise ValidationError("extra column has wrong length")
         return self._remainders(planes.reshape(d * K * g, width), m).reshape(d, K, g * q)
-
-    def reduce_ambient_column(self, col):
-        """Reduce one ambient column into this expansion's basis, as coordinate tuples."""
-        return list(zip(*(plane[0].tolist() for plane in self.reduce_columns([col]))))
 
     def _remainders(self, Y, m):
         """The rows of Y, polynomials mod m of at least q coefficients, reduced mod the modulus.
@@ -457,26 +441,6 @@ class FinLevelModule:
         return snf.regular_representation(A, self.ring, m)
 
 
-def _column_planes(columns, ring, m):
-    """Ambient columns as coordinate planes mod m, an array of shape (d, K, L).
-
-    An array is taken as such planes already and only reduced mod m.
-    """
-    if isinstance(columns, np.ndarray):
-        return columns % m
-    d = ring.unramified_degree
-    if len({len(col) for col in columns}) > 1:
-        raise ValidationError("extra column has wrong length")
-    if d == 1 and not (columns[0] and isinstance(columns[0][0], tuple)):
-        planes = np.array(columns, dtype=object).reshape(1, len(columns), -1)
-    else:
-        pad = (0,) * (d - 1)
-        planes = np.array([[x if isinstance(x, tuple) else (x,) + pad for x in col]
-                           for col in columns], dtype=object)
-        planes = np.moveaxis(planes.reshape(len(columns), -1, d), 2, 0)
-    return (planes % m).astype(residue_dtype(m))
-
-
 @functools.lru_cache(maxsize=None)
 def _power_table(wrap, m, rows, p):
     """The exact product scheme mod m for ``rows`` terms, and the digits of -R mod m.
@@ -594,13 +558,6 @@ def _residue_inverse(x, p, nu):
     return [x[0] * norm % p, -x[1] * norm % p]
 
 
-def _entry_add(a, b, ring):
-    pn = ring.modulus
-    if isinstance(a, tuple):
-        return tuple((x + y) % pn for x, y in zip(a, b))
-    return (int(a) + int(b)) % pn
-
-
 # ---------------------------------------------------------------------------
 # coinvariant structure
 
@@ -644,11 +601,12 @@ def coinvariants(M: ModulePresentation, n: int, extra_columns=(),
                  precision_cap: int | None = None) -> CoinvariantStructure:
     """Smith-reduce the level-n expansion, quotiented by ambient ``extra_columns``.
 
+    The columns are a list of vectors or planes (``_kernels.to_planes``).
     Columns obtained from tracked transforms are exact only above a junk
     threshold; pass ``precision_cap`` to run the reduction below it.
     """
     fin = FinLevelModule(M, n)
-    smith = _level_smith(fin, extra_columns=tuple(extra_columns),
+    smith = _level_smith(fin, extra_columns=extra_columns,
                          with_transforms=with_transforms, precision_cap=precision_cap)
     return CoinvariantStructure(smith, fin)
 
@@ -756,8 +714,7 @@ def component_ranks_against(M: ModulePresentation, n: int, extra_columns=(),
     t = _target_exponent(ring, precision_cap)
     m = ring.prime**t
     _single_blas_thread()  # thin products, as in the Smith kernel
-    extra_columns = tuple(extra_columns)
-    columns = _column_planes(extra_columns, ring, m) if extra_columns else ()
+    columns = to_planes(extra_columns, ring.unramified_degree, m) if len(extra_columns) else ()
     ranks = []
     for j in range(n + 1):
         fin = FinLevelModule(M, n, component=j)
@@ -939,11 +896,9 @@ def transition_check(M: ModulePresentation, n: int) -> dict:
         "torsion_maps_to_torsion": True,
         "verdict": "pass",
     }
-    for k in hi.smith.torsion_positions:
-        gen = hi.smith.generator_column(k)
-        image = snf.plain(lo.fin_level.reduce_ambient_column(gen), lo.fin_level.ring)
-        if not lo.smith.is_torsion_vector(image):
-            report["torsion_maps_to_torsion"] = False
+    images = lo.fin_level.reduce_columns(hi.smith.generator_columns(hi.smith.torsion_positions))
+    if images.shape[1] and not all(lo.smith.is_torsion_block(images)):
+        report["torsion_maps_to_torsion"] = False
     if not (report["rank_monotone"] and report["torsion_maps_to_torsion"]):
         report["verdict"] = "fail"
     return report

@@ -10,12 +10,12 @@ the deep-entry test scans.  ``smith_normal_form`` wraps coordinate rows;
 ``presentations`` wraps a level expansion together with its quotient
 columns.  Untracked, that source hands the kernel the expansion of
 column-equivalent relations in T-adic echelon order, which has the same
-Smith form, while the deep-entry test scans the relation entries as given.  Over the quadratic ring the kernel reduces the regular
-representation (``regular_representation``): each entry a + b x becomes the
-2 x 2 block [[a, nu b], [b, a]], and its Smith exponents over Z_p are the
-O-exponents, each twice, because O/p^e is (Z_p/p^e)^2 as a Z_p-module.  The
-route aims at an answer exact at p^target, by default the ring's precision
-p^N:
+Smith form, while the deep-entry test scans the relation entries as given.
+Over the quadratic ring the kernel reduces the regular representation
+(``regular_representation``): each entry a + b x becomes the 2 x 2 block
+[[a, nu b], [b, a]], and its Smith exponents over Z_p are the O-exponents,
+each twice, because O/p^e is (Z_p/p^e)^2 as a Z_p-module.  The route aims
+at an answer exact at p^target, by default the ring's precision p^N:
 
 * A tracked reduction over the quadratic ring, or of at most
   ``PURE_SIZE_LIMIT`` entries over Z_p, runs the Python engine
@@ -38,6 +38,11 @@ p^N:
   suspicious result is redone by the kernel at p^target.  A deep invariant
   behind entries that all look shallow (a unit block with determinant p^k,
   k >= W) passes that test unnoticed and counts as free rank.
+
+A tracked result applies its transform to blocks of vectors, coordinate
+planes (d, K, R) (``_kernels.to_planes``): ``reduce_block`` gives U W,
+``generator_columns`` columns of U^-1, ``is_torsion_block`` the torsion
+membership of each vector; the one-vector calls convert lists.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._kernels import int64_precision_cap, residue_dtype
+from ._kernels import BlockTransform, int64_precision_cap, residues, to_planes
 from ._kernels import snf_int64  # noqa: F401  perfbench's BINDINGS resolves snf.snf_int64
 from .errors import ValidationError
 from .padics import CoefficientRing, _int_valuation
@@ -127,66 +132,67 @@ class SmithResult:
             raise ValidationError("run smith_normal_form with with_transforms=True")
         return self._transform
 
-    def generator_column(self, k):
-        """Column of U^-1 giving the ambient vector of cokernel summand k."""
-        return self._need_transform().generator_column(k)
+    def generator_columns(self, ks):
+        """Columns ``ks`` of U^-1, the ambient vectors of those summands, as planes (d, K, R)."""
+        return self._need_transform().generator_columns(list(ks))
 
-    def reduce_vector(self, w):
-        """U*w: coordinates of an ambient vector in the diagonalized basis."""
-        return self._need_transform().reduce_vector(w)
+    def reduce_block(self, vectors):
+        """U W: vectors (planes or a list, ``to_planes``) in the diagonalized basis, as planes."""
+        return self._need_transform().reduce_block(
+            to_planes(vectors, self.ring.unramified_degree, self.modulus))
 
-    def is_torsion_vector(self, w) -> bool:
-        """True when w lies in the torsion part of the cokernel.
+    def is_torsion_block(self, vectors) -> list:
+        """For each vector, True when it lies in the torsion part of the cokernel.
 
-        Free coordinates of U*w must vanish, tested modulo
+        Free coordinates of U w must vanish, tested modulo
         p^``junk_free_precision`` rather than at full working precision.
         """
         threshold = self.junk_free_precision
         if threshold <= 0:
             raise ValidationError(
                 "torsion membership undecidable: exponents too close to precision")
-        pt = self.ring.prime**threshold
-        y = self.reduce_vector(w)
-        for k in range(self.rank, self.nrows):
-            if not _is_zero_mod(y[k], pt):
-                return False
-        return True
+        free = self.reduce_block(vectors)[:, :, self.rank:]
+        return (residues(free, self.ring.prime**threshold) == 0).all(axis=(0, 2)).tolist()
+
+    def generator_column(self, k):
+        return self._need_transform().generator_column(k)
+
+    def reduce_vector(self, w):
+        return self._need_transform().reduce_vector(w)
+
+    def is_torsion_vector(self, w) -> bool:
+        return self.is_torsion_block([w])[0]
 
     def __repr__(self):
         return (f"SmithResult({self.nrows}x{self.ncols}, exps={self.exponents}, "
                 f"free={self.free_rank}, engine={self.engine})")
 
 
-class _PythonTransform:
-    """U and U^-1 of the Python engine, as rows of coordinate tuples."""
+class _PythonTransform(BlockTransform):
+    """U and U^-1 of the Python engine, given as rows of coordinate tuples.
+
+    U is kept as its regular representation over Z_p: U W is one exact
+    product on the Z_p-coordinates of W, row d i + s holding coordinate s of
+    entry i.  U^-1 is kept as coordinate planes, whose columns are read off.
+    """
 
     def __init__(self, ring, modulus, U, Uinv):
         self.ring = ring
         self.modulus = modulus
-        self.U = U
-        self.Uinv = Uinv
+        self.degree = ring.unramified_degree
+        self.U = regular_representation(to_planes(U, self.degree, modulus), ring, modulus)
+        self.Uinv = to_planes(Uinv, self.degree, modulus)  # plane s, row i, column k
 
-    def generator_column(self, k):
-        return plain([row[k] for row in self.Uinv], self.ring)
+    def reduce_block(self, planes):
+        """U W for the planes (d, K, R) of K vectors mod the modulus."""
+        d, K, R = planes.shape
+        W = planes.transpose(2, 0, 1).reshape(R * d, K)
+        Y = _kernels._mulmod(self.U, W, self.modulus, self.ring.prime)
+        return residues(Y.reshape(R, d, K).transpose(1, 2, 0), self.modulus)
 
-    def reduce_vector(self, w):
-        pn = self.modulus
-        w = [self.ring.element(x).coords for x in w]
-        out = []
-        for row in self.U:
-            acc = [0] * self.ring.unramified_degree
-            for u, x in zip(row, w):
-                for i, c in enumerate(self.ring._mul_coords(u, x)):
-                    acc[i] += c
-            out.append(tuple(a % pn for a in acc))
-        return plain(out, self.ring)
-
-
-def plain(coords, ring):
-    """Coordinate tuples as transforms take and give vectors: plain ints over a degree-1 ring."""
-    if ring.unramified_degree == 1:
-        return [x[0] for x in coords]
-    return coords
+    def generator_columns(self, ks):
+        """The columns ``ks`` of U^-1 as planes (d, K, R)."""
+        return self.Uinv[:, :, ks].transpose(0, 2, 1)
 
 
 def has_deep_entries(coords, p, threshold) -> bool:
@@ -195,12 +201,6 @@ def has_deep_entries(coords, p, threshold) -> bool:
         return True
     pt = p**threshold
     return any(c and c % pt == 0 for c in coords)
-
-
-def _is_zero_mod(x, modulus):
-    if isinstance(x, tuple):
-        return all(c % modulus == 0 for c in x)
-    return int(x) % modulus == 0
 
 
 def smith_normal_form(rows, ring: CoefficientRing,
@@ -226,9 +226,7 @@ class _RowSource:
     def matrix_int64(self, working_exponent):
         """The matrix mod p^W as ``residue_dtype`` residues: Python integers past 2^63."""
         m = self.ring.prime**working_exponent
-        coords = np.array(self.rows, dtype=object).reshape(
-            *self.shape, self.ring.unramified_degree) % m
-        return regular_representation(np.moveaxis(coords, 2, 0).astype(residue_dtype(m)),
+        return regular_representation(to_planes(self.rows, self.ring.unramified_degree, m),
                                       self.ring, m)
 
     def coordinate_rows(self):
@@ -245,8 +243,8 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
     p^W, the regular representation over the quadratic ring),
     ``coordinate_rows()`` (full-precision coordinate tuples) and ``coords()``
     (the coordinates the deep-entry test scans).
-    ``track`` asks for the row transform U (``reduce_vector``) and U^-1
-    (``generator_column``).  ``target`` defaults to the ring's precision N.
+    ``track`` asks for the row transform U (``reduce_block``) and U^-1
+    (``generator_columns``).  ``target`` defaults to the ring's precision N.
     """
     p, N = ring.prime, ring.precision_exponent
     target = N if target is None else target

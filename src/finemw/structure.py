@@ -22,7 +22,10 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import presentations
+from ._kernels import to_planes
 from .errors import ClassificationError, HypothesisError, UncertifiedError, ValidationError
 from .polynomials import IwasawaPoly, phi_degree, default_max_level
 from .presentations import (
@@ -325,14 +328,14 @@ class _TorsionSpan:
                 "torsion span tracking undecidable: exponents too close to precision")
         self.by_pos = {}  # pivot position -> (pivot valuation, vector)
 
-    def _project(self, ambient_vec):
+    def _project(self, block):
         """Embedded Z_p-coordinates of v and, over O, of x v: they span O v.
 
+        ``block`` holds v as its one vector (``SmithResult.reduce_block``).
         Over O = Z_p[x]/(x^2 - nu) each O-coordinate a + b x is the pair
         (a, b), and x (a + b x) = nu b + a x.
         """
-        reduced = self.smith.reduce_vector(ambient_vec)
-        y = [c if isinstance(c, tuple) else (c,) for c in (reduced[k] for k in self.positions)]
+        y = self.smith.reduce_block(block)[:, 0, self.positions].T.tolist()
         images = [y]
         if self.smith.ring.unramified_degree == 2:
             images.append([(self.smith.ring.nu * b, a) for a, b in y])
@@ -341,9 +344,13 @@ class _TorsionSpan:
                  for coords, e in zip(image, self.exps) for c in coords]
                 for image in images]
 
-    def add(self, ambient_vec) -> bool:
-        """Insert the O-span of the vector.  Returns True if the span grew."""
-        return any([self._insert(v) for v in self._project(ambient_vec)])
+    def add(self, vector) -> bool:
+        """Insert the O-span of one ambient vector, a list or planes (d, 1, L).
+
+        Returns True if the span grew.
+        """
+        block = vector if isinstance(vector, np.ndarray) else [vector]
+        return any([self._insert(v) for v in self._project(block)])
 
     def _insert(self, v) -> bool:
         """Reduce against the span; insert if new.  Returns True if span grew.
@@ -389,48 +396,40 @@ def _vp(c, p, cap):
 
 
 def _selector_columns(structure, selector, seed, level):
-    """Ambient generators of the chosen finite Lambda-submodule of the torsion.
+    """Ambient generators of the chosen finite Lambda-submodule of the torsion, as planes.
 
     The random selector scales a random subset of the torsion summand
     generators by random p-powers and then closes under the T-action (the
     span must be a Lambda-submodule); closure is detected by span
     stabilization inside the torsion part.
     """
-    smith = structure.smith
+    smith, fin = structure.smith, structure.fin_level
     positions = smith.torsion_positions
     if selector == "zero" or not positions:
-        return []
-    gens = [(k, smith.exponents[k], smith.generator_column(k)) for k in positions]
-    p = structure.fin_level.ring.prime
-    fin = structure.fin_level
+        return fin.reduce_columns([])
+    gens = smith.generator_columns(positions)
     if selector == "full-torsion":
         # already a Lambda-submodule; no closure required
-        return [col for _, _, col in gens]
+        return gens
+    ring = fin.ring
+    p, N = ring.prime, ring.precision_exponent
     rng = random.Random(seed * 1000003 + level)
-    chosen = []
-    for _, exp, col in gens:
-        if rng.random() < 0.5:
-            continue
-        scale = rng.randrange(0, max(1, exp))
-        chosen.append((col, scale))
+    exps = [smith.exponents[k] for k in positions]
+    chosen = [(k, rng.randrange(0, max(1, e))) for k, e in enumerate(exps) if rng.random() >= 0.5]
     if not chosen:
-        _, exp, col = gens[rng.randrange(len(gens))]
-        chosen.append((col, rng.randrange(0, max(1, exp))))
+        k = rng.randrange(len(exps))
+        chosen.append((k, rng.randrange(0, max(1, exps[k]))))
     span = _TorsionSpan(smith, p)
+    # x p^s mod p^N as (x mod p^(N - s)) p^s, which stays in the residue dtype of p^N
+    queue = [to_planes(gens[:, [k]], ring.unramified_degree, ring.modulus) % p ** (N - s) * p**s
+             for k, s in chosen]
     columns = []
-    queue = []
-    for col, scale in chosen:
-        if isinstance(col[0], tuple):
-            vec = [tuple(c * p**scale for c in x) for x in col]
-        else:
-            vec = [x * p**scale for x in col]
-        queue.append(vec)
     while queue:
         vec = queue.pop(0)
         if span.add(vec):
             columns.append(vec)
             queue.append(fin.t_apply(vec))
-    return columns
+    return np.concatenate(columns, axis=1)
 
 
 def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
@@ -472,11 +471,10 @@ def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
         else:
             structure = analysis.tracked(n)
         cols = _selector_columns(structure, tower.selector, tower.seed, n)
-        for col in cols:
-            if not structure.smith.is_torsion_vector(col):
-                raise HypothesisError(
-                    f"level {n}: selected submodule generator is not torsion")
-        if cols:
+        count = cols.shape[1]
+        if count:
+            if not all(structure.smith.is_torsion_block(cols)):
+                raise HypothesisError(f"level {n}: selected submodule generator is not torsion")
             comp = phi_component_ranks(
                 M, n, cols, precision_cap=structure.smith.junk_free_precision,
                 base_free_rank=structure.free_rank)
@@ -494,7 +492,7 @@ def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
             mults.append(cj // deg)
         report["levels"].append({"level": n, "component_ranks": comp,
                                  "multiplicities": mults,
-                                 "submodule_generators": len(cols)})
+                                 "submodule_generators": count})
         for j, m in enumerate(mults):
             if m != etype.multiplicity(j):
                 report["verdict"] = "fail"

@@ -11,6 +11,10 @@ and those of p = 5 draws 10 and 12 cover the modules of the benchmark's
 ``classify_p7`` and ``verify_p5`` workloads (draw 10 carries its largest
 reductions); they were recorded while relation entries were still divided by
 ``weierstrass_divide`` and pivot inverses lifted by split products only.
+The ``verify`` report of p = 5 draw 20 counts ``submodule_generators`` that
+follow the pivot order of the tracked Python engine: its random-subgroup
+selector draws from that engine's torsion basis, and reducing its small
+tracked expansions on the layered kernel instead changes the counts.
 """
 
 import hashlib
@@ -35,6 +39,7 @@ DIGESTS = {
     (5, 8, 3, "verify"): "594010e8d72c22ff42a88f5383aaef7f6aeeec647ccbded3dcdb31b294b1e4fa",
     (5, 10, 3, "verify"): "7b5a33b7934b91ccd097104d34698d4fa363639acf14a97041b4b93e32ccb051",
     (5, 12, 3, "verify"): "d45989e6f53c77624e9e3339161383cc97893f4ee36df240acfd81ed0f74a83d",
+    (5, 20, 3, "verify"): "248920d3d80755201d77ac722759d4b69b790c62fd29de953336e02c40c1db33",
     (7, 0, 2, "classify"): "1b61718dc16ebe6b67439dde3559a532186831638214bd20d06c381b09ddc933",
     (7, 0, 2, "verify"): "0fddcf2d1b9446bd78f0e3f4611fe6bfd1338d47ea7dbcf438cd690cb7b4da0e",
     (7, 0, 3, "classify"): "8c3a06891fa63a4d6938c5a1ee2db2d3f7aade7d9bfcc93861a1d5ad832afe79",

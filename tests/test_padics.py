@@ -178,7 +178,7 @@ def test_unit_inverse_roundtrip(data):
             a.invert()
 
 
-def test_unit_part():
+def test_valuation_splits_off_a_unit():
     x = R5_DEEP.element(50)
     assert x.valuation() == 2
-    assert x.unit_part() == R5_DEEP.element(2)
+    assert x == R5_DEEP.element(25) * R5_DEEP.element(2) and R5_DEEP.element(2).valuation() == 0

@@ -40,7 +40,7 @@ def test_omega_explicit_p5_level1():
 
 def test_omega_constant_term_zero():
     for n in range(4):
-        assert omega(RING, n).constant_term().is_zero()
+        assert omega(RING, n).coefficient(0).is_zero()
 
 
 def test_cyclotomic_level0_convention():
@@ -59,8 +59,8 @@ def test_cyclotomic_explicit_p5_level1():
 
 def test_cyclotomic_at_zero_is_p():
     for n in range(1, 4):
-        assert cyclotomic(RING, n).evaluate(0) == RING.element(5)
-    assert cyclotomic(RING7, 2).evaluate(0) == RING7.element(7)
+        assert cyclotomic(RING, n).coefficient(0) == RING.element(5)
+    assert cyclotomic(RING7, 2).coefficient(0) == RING7.element(7)
 
 
 def test_degrees():

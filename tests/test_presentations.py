@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from finemw import snf
-from finemw._kernels import int64_precision_cap, residue_dtype
+from finemw._kernels import int64_precision_cap, residue_dtype, to_vectors
 from finemw.errors import ResourceLimitError, ValidationError
 from finemw.oracle import build_elementary, obfuscate, sample_recipe
 from finemw.padics import CoefficientRing
@@ -57,7 +57,7 @@ def rel_ints(M):
 def test_free_module_expansion_shape_and_rank():
     L = free_module(RING, 1)
     fin = FinLevelModule(L, 1)
-    assert fin.full_shape == (5, 5)  # only the implicit omega block
+    assert fin.nrows == 5 and fin.matrix_int64(13).shape == (5, 0)  # the omega block is implicit
     s = coinvariants(L, 1)
     assert s.free_rank == 5 and s.torsion_exponents == []
     assert coinvariants(L, 2).free_rank == 25
@@ -172,10 +172,14 @@ def test_transition_check_reports():
 
 
 def test_omega_annihilates_generators():
+    # (1 + T)^q v = v at level 1 (q = 5), by q steps v <- v + T v
     M = cyclic_module(RING, cyclotomic(RING, 1))
     fin = FinLevelModule(M, 1)
-    basis = [1 if i == 0 else 0 for i in range(5)]
-    assert fin.omega_annihilates(basis)
+    basis = np.array([[[1, 0, 0, 0, 0]]])
+    cur = basis
+    for _ in range(fin.q):
+        cur = (cur + fin.t_apply(cur)) % RING.modulus
+    assert (cur == basis).all()
 
 
 def test_t_apply_matches_exact_action():
@@ -185,19 +189,20 @@ def test_t_apply_matches_exact_action():
     tmat = t_action_matrix_exact(2, 5, 1)
     rng = random.Random(5)
     vec = [rng.randrange(100) for _ in range(10)]
-    ours = fin.t_apply(vec)
+    ours = fin.t_apply([vec])
     exact = [sum(tmat[i][j] * vec[j] for j in range(10)) % RING.modulus
              for i in range(10)]
-    assert ours == exact
+    assert ours.shape == (1, 1, 10) and ours[0, 0].tolist() == exact
+    assert (fin.t_apply(ours) == fin.t_apply([exact])).all()  # planes in, as they come out
     # over a degree-2 ring T acts on each coordinate by the same integer matrix
     fin = FinLevelModule(free_module(RINGQ, 2), 1)
     vec = [(rng.randrange(3 * RINGQ.modulus), rng.randrange(RINGQ.modulus)) for _ in range(10)]
     exact = [[sum(tmat[i][j] * vec[j][s] for j in range(10)) % RINGQ.modulus
               for s in range(2)] for i in range(10)]
-    assert fin.t_apply(vec) == [tuple(x) for x in exact]
+    assert fin.t_apply([vec])[:, 0].T.tolist() == exact
 
 
-def test_reduce_ambient_column_matches_weierstrass_remainder():
+def test_reduce_columns_matches_weierstrass_remainder():
     rng = random.Random(21)
     for ring in (RING, RINGQ):
         var = IwasawaPoly.variable(ring)
@@ -219,11 +224,11 @@ def test_reduce_ambient_column_matches_weierstrass_remainder():
                                              for x in col[width * i:width * (i + 1)]])
                     rem = weierstrass_divide(seg, fin.modulus_poly)[1]
                     expect.extend(rem.coefficient(t).coords for t in range(fin.q))
-                assert fin.reduce_ambient_column(col) == expect
+                assert list(zip(*fin.reduce_columns([col])[:, 0].tolist())) == expect
             # neither this basis nor the omega_k basis of a level k >= 2
             for width in (5, 30):
                 with pytest.raises(ValidationError):
-                    fin.reduce_ambient_column([0] * (2 * width))
+                    fin.reduce_columns([[0] * (2 * width)])
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -256,8 +261,7 @@ def test_reduce_columns_reduces_many_columns_at_once(p):
                             rem = [x % ring.modulus for x in poly_divmod_z(seg, modulus)[1]]
                             assert planes[s, k, i * q:(i + 1) * q].tolist() == \
                                 rem + [0] * (q - len(rem))
-                    assert fin.reduce_ambient_column(col) == \
-                        list(zip(*(plane[k].tolist() for plane in planes)))
+                    assert fin.reduce_columns([col])[:, 0].tolist() == planes[:, k].tolist()
 
 
 def test_matrix_int64_at_full_precision_matches_coords():
@@ -401,6 +405,26 @@ def test_quotient_structure_kills_torsion():
     q = coinvariants(M, 0, [gen], precision_cap=20)
     assert q.torsion_exponents == []
     assert q.free_rank == 0
+
+
+def test_quotient_columns_as_planes_or_lists():
+    # generator columns come as planes (d, K, L); every entry point that takes
+    # quotient columns reads them as it reads the same columns as lists
+    M = direct_sum(cyclic_module(RING, cyclotomic(RING, 1)),
+                   cyclic_module(RING, IwasawaPoly.constant(RING, 25)))
+    for n in (1, 2):
+        smith = coinvariants(M, n, with_transforms=True).smith
+        planes = smith.generator_columns(smith.torsion_positions[::2])
+        lists = to_vectors(planes)
+        assert planes.shape[1] == len(lists) > 1
+        cap = smith.junk_free_precision
+        by_planes = coinvariants(M, n, planes, precision_cap=cap)
+        by_lists = coinvariants(M, n, lists, precision_cap=cap)
+        assert (by_planes.free_rank, by_planes.torsion_exponents) == \
+            (by_lists.free_rank, by_lists.torsion_exponents)
+        assert phi_component_ranks(M, n, planes, cap) == phi_component_ranks(M, n, lists, cap)
+        assert smith.is_torsion_block(planes) == smith.is_torsion_block(lists) == \
+            [True] * len(lists)
 
 
 def test_deep_quotient_columns_are_not_counted_as_free_rank():
@@ -604,12 +628,12 @@ def test_component_ranks_match_the_zp_referee(degree):
                 component_ranks_zp(M, n, precision=6)
             structure = analysis.tracked(n)
             for selector in ("full-torsion", "random-subgroup"):
-                cols = _selector_columns(structure, selector, 3, n)
-                if not cols:
+                cols = _selector_columns(structure, selector, 3, n)  # planes (d, K, L)
+                if not cols.shape[1]:
                     continue
                 cap = structure.smith.junk_free_precision
                 assert component_ranks_against(M, n, cols, cap) == \
-                    component_ranks_zp(M, n, cols, cap)
+                    component_ranks_zp(M, n, to_vectors(cols), cap)
                 quotients += 1
     assert quotients >= 6
 
@@ -676,7 +700,7 @@ def test_level_source_scans_the_reduced_entry_coordinates(degree):
             if f.degree() >= fin.q:
                 f = weierstrass_divide(f, fin.modulus_poly)[1]
             expect += [c for a in f.coefficients for c in a.coords]
-    expect += [c for entry in fin.reduce_ambient_column(cols[0]) for c in entry]
+    expect += fin.reduce_columns(cols).ravel().tolist()
     assert sorted(source.coords()) == sorted(expect)
     assert has_deep_entries(source.coords(), 5, 11)
 

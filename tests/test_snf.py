@@ -1233,3 +1233,88 @@ def test_mod_p_blocks_key_on_uint8_residues_below_256(monkeypatch):
     wide = _kernels._Inverses()
     _panel_factor(panels[0], 257, wide)
     assert [(key[1], len(key[-1])) for key in wide.store] == [("<f8", 8 * block)]
+
+
+@pytest.mark.parametrize("p, w", [(7, 11), (5, 24), (7, 24), (2**31 - 1, 2)])
+def test_block_replays_match_the_panel_replay_on_python_ints(p, w):
+    """U W for a block of vectors and the columns of U^-1 for a list of
+    summands, each panel replayed once for the whole block, against a replay
+    of the recorded panels on Python ints, vector by vector.  The moduli take
+    each storage and product class: int32 residues with bit-split products
+    (7^11), int64 with p-adic ones (5^24), Python integers with wide sums
+    (7^24), and int64 residues whose products run on Python integers."""
+    m = p**w
+    rng = random.Random(p + w)
+    mat = _layered_case(rng, 70, 2 * PANEL + 3, p, w)
+    R = len(mat)
+    exponents, transform = snf_int64(np.array(mat, dtype=residue_dtype(m)), p, m, True)
+    assert exponents == smith_exponents_mod_prime_power(mat, p, w)
+    order = transform.pivots + transform.rows.tolist()
+    vectors = [[rng.randrange(m) for _ in range(R)] for _ in range(5)] + [[m - 1] * R]
+    block = transform.reduce_block(_kernels.to_planes(vectors, 1, m))
+    assert block.shape == (1, len(vectors), R)
+    for y, vector in zip(block[0].tolist(), vectors):
+        replayed = _replay(transform, vector)
+        assert y == [replayed[i] for i in order] == transform.reduce_vector(vector)
+    ks = [R - 1, 0, len(exponents) // 2, len(exponents) - 1]
+    columns = transform.generator_columns(ks)
+    assert columns.shape == (1, len(ks), R)
+    for k, column in zip(ks, columns[0].tolist()):
+        e_k = [0] * R
+        e_k[order[k]] = 1
+        assert column == _replay(transform, e_k, backwards=True) == transform.generator_column(k)
+    assert (transform.reduce_block(transform.generator_columns(list(range(R))))[0]
+            == np.eye(R, dtype=np.int64)).all()
+
+
+def test_kernel_and_transform_at_two_to_the_63():
+    """m = 2^63 is the largest modulus of int64 residues, and the int64
+    remainder by m itself overflows: the Newton lift of a pivot block and
+    the transform reduce on Python integers there."""
+    p, w = 2, 63
+    m = p**w
+    rng = random.Random(63)
+    for mat in ([[rng.randrange(m) for _ in range(25)] for _ in range(30)],
+                _layered_case(rng, 70, 2 * PANEL + 3, p, w)):
+        expected = smith_exponents_mod_prime_power(mat, p, w)
+        A = np.array(mat, dtype=np.int64)
+        assert snf_int64(A.copy(), p, m, False) == (expected, None)
+        exponents, transform = snf_int64(A, p, m, True)
+        assert exponents == expected
+        _check_transform(mat, p, exponents, transform.reduce_vector, transform.generator_column)
+
+
+@pytest.mark.parametrize("ring", [RING10, RINGQ, CoefficientRing(7, 2, 24)])
+def test_python_transform_applies_blocks_by_its_regular_representation(ring):
+    """The Python engine's U W is one product with U's regular representation
+    over Z_p.  Over O it must be O-linear: U w equals the sum of the columns
+    U e_j times w_j in ring arithmetic, for w with both coordinates set."""
+    rng = random.Random(ring.prime * ring.unramified_degree)
+    d, m, p = ring.unramified_degree, ring.modulus, ring.prime
+    R, C = 7, 5
+    mat = [[tuple(rng.randrange(m) * p ** rng.choice((0, 0, 1)) % m for _ in range(d))
+            for _ in range(C)] for _ in range(R)]
+    res = _python_engine(mat, ring, track=True)
+    assert res.engine == "python"
+    one, zero = ring.one().coords, ring.zero().coords
+    units = res.reduce_block([[one if i == j else zero for i in range(R)] for j in range(R)])
+    vectors = [[tuple(rng.randrange(m) for _ in range(d)) for _ in range(R)] for _ in range(4)]
+    block = res.reduce_block(vectors)
+    assert block.shape == (d, len(vectors), R)
+    for k, vector in enumerate(vectors):
+        expect = []
+        for i in range(R):
+            terms = [(ring.element(tuple(units[:, j, i].tolist())) * ring.element(x)).coords
+                     for j, x in enumerate(vector)]
+            expect.append(tuple(sum(c) % m for c in zip(*terms)))
+        assert list(zip(*block[:, k].tolist())) == expect
+        assert res.reduce_vector(vector) == _kernels.to_vectors(block[:, [k]])[0]
+    identity = np.zeros((d, R, R), dtype=np.int64)
+    identity[0] = np.eye(R, dtype=np.int64)
+    assert (res.reduce_block(res.generator_columns(range(R))) == identity).all()
+    UA = res.reduce_block([[row[j] for row in mat] for j in range(C)])  # (d, C, R)
+    assert not UA[:, :, res.rank:].any()
+    for i, e in enumerate(res.exponents):
+        assert not (UA[:, :, i] % p**e).any()
+    vectors += [_kernels.to_vectors(res.generator_columns([k]))[0] for k in range(R)]
+    assert res.is_torsion_block(vectors) == [res.is_torsion_vector(v) for v in vectors]
