@@ -11,10 +11,11 @@ integers, and a residue array is only written back once reduced.  A
 matrix over the quadratic ring arrives as its regular representation over
 Z_p (``snf.regular_representation``).  ``_snf_layered`` works one
 valuation layer at a time.
-``_panel_factor`` finds the unit pivots mod p of each 64-column panel, its
-rank profile, by left-looking elimination that takes a run of columns per
-step: columns whose residuals' first nonzero rows strictly increase pivot on
-those rows at once, since no pivot of the run touches a later run column.
+``_panel_factor`` finds the unit pivots mod p of each 64-column panel that
+no source names, its rank profile, by left-looking elimination that takes a
+run of columns per step: columns whose residuals' first nonzero rows
+strictly increase pivot on those rows at once, since no pivot of the run
+touches a later run column.
 It also gives the inverse mod p of the pivot block, which ``_inv_mod`` lifts
 by Newton steps in plain float64 while that is exact, and the trailing
 block takes one exact product per panel.  A level expansion is
@@ -27,12 +28,14 @@ reductions.
 matrix instead of compacting it after every panel, and a panel's update
 touches only the rows where its multipliers are nonzero and the column
 ranges where its pivot rows are.  An untracked level expansion arrives in
-T-adic echelon order (``presentations.FinLevelModule._echelon_relations``):
-mod p the first nonzero rows of its columns strictly increase, so a panel
-pivots in one run, and a pivot row of power k meets only the columns of
-powers k - deg f to k and the wrapping ones, so most of each update is
-exact zeros.  Gathers copy row segments (a row index with a column slice)
-in chunks, never whole rows.
+T-adic echelon order (``presentations.FinLevelModule._echelon_relations``),
+and its source names the unit pivots of layer 0, one per keyed column, and
+the rows every column spans (``FinLevelModule.layer0``): layer 0 pivots on
+them a run at a time with nothing to search, reads each run's multipliers
+on the rows its columns span and updates only the columns whose rows meet
+its pivot rows, the next powers of the band and the wrapping ones.  The
+search takes what is left.  Gathers copy row segments (a row index with a
+column slice) in chunks, never whole rows.
 Products run in float64 BLAS on digit splits (``_exact_split``): one operand
 in base-2^h digits and the other whole where that is exact (two products for
 p = 5, 7 at the reduced working precision p^W), else both operands in
@@ -460,13 +463,8 @@ class _Inverses:
 def _panel_factor(P, p, inverses=None):
     """Rank profile mod p of the panel P and the inverse mod p of its pivot block.
 
-    P is an int64 panel; only its residues mod p matter.  When the first
-    nonzero rows of P's nonzero columns strictly increase (every layer-0
-    panel of an untracked level expansion), those rows are the pivots, row
-    f_a being zero on every later column, and the pivot block G is lower
-    triangular mod p: Ginv is one ``_unit_triangular_inverse`` of D^-1 G
-    times D^-1, D the diagonal, whose inverses ``_unit_inverses`` takes at
-    once.  Otherwise, left-looking elimination, one run of columns per step.
+    P is an integer panel; only its residues mod p matter.  Left-looking
+    elimination, one run of columns per step.
     With t pivots found and j the first column not yet handled, one product
     forms the residual C = P[:, j:hi] - L[:, :t] U[:t, j:hi] of a window of
     columns, and f_c is the lowest nonzero row of column c of C.  The run is
@@ -503,19 +501,6 @@ def _panel_factor(P, p, inverses=None):
     if not lead.size:
         return [], [], None
     top = nonzero.argmax(axis=0)[lead]
-    if (top[1:] > top[:-1]).all():  # one run: G is lower triangular
-        G = P[np.ix_(top, lead)]
-
-        def invert():
-            dinv = _unit_inverses(np.diagonal(G), p)
-            Gbar = dinv[:, None] * G
-            _reduce(Gbar, p)
-            X = _unit_triangular_inverse(Gbar, p, mul, submul) * dinv
-            _reduce(X, p)
-            return X
-
-        Ginv = inverses.get(p, _mod_p_key(G, p), invert) if inverses is not None else invert()
-        return top.tolist(), lead.tolist(), Ginv
     ends = lead[1:][top[1:] <= top[:-1]].tolist() + [w]  # where windows end
     ids = np.arange(w)
     L = np.empty((R, w), dtype=dtype, order="F")
@@ -648,17 +633,21 @@ def _ids(ix):
     return ix
 
 
-def _take(X, rows, cols):
-    """The block X[rows][:, cols] for sorted ids, copied without a full-width gather.
+def _block(rows, cols):
+    """The index of the block X[rows][:, cols] for sorted ids, without a full-width gather.
 
-    A row index with a column slice copies whole row segments; only when
-    neither set is a contiguous range does it fall back to an ``np.ix_``
-    gather.  With two slices the result is a view.
+    A row index with a column slice reads or writes whole row segments; only
+    when neither set is a contiguous range is it an ``np.ix_`` index.
     """
     r, c = _ids(rows), _ids(cols)
     if isinstance(r, slice) or isinstance(c, slice):
-        return X[r, c]
-    return X[np.ix_(r, c)]
+        return r, c
+    return np.ix_(r, c)
+
+
+def _take(X, rows, cols):
+    """The block X[rows][:, cols] for sorted ids (``_block``): a view with two slices."""
+    return X[_block(rows, cols)]
 
 
 def _runs(cols, gap):
@@ -677,7 +666,7 @@ def _runs(cols, gap):
 _GAP = 16
 
 
-def _unit_layer(X, p, m, split, inverses, transform=None):
+def _unit_layer(X, p, m, split, inverses, transform=None, known=None):
     """Eliminate a maximal set of unit pivots of X over Z/m, panel by panel.
 
     X is updated in place and ``split`` forms its exact products mod m.  The
@@ -692,11 +681,26 @@ def _unit_layer(X, p, m, split, inverses, transform=None):
     have no unit on the remaining rows; they still take every later update.
     A ``transform`` records each panel's row operation.  ``inverses`` (an
     ``_Inverses`` of the reduction) hands back the inverse of a pivot block
-    met before, mod p to ``_panel_factor`` and lifted to the layer's
-    modulus, or to the transform's, in place of ``_inv_mod``.  An untracked
-    panel without an update (no row of L, or pivot rows zero on every
-    active column) lifts nothing: only the update and the transform read
-    the lift.
+    met before, mod p and lifted to the layer's modulus, or to the
+    transform's, in place of ``_inv_mod``.  An untracked panel without an
+    update (no row of L, or pivot rows zero on every active column) lifts
+    nothing: only the update and the transform read the lift.
+
+    ``known`` (pivots, top, bottom, period), from the source of an
+    echelon-ordered expansion, names the first u = len(pivots) pivots:
+    column c < u pivots on row pivots[c], and the nonzero rows of every
+    column c lie in [top[c], bottom[c]).  Those columns go first, in runs of
+    at most PANEL, a multiple of ``period`` when it fits (the runs of a
+    block-Toeplitz expansion then repeat their pivot block), without a
+    search.  The pivot block G = X[P, Q] must be lower triangular mod p with
+    a unit diagonal, or the hint is wrong and ``ArithmeticError`` is raised;
+    its inverse mod p is ``_lower_inverse``.  L is read only on the active
+    rows of the run's window, the rows its columns' supports span, and the
+    update takes the active columns whose supports meet the pivot rows, as
+    one block.  The supports widen to the rows where an update writes a
+    nonzero value (``_widen``).  The search takes over for the columns that
+    are left.  The known pivots are those the search finds, the rank
+    profile being unique, so the Schur complement is the same.
 
     Returns (S, count): S is a leading view of X's buffer, into which the
     active block, the Schur complement, is compacted at the end; every entry
@@ -704,45 +708,86 @@ def _unit_layer(X, p, m, split, inverses, transform=None):
     """
     rows = np.arange(X.shape[0])
     cols = np.arange(X.shape[1])
+    pivots, top, bottom, width = cols[:0], None, None, PANEL
+    if known is not None:
+        pivots, top, bottom, period = known
+        top, bottom = top.copy(), bottom.copy()
+        if 0 < period <= PANEL:
+            width -= PANEL % period
     count = 0
     done = 0
     while done < cols.size and rows.size:
-        hi = min(done + PANEL, cols.size)
-        panel = _take(X, rows, cols[done:hi])
-        live = np.flatnonzero(panel.any(axis=1))  # a zero row is never a pivot
-        panel = panel[live]
-        prow, pcol, Ginv = _panel_factor(panel, p, inverses) if live.size else ([], [], None)
-        if not prow:
-            done = hi
-            continue
-        pivot = np.zeros(live.size, dtype=bool)
-        pivot[prow] = True
-        G = panel[np.ix_(prow, pcol)]
-        L = panel[~pivot][:, pcol]
-        lsel = L.any(axis=1)
-        L = L[lsel]
-        lrows = rows[live[~pivot][lsel]]  # the rows the update touches
-        P = rows[live[prow]]
-        rows = np.delete(rows, live[prow])
-        cols = np.delete(cols, done + np.asarray(pcol))
-        # K = G^-1 X[P, keep] vanishes exactly where X[P, keep] does
-        hit = cols[_take(X, np.sort(P), cols).any(axis=0)] if lrows.size else cols[:0]
+        if cols[0] < pivots.size:  # known pivots: columns c0..c1-1, all of them
+            # every earlier panel pivoted a prefix of the columns: cols is c0..C-1
+            c0 = int(cols[0])
+            c1 = min(c0 + width, pivots.size)
+            P = pivots[c0:c1]
+            r0, r1 = np.searchsorted(rows, (top[c0:c1].min(), bottom[c0:c1].max()))
+            at = np.searchsorted(rows, P)
+            G = X[P, c0:c1]
+            Gp = G % p
+            if (at.min() < r0 or at.max() >= r1 or (rows[at] != P).any()
+                    or np.triu(Gp, 1).any() or not np.diagonal(Gp).all()):
+                raise ArithmeticError(f"known pivots of columns {c0}..{c1 - 1} "
+                                      "are not unit lower triangular mod p")
+            Ginv = inverses.get(p, _mod_p_key(Gp, p), functools.partial(_lower_inverse, Gp, p))
+            window = np.ones(r1 - r0, dtype=bool)
+            window[at - r0] = False
+            F = rows[r0:r1][window]  # the other active rows that may meet the panel
+            L = X[F, c0:c1]
+            lsel = L.any(axis=1)
+            L = L[lsel]
+            lrows = F[lsel]
+            live = np.ones(rows.size, dtype=bool)
+            live[at] = False
+            rows = rows[live]
+            cols = cols[c1 - c0:]
+            # the columns whose supports meet the pivot rows, updated as one block
+            near = c1 + np.flatnonzero((top[c1:] <= P.max()) & (bottom[c1:] > P.min()))
+            spans = [near] if lrows.size and near.size else []
+        else:
+            hi = min(done + PANEL, cols.size)
+            panel = _take(X, rows, cols[done:hi])
+            live = np.flatnonzero(panel.any(axis=1))  # a zero row is never a pivot
+            panel = panel[live]
+            prow, pcol, Ginv = _panel_factor(panel, p, inverses) if live.size else ([], [], None)
+            if not prow:
+                done = hi
+                continue
+            pivot = np.zeros(live.size, dtype=bool)
+            pivot[prow] = True
+            G = panel[np.ix_(prow, pcol)]
+            L = panel[~pivot][:, pcol]
+            lsel = L.any(axis=1)
+            L = L[lsel]
+            lrows = rows[live[~pivot][lsel]]  # the rows the update touches
+            P = rows[live[prow]]
+            rows = np.delete(rows, live[prow])
+            cols = np.delete(cols, done + np.asarray(pcol))
+            # K = G^-1 X[P, keep] vanishes exactly where X[P, keep] does; eliminated
+            # columns inside a range take garbage
+            hit = cols[_take(X, np.sort(P), cols).any(axis=0)] if lrows.size else cols[:0]
+            spans = [np.arange(a, b) for a, b in _runs(hit, _GAP)]
+            done = hi - len(prow)
         lift = m if transform is None else transform.modulus
-        if transform is not None or hit.size:  # else nothing reads the lift
+        if transform is not None or spans:  # else nothing reads the lift
             Ginv = inverses.get((m, lift), G, functools.partial(_inv_mod, G, Ginv, p, lift))
         if transform is not None:
             transform.record(P, rows, lrows, L, G, Ginv)
             if lift > m:  # past layer 0
                 Ginv = residues(Ginv, m)
-        for a, b in _runs(hit, _GAP):
-            # eliminated columns inside the range take garbage
-            K = split.digits(_mulmod(Ginv, X[P, a:b], m, p))
-            step = max(1, _CHUNK // (b - a))
+        widen = cols.size and cols[0] < pivots.size  # known panels still read the supports
+        for span in spans:
+            c = _ids(span)  # P is in pivot order, not sorted
+            K = split.digits(_mulmod(Ginv, X[P, c] if isinstance(c, slice) else X[np.ix_(P, c)],
+                                     m, p))
+            step = max(1, _CHUNK // span.size)
             for i in range(0, lrows.size, step):
-                r = _ids(lrows[i:i + step])
-                X[r, a:b] = split.mul_sub(L[i:i + step], K, X0=X[r, a:b])
-        count += len(prow)
-        done = hi - len(prow)
+                block = _block(lrows[i:i + step], span)
+                X[block] = Y = split.mul_sub(L[i:i + step], K, X0=X[block])
+                if widen:
+                    _widen(top, bottom, span, lrows[i:i + step], Y)
+        count += len(P)
     nr, nc = rows.size, cols.size
     if nr and nc and (rows[-1] != nr - 1 or cols[-1] != nc - 1):
         # row i comes from row rows[i] >= i, so compacting in increasing
@@ -756,7 +801,37 @@ def _unit_layer(X, p, m, split, inverses, transform=None):
     return X[:nr, :nc], count
 
 
-def _snf_layered(A, p, m, transform=None):
+def _lower_inverse(G, p):
+    """The inverse mod p of G, residues mod p lower triangular with a unit diagonal.
+
+    One ``_unit_triangular_inverse`` of D^-1 G times D^-1, D the diagonal,
+    whose inverses ``_unit_inverses`` takes at once; residues of
+    ``_residue_ops``'s dtype.
+    """
+    dtype, mul, submul = _residue_ops(p, G.shape[0])
+    G = G.astype(dtype)
+    dinv = _unit_inverses(np.diagonal(G), p)
+    Gbar = dinv[:, None] * G
+    _reduce(Gbar, p)
+    X = _unit_triangular_inverse(Gbar, p, mul, submul) * dinv
+    _reduce(X, p)
+    return X
+
+
+def _widen(top, bottom, cols, r, Y):
+    """Widen the row supports of the columns ``cols`` to the rows r where Y, written there, is nonzero."""
+    t, b = top[cols], bottom[cols]
+    if not ((r[0] < t) | (r[-1] >= b)).any():
+        return  # every row written lies inside every support already
+    nonzero = Y != 0
+    hit = nonzero.any(axis=0)
+    first = r[nonzero.argmax(axis=0)]
+    last = r[r.size - 1 - nonzero[::-1].argmax(axis=0)] + 1
+    top[cols] = np.where(hit, np.minimum(t, first), t)
+    bottom[cols] = np.where(hit, np.maximum(b, last), b)
+
+
+def _snf_layered(A, p, m, transform=None, layer0=None):
     """Smith exponents of A over Z/m (m = p^W), one valuation layer at a time.
 
     At layer k the working matrix holds the current Schur complement divided
@@ -767,7 +842,8 @@ def _snf_layered(A, p, m, transform=None):
     exponent k, so the exponents come out nondecreasing.  A is overwritten,
     and a ``transform`` records the row operations.  Each layer holds
     ``residue_dtype`` residues of its own modulus.  The pivot-block inverses
-    of all layers share one ``_Inverses``, freed on return.
+    of all layers share one ``_Inverses``, freed on return.  ``layer0``, the
+    known pivots and column supports of A (``_unit_layer``), serves layer 0.
     """
     exps = []
     inverses = _Inverses()
@@ -775,7 +851,8 @@ def _snf_layered(A, p, m, transform=None):
     k = 0
     _single_blas_thread()
     while m > 1 and X.size:
-        X, count = _unit_layer(X, p, m, _exact_split(m, PANEL, p), inverses, transform)
+        X, count = _unit_layer(X, p, m, _exact_split(m, PANEL, p), inverses, transform,
+                               layer0 if k == 0 else None)
         exps.extend([k] * count)
         if not X.any():
             break
@@ -908,13 +985,15 @@ class RowTransform(BlockTransform):
         return Y.T[None]
 
 
-def snf_int64(A: np.ndarray, p: int, m: int, track: bool):
+def snf_int64(A: np.ndarray, p: int, m: int, track: bool, layer0=None):
     """Run the layered kernel on A, in place if its dtype is ``residue_dtype(m)``.
 
-    Returns (exponents, transform); ``transform`` is the ``RowTransform`` of
-    the reduction when ``track`` is set, else None.
+    ``layer0`` is None or (pivots, top, bottom, period), the known unit
+    pivots and column supports of A that ``_unit_layer`` takes.  Returns (exponents,
+    transform); ``transform`` is the ``RowTransform`` of the reduction when
+    ``track`` is set, else None.
     """
     R, C = A.shape
     transform = RowTransform(R, p, m) if track else None
-    exponents = _snf_layered(A, p, m, transform) if R and C else []
+    exponents = _snf_layered(A, p, m, transform, layer0) if R and C else []
     return exponents, transform

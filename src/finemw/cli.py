@@ -305,7 +305,7 @@ def cmd_oracle(args) -> int:
     summary = roundtrip_suite(config.p, args.instances, n_max=config.n_max,
                               seed=config.seed, steps=args.steps,
                               precision=config.precision, jobs=args.jobs,
-                              checks=args.checks)
+                              checks=args.checks, degree=args.degree)
     doc = dict(summary)
     doc["schema_version"] = SCHEMA_VERSION
     doc["kind"] = "oracle"
@@ -369,6 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--precision", type=int, default=24)
     orc.add_argument("--jobs", type=int)
     orc.add_argument("--checks", choices=["classify", "full"], default="classify")
+    orc.add_argument("--degree", type=int, choices=[1, 2], default=1,
+                     help="unramified degree of the coefficient ring (2: classify checks only)")
     orc.add_argument("--records", action="store_true", help="include per-instance records")
     orc.add_argument("--format", choices=["json", "text"], default="json")
     orc.add_argument("--out")

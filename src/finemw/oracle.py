@@ -225,15 +225,15 @@ def sample_recipe(seed: int, p: int, n_max: int | None = None) -> ConstructionRe
 
 def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
                  precision: int = 24, checks: str = "classify",
-                 recipe: ConstructionRecipe | None = None) -> dict:
-    """Build, obfuscate and classify one instance.
+                 recipe: ConstructionRecipe | None = None, degree: int = 1) -> dict:
+    """Build, obfuscate and classify one instance over the ring of unramified ``degree``.
 
     ``checks="classify"`` runs the type-recovery round trip only; ``"full"``
     additionally verifies the rank identity and the finite-quotient component
     multiplicities wherever their hypotheses hold.  A "yes" or "no"
     torsion-limit verdict that contradicts the recipe fails the instance.
     """
-    ring = CoefficientRing(p, 1, precision)
+    ring = CoefficientRing(p, degree, precision)
     if recipe is None:
         recipe = sample_recipe(seed, p, n_max)
     record = {"seed": seed, "recipe": recipe.as_dict(), "status": "pass", "checks": {}}
@@ -287,29 +287,37 @@ def run_instance(p: int, n_max: int, seed: int, steps: int = 24,
 
 
 def _worker(args):
-    p, n_max, seed, steps, precision, checks = args
-    return run_instance(p, n_max, seed, steps=steps, precision=precision, checks=checks)
+    p, n_max, seed, steps, precision, checks, degree = args
+    return run_instance(p, n_max, seed, steps=steps, precision=precision, checks=checks,
+                        degree=degree)
 
 
 def roundtrip_suite(p: int, instances: int, n_max: int | None = None, seed: int = 0,
                     steps: int = 24, precision: int = 24, jobs: int | None = None,
-                    checks: str = "classify") -> dict:
+                    checks: str = "classify", degree: int = 1) -> dict:
     """Generate, disguise and re-classify `instances` random modules.
 
     The summary is deterministic for fixed (p, instances, n_max, seed, steps,
-    precision, checks) regardless of worker count or completion order.
+    precision, checks, degree) regardless of worker count or completion
+    order.  Over the quadratic ring (``degree`` 2) it says so
+    (``unramified_degree``) and runs the classify checks only: the full
+    checks' torsion bases come from tracked reductions over Z_p.
     """
     if instances < 0:
         raise ValidationError("instances must be >= 0")
     if checks not in ("classify", "full"):
         raise ValidationError("checks must be 'classify' or 'full'")
+    if degree not in (1, 2):
+        raise ValidationError(f"unramified degree must be 1 or 2, got {degree}")
+    if degree == 2 and checks == "full":
+        raise ValidationError("full checks over the quadratic ring are not supported")
     if n_max is None:
         n_max = default_max_level(p)
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
-    arglist = [(p, n_max, seed * 1_000_003 + idx, steps, precision, checks)
+    arglist = [(p, n_max, seed * 1_000_003 + idx, steps, precision, checks, degree)
                for idx in range(instances)]
     if jobs and jobs > 1 and instances > 1:
         # imported here: the worker pool's modules cost every other command
@@ -336,4 +344,6 @@ def roundtrip_suite(p: int, instances: int, n_max: int | None = None, seed: int 
         "failing_seeds": [r["seed"] for r in records if r["status"] == "fail"],
         "records": records,
     }
+    if degree == 2:
+        summary["unramified_degree"] = degree
     return summary

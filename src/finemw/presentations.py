@@ -28,9 +28,10 @@ Block order puts each relation's q columns side by side.  An untracked
 reduction instead takes relations with the same span over Z_p[T]/omega_n,
 put in T-adic echelon form mod p, with rows ordered by power of T and
 columns by their first nonzero row mod p (``_echelon_relations``): the
-Smith form is the same, and the kernel's updates stay in a band.  Tracked
-reductions keep the block order, whose pivots fix the torsion bases that
-reports draw from.
+Smith form is the same, its layer-0 unit pivots and the rows each column
+spans are known (``FinLevelModule.layer0``), and the kernel's updates stay
+in a band.  Tracked reductions keep the block order, whose pivots fix the
+torsion bases that reports draw from.
 
 The Phi_j-component ranks take no expansion over Z_p.  Modulo Phi_j the
 module is the cokernel of the g x (c + k) matrix of the relations and the k
@@ -43,6 +44,7 @@ are the same split products with the table of Phi_j.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +195,7 @@ class FinLevelModule:
         self.q = self.modulus_poly.degree()
         self._reduced = None  # reduced relation entries: lists per coordinate, and one array
         self._echelon = None  # the echelon column operation mod p and its keys
+        self._echelon_at = {}  # modulus -> the echelon relations and their places
 
     @property
     def nrows(self) -> int:
@@ -328,14 +331,7 @@ class FinLevelModule:
                   for _ in range(self.ring.unramified_degree)]
         if echelon:
             entries, place = self._echelon_relations(m)
-            # generators that no relation meets keep whole rows of zeros at the
-            # end, which are never written (numpy backs large arrays by huge pages)
-            live = entries.any(axis=(0, 2, 3))
-            h = int(live.sum())
-            rank = np.empty(g, dtype=np.int64)
-            rank[np.argsort(~live, kind="stable")] = np.arange(g)
-            rows = np.where(live[:, None], np.arange(q) * h + rank[:, None],
-                            rank[:, None] * q + np.arange(q))
+            rows = _echelon_rows(entries)
         else:
             entries = (self._entries() % m).astype(residue_dtype(m))
             rows = np.arange(g * q).reshape(g, q)
@@ -386,10 +382,12 @@ class FinLevelModule:
         key_j mod g (zero mod p from k g + key_j >= q g on).  Keys on
         distinct generators make these rows distinct, and k g + key_j orders
         them, so the columns sorted by it (``place[j][k]``, its rank) have
-        strictly increasing first nonzero rows: the runs that
-        ``_kernels._panel_factor`` pivots at once.  Columns of a relation
-        without a key follow in block order.
+        strictly increasing first nonzero rows: the unit pivots of the
+        kernel's layer 0, which ``layer0`` names.  Columns of a relation
+        without a key follow in block order.  The result is kept per modulus.
         """
+        if m in self._echelon_at:
+            return self._echelon_at[m]
         if self._echelon is None:
             self._echelon = _echelon(self._entries() % self.ring.prime, self.ring)
         E, keys = self._echelon
@@ -420,7 +418,61 @@ class FinLevelModule:
         sort = lead[:, None] + np.arange(q) * g
         place = np.empty(c * q, dtype=np.int64)
         place[np.argsort(sort, axis=None, kind="stable")] = np.arange(c * q)
-        return A.astype(residue_dtype(m)), place.reshape(c, q)
+        self._echelon_at[m] = A.astype(residue_dtype(m)), place.reshape(c, q)
+        return self._echelon_at[m]
+
+    def layer0(self, working_exponent, width=0):
+        """The known unit pivots and the column supports of the echelon expansion mod p^W.
+
+        ``width`` is the number of extra columns after the relation block.
+        Keyed column (j, k) with k + d_j < q, key_j = d_j g + i_j, pivots on
+        the row of T^(k + d_j) at generator i_j, its first nonzero row mod p
+        (``_echelon_relations``), and these columns are the first u of the
+        expansion, in order.  Column (j, k) has its nonzero entries on the
+        rows of the powers k + lo_j to k + deg_j, lo_j and deg_j the least
+        and the largest power of a nonzero coefficient of relation j mod
+        p^W: a band of whole powers, rows power-major.  A column that wraps
+        (k + deg_j >= q) spans every power, and an extra column every row.
+        Over O each is realified (``snf.regular_representation``): column 2c
+        pivots on row 2r and 2c + 1 on 2r + 1, whose 2 x 2 block is the
+        identity mod p, and both share the doubled rows of their support.
+
+        Each power of T adds one pivot per keyed relation, d of them over O:
+        the period, which keeps runs of pivots aligned on the powers so that
+        they repeat their pivot block.
+
+        Returns (pivots, top, bottom, period): pivots[c] is the pivot row of
+        column c < u, and the nonzero rows of column c lie in
+        [top[c], bottom[c]).
+        """
+        m = self.ring.prime**working_exponent
+        entries, place = self._echelon_relations(m)
+        rows = _echelon_rows(entries)
+        g, c, q = self.presentation.generators, self.presentation.num_relations, self.q
+        h = int(entries.any(axis=(0, 2, 3)).sum())
+        powers = entries.any(axis=(0, 1))  # (c, q): the powers of each relation
+        lo = powers.argmax(axis=1)
+        deg = q - 1 - powers[:, ::-1].argmax(axis=1)
+        k = np.arange(q)
+        wraps = k + deg[:, None] >= q
+        top = np.zeros(c * q + width, dtype=np.int64)
+        bottom = np.full(c * q + width, g * q, dtype=np.int64)
+        top[place] = np.where(wraps, 0, (k + lo[:, None]) * h)
+        bottom[place] = np.where(wraps, q * h, (k + deg[:, None] + 1) * h)
+        bottom[place[~powers.any(axis=1)]] = 0  # a zero relation meets no row
+        pivots = np.full(c * q, -1, dtype=np.int64)
+        u = 0
+        for j, key in enumerate(self._echelon[1]):
+            if key is not None:
+                d, i = divmod(key, g)
+                pivots[place[j, :q - d]] = rows[i, d:]
+                u += q - d
+        pivots = pivots[:u]
+        d = self.ring.unramified_degree
+        if d == 2:
+            pivots = np.stack((2 * pivots, 2 * pivots + 1), axis=1).ravel()
+            top, bottom = np.repeat(2 * top, 2), np.repeat(2 * bottom, 2)
+        return pivots, top, bottom, d * sum(key is not None for key in self._echelon[1])
 
     def component_matrix(self, columns, m):
         """The relation block and the columns mod (Phi_j, m) as a matrix over O_j.
@@ -487,6 +539,23 @@ def _put_mult_matrix(plane, coeffs, wrapped, rows, cols):
         coeffs[nonzero][:, None]
     if deg:
         plane[rows[:, None], cols[q - deg:]] = wrapped.T
+
+
+def _echelon_rows(entries):
+    """The row of T^k at each generator in the echelon order, shape (g, q).
+
+    Rows are power-major over the h generators that some relation meets, row
+    k h + r for T^k at the r-th of them; the rows of the others follow in
+    block order, whole rows of zeros that are never written (numpy backs
+    large arrays by huge pages).
+    """
+    g, q = entries.shape[1], entries.shape[3]
+    live = entries.any(axis=(0, 2, 3))
+    h = int(live.sum())
+    rank = np.empty(g, dtype=np.int64)
+    rank[np.argsort(~live, kind="stable")] = np.arange(g)
+    return np.where(live[:, None], np.arange(q) * h + rank[:, None],
+                    rank[:, None] * q + np.arange(q))
 
 
 def _o_scale(e, X, nu):
@@ -653,6 +722,12 @@ class _LevelSource:
     def matrix_int64(self, working_exponent):
         return self.fin.matrix_int64(working_exponent, extra_columns=self.columns,
                                      echelon=self.echelon)
+
+    def layer0(self, working_exponent):
+        """The known pivots and column supports of ``matrix_int64``, in echelon order only."""
+        if not self.echelon:
+            return None
+        return self.fin.layer0(working_exponent, self.columns.shape[1])
 
     def coordinate_rows(self):
         return self.fin.matrix_coords(extra_columns=self.columns)
@@ -944,8 +1019,9 @@ def presentation_from_json(doc: dict) -> ModulePresentation:
 
 
 def _json_int(value, name):
-    try:
+    """An integer field: a JSON integer or a base-10 integer string, never a float or a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed presentation JSON: {name} {value!r} is not an integer"
-                              ) from exc
+    raise ValidationError(f"malformed presentation JSON: {name} {value!r} is not an integer")

@@ -10,7 +10,8 @@ the deep-entry test scans.  ``smith_normal_form`` wraps coordinate rows;
 ``presentations`` wraps a level expansion together with its quotient
 columns.  Untracked, that source hands the kernel the expansion of
 column-equivalent relations in T-adic echelon order, which has the same
-Smith form, while the deep-entry test scans the relation entries as given.
+Smith form, with its layer-0 unit pivots and the rows each column spans
+(``layer0``), while the deep-entry test scans the relation entries as given.
 Over the quadratic ring the kernel reduces the regular representation
 (``regular_representation``): each entry a + b x becomes the 2 x 2 block
 [[a, nu b], [b, a]], and its Smith exponents over Z_p are the O-exponents,
@@ -229,6 +230,9 @@ class _RowSource:
         return regular_representation(to_planes(self.rows, self.ring.unramified_degree, m),
                                       self.ring, m)
 
+    def layer0(self, working_exponent):
+        return None
+
     def coordinate_rows(self):
         return self.rows
 
@@ -240,7 +244,9 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
     """Smith-reduce ``source`` over ``ring``, aiming at an answer exact at p^target.
 
     ``source`` has ``shape`` (R, C), ``matrix_int64(W)`` (the matrix mod
-    p^W, the regular representation over the quadratic ring),
+    p^W, the regular representation over the quadratic ring), ``layer0(W)``
+    (None, or the known unit pivots and column supports of that matrix,
+    which the kernel's layer 0 takes: ``_kernels._unit_layer``),
     ``coordinate_rows()`` (full-precision coordinate tuples) and ``coords()``
     (the coordinates the deep-entry test scans).
     ``track`` asks for the row transform U (``reduce_block``) and U^-1
@@ -257,12 +263,14 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
                            precision=None if target == N else target)
     if ring.unramified_degree == 1 and not small:
         W = min(target, int64_precision_cap(p))
-        exponents, transform = _kernels.snf_int64(source.matrix_int64(W), p, p**W, track)
+        exponents, transform = _kernels.snf_int64(source.matrix_int64(W), p, p**W, track,
+                                                  layer0=source.layer0(W))
         suspicious = W < target and (any(e >= W - 2 for e in exponents)
                                      or has_deep_entries(source.coords(), p, W - 2))
         if not suspicious:
             return SmithResult(ring, "int64", W, R, C, exponents, transform)
-    exponents, transform = _kernels.snf_int64(source.matrix_int64(target), p, p**target, track)
+    exponents, transform = _kernels.snf_int64(source.matrix_int64(target), p, p**target, track,
+                                              layer0=source.layer0(target))
     if ring.unramified_degree == 2:
         if len(exponents) % 2 or exponents[0::2] != exponents[1::2]:
             raise ArithmeticError(f"realified Smith exponents {exponents} do not pair up")

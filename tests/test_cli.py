@@ -235,6 +235,20 @@ def test_classify_exit_2_on_non_integer_field(field, doc, capsys, tmp_path):
     assert f"JSON: {field} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, text", [
+    ("p", '{"p": 7.9, "generators": 1, "relations": [[[["1"]]]]}'),
+    ("generators", '{"p": 5, "generators": true, "relations": [[[["1"]]]]}'),
+    ("relation coefficient", '{"p": 5, "generators": 1, "relations": [[[[1e30]]]]}'),
+])
+def test_classify_exit_2_on_inexact_integer_field(field, text, capsys, tmp_path):
+    # a float, a bool or a float coefficient would otherwise be truncated,
+    # read as 1 or rounded to the nearest double: integer fields are exact
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["classify", "--file", str(bad)]) == 2
+    assert f"JSON: {field} " in capsys.readouterr().err
+
+
 def test_verify_warning_file_skips_with_reason(capsys, schema, warning_file):
     code, out = run_cli(["verify", "--file", warning_file], capsys)
     assert code == 0
@@ -270,6 +284,21 @@ def test_oracle_small_run(capsys, schema):
     doc = json.loads(out)
     validate(doc, schema)
     assert doc["type_recovery_failures"] == 0
+
+
+def test_oracle_over_the_quadratic_ring(capsys, schema):
+    # --degree 2 draws the same recipes over O and says so in the summary;
+    # the default summary has no such key, and full checks over O are refused
+    code, out = run_cli(["oracle", "--p", "5", "--instances", "2", "--seed", "42",
+                         "--n-max", "2", "--degree", "2"], capsys)
+    doc = json.loads(out)
+    validate(doc, schema)
+    assert code == 0 and doc["unramified_degree"] == 2 and doc["type_recovery_failures"] == 0
+    code, out = run_cli(["oracle", "--p", "5", "--instances", "0"], capsys)
+    assert code == 0 and "unramified_degree" not in json.loads(out)
+    code, out = run_cli(["oracle", "--p", "5", "--instances", "1", "--degree", "2",
+                         "--checks", "full"], capsys)
+    assert code == 2 and out == ""
 
 
 def test_reports_byte_identical(tmp_path):

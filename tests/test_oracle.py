@@ -203,6 +203,16 @@ def test_roundtrip_suite_deterministic_and_parallel_equal():
     assert a == b
 
 
+@pytest.mark.parametrize("p, instances", [(5, 20), (7, 3)])
+def test_roundtrip_over_the_quadratic_ring(p, instances):
+    # the same draws over O: every level reduction is the regular
+    # representation at p^N, whose layer 0 pivots on the echelon keys
+    s = roundtrip_suite(p, instances, n_max=3, seed=2024, degree=2)
+    assert s["unramified_degree"] == 2
+    assert s["failures"] == 0 and s["type_recovery_failures"] == 0
+    assert s["passes"] + s["undetermined"] == instances
+
+
 def test_failures_reproducible_from_seed():
     # records carry the seed and recipe, and rebuilding from them is stable
     s = roundtrip_suite(5, 3, seed=4)

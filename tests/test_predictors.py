@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finemw.errors import HypothesisError, InvalidRankTableError, SettingError, ValidationError
-from finemw.oracle import ConstructionRecipe, build_elementary
+from finemw.oracle import ConstructionRecipe, build_elementary, obfuscate
 from finemw.padics import CoefficientRing
 from finemw.polynomials import phi_degree
 from finemw.presentations import coinvariants
+from finemw.structure import classify_elementary
 from finemw.predictors import (
     SETTINGS,
     GrowthSequence,
@@ -121,6 +122,37 @@ def test_mw_tate_prediction_realises_the_rank_table(p, n, data):
     recipe = ConstructionRecipe(seed=0, cyclo_multiplicities=dict(mw_tate_prediction(s, n)))
     M = build_elementary(recipe, CoefficientRing(p, 1, 24))
     assert [coinvariants(M, k).free_rank for k in range(n + 1)] == ranks
+
+
+E_SETTINGS = [tag for tag, record in SETTINGS.items() if record.kind == "e"]
+
+
+@pytest.mark.parametrize("setting", E_SETTINGS, ids=lambda tag: tag.value)
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from([5, 7]), st.lists(st.integers(0, 4), min_size=3, max_size=3),
+       st.integers(0, 2**32))
+def test_e_prediction_is_realised_and_classified(setting, p, values, seed):
+    # an e-sequence whose predicted support lies at levels <= 2, realised as
+    # the disguised sum of (Lambda/Phi_j)^(m_j), classifies at n_max = 3 as
+    # exactly that: free rank 0, the predicted multiplicities, mu = lambda = 0;
+    # an interval-valued prediction at both of its ends
+    s = seq("e", p, values)
+    try:
+        prediction = predict(setting, s)
+    except HypothesisError:
+        assume(False)
+    if prediction.is_interval:
+        ends = [{n: bound[end] for n, *bound in prediction.intervals if bound[end]}
+                for end in (0, 1)]
+    else:
+        ends = [dict(prediction.multiplicities)]
+    assume(1 <= sum(ends[-1].values()) <= 4)
+    for multiplicities in ends:
+        recipe = ConstructionRecipe(seed=seed, cyclo_multiplicities=multiplicities)
+        M = obfuscate(build_elementary(recipe, CoefficientRing(p, 1, 24)), seed=seed, steps=24)
+        etype = classify_elementary(M, 3)
+        assert (etype.free_rank, etype.cyclo_multiplicities, etype.mu,
+                etype.residual_lambda) == (0, multiplicities, 0, 0)
 
 
 def test_local_mw_prediction():

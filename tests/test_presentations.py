@@ -1,10 +1,11 @@
+import hashlib
 import json
 import random
 
 import numpy as np
 import pytest
 
-from finemw import snf
+from finemw import _kernels, snf
 from finemw._kernels import int64_precision_cap, residue_dtype, to_vectors
 from finemw.errors import ResourceLimitError, ValidationError
 from finemw.oracle import build_elementary, obfuscate, sample_recipe
@@ -834,6 +835,86 @@ def test_echelon_expansion_is_one_run_of_leading_rows(p, degree, draw, level):
     assert count and live[:count].all() and count < live.size
     assert (np.diff(units[:, :count].argmax(axis=0)) > 0).all()
     assert coinvariants(M, level).smith.exponents.count(0) * degree == count
+
+
+def _layer0_cases(ring, seed):
+    """Echelon expansions at levels 1-3: the echelon case (a dependent and a
+    keyless mu relation) and a disguised corpus draw, each without and with
+    two quotient columns."""
+    p, d = ring.prime, ring.unramified_degree
+    rng = random.Random(seed)
+    recipe = sample_recipe(2024 * 1000003 + seed, p)
+    corpus = obfuscate(build_elementary(recipe, ring), seed=recipe.seed ^ 0x5EED, steps=24)
+    for M in (_echelon_case(ring, seed, 9), corpus):
+        for level in (1, 2, 3):
+            fin = FinLevelModule(M, level)
+            if d * fin.nrows > 700:  # the unhinted reductions below take long past that
+                continue
+            quotients = [[tuple(rng.randrange(ring.modulus) * p**(k % 3) for _ in range(d))
+                          for _ in range(fin.nrows)] for k in range(2)]
+            for columns in ((), quotients):
+                yield _LevelSource(fin, columns, echelon=True)
+
+
+@pytest.mark.parametrize("panel", [8, 64])
+@pytest.mark.parametrize("p, degree", [(5, 1), (7, 1), (5, 2), (7, 2)])
+def test_known_layer0_pivots_keep_the_schur_complement(p, degree, panel, monkeypatch):
+    # the echelon source names the unit pivots of layer 0 and the rows each
+    # column spans; pivoting on them inside those rows leaves exactly the
+    # Schur complement that the search finds, with the same pivot count and
+    # exponents, and a hint whose pivot block is not unit lower triangular
+    # mod p raises
+    monkeypatch.setattr(_kernels, "PANEL", panel)
+    ring = CoefficientRing(p, degree, 24)
+    W = int64_precision_cap(p)
+    m = p**W
+    split = _kernels._exact_split(m, panel, p)
+    for source in _layer0_cases(ring, p + degree):
+        A = source.matrix_int64(W)
+        pivots, top, bottom, period = hint = source.layer0(W)
+        u = pivots.size
+        nonzero = A != 0
+        spanned = np.arange(A.shape[0])[:, None]
+        assert not (nonzero & ((spanned < top) | (spanned >= bottom))).any()
+        units = A[:, :u] % p != 0
+        assert u and (units.argmax(axis=0) == pivots).all() and units[pivots, np.arange(u)].all()
+        known = _kernels._unit_layer(A.copy(), p, m, split, _kernels._Inverses(), known=hint)
+        searched = _kernels._unit_layer(A.copy(), p, m, split, _kernels._Inverses())
+        assert known[1] == searched[1] >= u
+        assert np.array_equal(known[0], searched[0])
+        assert _kernels.snf_int64(A.copy(), p, m, False, layer0=hint) == \
+            _kernels.snf_int64(A.copy(), p, m, False)
+        swapped = pivots.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]
+        with pytest.raises(ArithmeticError):
+            _kernels.snf_int64(A.copy(), p, m, False, layer0=(swapped, top, bottom, period))
+
+
+def test_two_disguises_of_one_module_classify_alike(tmp_path, capsys):
+    # corpus recipe 2 at p = 7 (Phi_0 + Phi_1 + Lambda/p + Lambda/p^2) under
+    # the corpus disguise and under another one, whose echelon entries reach
+    # degree q - 1 and leave both mu relations without a key: about half the
+    # columns span every row, and so do the windows of the known runs.  The
+    # reports are identical, and layer 0 on the known pivots gives the
+    # searched exponents
+    from finemw.cli import main
+
+    p, W = 7, int64_precision_cap(7)
+    recipe = sample_recipe(2024 * 1000003 + 2, p)
+    reports = []
+    for seed in (recipe.seed ^ 0x5EED, recipe.seed):
+        M = obfuscate(build_elementary(recipe, CoefficientRing(p, 1, 24)), seed=seed, steps=24)
+        path = tmp_path / f"disguise-{seed}.json"
+        path.write_text(json.dumps(presentation_to_json(M)))
+        assert main(["classify", "--file", str(path), "--n-max", "3"]) == 0
+        reports.append(capsys.readouterr().out)
+        for level in (2, 3):
+            source = _LevelSource(FinLevelModule(M, level), (), echelon=True)
+            A, hint = source.matrix_int64(W), source.layer0(W)
+            assert _kernels.snf_int64(A.copy(), p, p**W, False, layer0=hint)[0] == \
+                _kernels.snf_int64(A.copy(), p, p**W, False)[0]
+    assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0].encode()).hexdigest().startswith("898646e3a4e355e4")
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -810,9 +810,9 @@ def test_python_engine_runs_only_for_small_or_quadratic_tracked_reductions(p, mo
     calls = []
     snf_int64, run_python = _kernels.snf_int64, snf._run_python
 
-    def counted_snf_int64(*args):
+    def counted_snf_int64(*args, **kwargs):
         calls.append("kernel")
-        return snf_int64(*args)
+        return snf_int64(*args, **kwargs)
 
     def counted_run_python(*args, **kwargs):
         calls.append("python")

@@ -211,9 +211,9 @@ def test_verify_reduces_each_distinct_matrix_once(name, torsion_levels, int64_tr
         components.append((n, len(tuple(extra_columns))))
         return ranks_against(M, n, extra_columns, precision_cap)
 
-    def counted_snf_int64(A, p, m, track):
+    def counted_snf_int64(A, p, m, track, **kwargs):
         kernel_calls.append(track)
-        return snf_int64(A, p, m, track)
+        return snf_int64(A, p, m, track, **kwargs)
 
     monkeypatch.setattr(presentations, "_level_smith", counted_level_smith)
     monkeypatch.setattr(presentations, "component_ranks_against", counted_ranks_against)
