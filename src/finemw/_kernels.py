@@ -487,11 +487,12 @@ def _panel_factor(P, p, inverses=None):
     pivots).  They are those of column-by-column elimination with the lowest
     eligible row: both give the rank profile matrix of P mod p (the rank of
     P[:i, :j] counts the pivots inside it), which is unique.  Pivot rows have
-    a zero residual after their pivot, so G = L[rows] U[:, cols] =
-    (L[rows] D^-1) D V with V = U[:, cols] unit upper triangular, and
-    Ginv = V^-1 D^-1 (L[rows] D^-1)^-1.  With ``inverses`` (an ``_Inverses``)
-    a block G mod p met before in the reduction takes its stored Ginv; the
-    block is keyed as uint8 residues for p < 256 (``_mod_p_key``).
+    a zero residual after their pivot, so G = L[rows] V, L[rows] lower
+    triangular with the pivots on its diagonal and V = U[:, cols] unit upper
+    triangular, and Ginv = V^-1 L[rows]^-1 (``_lower_inverse``).  With
+    ``inverses`` (an ``_Inverses``) a block G mod p met before in the
+    reduction takes its stored Ginv; the block is keyed as uint8 residues
+    for p < 256 (``_mod_p_key``).
     """
     R, w = P.shape
     dtype, mul, submul = _residue_ops(p, w)
@@ -505,7 +506,7 @@ def _panel_factor(P, p, inverses=None):
     ids = np.arange(w)
     L = np.empty((R, w), dtype=dtype, order="F")
     U = np.zeros((w, w), dtype=dtype)
-    rows, cols, dinv = [], [], []
+    rows, cols = [], []
     j = t = 0
     while j < w and t < R:  # with R pivots every residual is zero
         hi = ends[bisect.bisect_right(ends, j)]
@@ -540,18 +541,13 @@ def _panel_factor(P, p, inverses=None):
                 Y[:] = mul(_unit_triangular_inverse(M, p, mul, submul), Y)
         rows += i
         cols += [j + c for c in run]
-        dinv += inv
         t += r
         j = nxt
 
     def invert():
-        d = np.array(dinv, dtype=dtype)
         V = U[:t, cols]
         V[ids[:t], ids[:t]] = 1
-        Lbar = L[rows, :t] * d
-        _reduce(Lbar, p)
-        Linv = d[:, None] * _unit_triangular_inverse(Lbar, p, mul, submul)
-        _reduce(Linv, p)
+        Linv = _lower_inverse(L[rows, :t], p).astype(dtype, copy=False)
         return mul(_unit_triangular_inverse(V, p, mul, submul), Linv)
 
     if inverses is None:

@@ -146,17 +146,25 @@ def _render_text(doc) -> str:
     return "\n".join(lines)
 
 
+def _read_input(path, what, read):
+    """read(handle) of the UTF-8 text file ``path``; a bad file is a ValidationError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return read(handle)
+    except OSError as exc:
+        raise ValidationError(f"{what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path}: not UTF-8 ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{what} {path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+
+
 def _load_config(args):
     path = getattr(args, "config", None) or os.environ.get("FINEMW_CONFIG")
     if not path:
         return {}
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
+    doc = _read_input(path, "config file", json.load)
     if not isinstance(doc, dict):
         raise ValidationError("config file must hold a JSON object")
     return doc
@@ -166,13 +174,13 @@ def _read_ranks(args, config):
     if args.ranks and args.ranks_csv:
         raise ValidationError("give either --ranks or --ranks-csv, not both")
     if args.ranks_csv:
+        rows = _read_input(args.ranks_csv, "rank CSV", lambda handle: list(csv.reader(handle)))
+        if not rows or [f.strip() for f in rows[0]] != ["level", "rank"]:
+            raise ValidationError("rank CSV needs the header 'level,rank'")
         levels = {}
-        with open(args.ranks_csv, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["level", "rank"]:
-                raise ValidationError("rank CSV needs the header 'level,rank'")
-            for row in reader:
-                levels[int(row["level"])] = int(row["rank"])
+        for row in filter(None, rows[1:]):  # a blank line reads as []
+            level, rank = (row + [None])[:2]
+            levels[_integer(level, "rank CSV level")] = _integer(rank, "rank CSV rank")
         if not levels or sorted(levels) != list(range(max(levels) + 1)):
             raise ValidationError("rank CSV must cover contiguous levels starting at 0")
         return [levels[n] for n in sorted(levels)]
@@ -180,8 +188,20 @@ def _read_ranks(args, config):
     if raw is None:
         raise ValidationError("no ranks given (use --ranks or --ranks-csv)")
     if isinstance(raw, str):
-        return [int(x) for x in raw.split(",") if x.strip() != ""]
-    return [int(x) for x in raw]
+        raw = [x for x in raw.split(",") if x.strip() != ""]
+    if not isinstance(raw, list):
+        raise ValidationError(f"ranks {raw!r} are not a list")
+    return [_integer(x, "rank") for x in raw]
+
+
+def _integer(value, name):
+    """A JSON integer or an integer string: never a float, a bool or an empty cell."""
+    try:
+        if type(value) is int or isinstance(value, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValidationError(f"{name} {value!r} is not an integer")
 
 
 def cmd_predict(args) -> int:
@@ -193,7 +213,7 @@ def cmd_predict(args) -> int:
     rank_kind = args.rank_kind or config.get("rank_kind", "Z")
     setting = resolve_setting(args.setting, args.root_number)
     record = SETTINGS[setting]
-    table = RankTable(int(p), tuple(ranks), rank_kind)
+    table = RankTable(_integer(p, "p"), tuple(ranks), rank_kind)
     growth = growth_sequence(table, record.kind)
     prediction = predict(setting, growth)
     doc = {
@@ -225,14 +245,7 @@ def cmd_predict(args) -> int:
 
 
 def _load_presentation(path):
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise ValidationError(f"presentation file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
-    return presentation_from_json(doc)
+    return presentation_from_json(_read_input(path, "presentation file", json.load))
 
 
 def cmd_classify(args) -> int:

@@ -12,7 +12,8 @@ Every reduction modulo omega_n or Phi_j is one exact product with a power
 table (``_remainders``): with T^(q+k) = sum_i R[k, i] T^i, the remainder of
 y is y[:q] + y[q:] R.  Both moduli have rational-integer coefficients, so
 each coordinate of an O-polynomial divides on its own, and one product
-divides every relation entry of a level (``reduced_entry``), every
+divides every relation entry of a level (``FinLevelModule._entries``, one
+array mod p^N that the expansions read and the deep-entry test scans), every
 generator segment of every ambient column (``reduce_columns``), the
 wrapping columns of every multiplication matrix (``_wrapped_columns``), or
 every T-shifted vector of a block (``t_apply``).  Ambient vectors are
@@ -148,6 +149,10 @@ def check_level_budget(pres: ModulePresentation, n: int):
     if entries > budget**2:
         raise ResourceLimitError(
             f"expansion needs {entries} entries > budget {budget**2}")
+    # an entry's degree sets the power table that divides it (``_remainders``)
+    degree = max((f.degree() for row in pres.relations for f in row), default=-1)
+    if degree > budget:
+        raise ResourceLimitError(f"relation entry of degree {degree} > budget {budget}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,10 +182,10 @@ class FinLevelModule:
     its Z_p-expansion (``matrix_int64``, ``matrix_coords``) serves only as
     the tests' referee.
 
-    The reduced relation entries are kept as given (``reduced_entry``, which
-    the deep-entry test scans); ``matrix_int64(..., echelon=True)`` expands
-    the echelon relations instead, whose column operation mod p is found
-    once per instance.
+    The reduced relation entries are kept as given, one array mod p^N
+    (``_entries``), which the expansions read and the deep-entry test scans;
+    ``matrix_int64(..., echelon=True)`` expands the echelon relations
+    instead, whose column operation mod p is found once per instance.
     """
 
     def __init__(self, pres: ModulePresentation, level: int, component: int | None = None):
@@ -193,7 +198,7 @@ class FinLevelModule:
         self.ring = pres.ring
         self.modulus_poly, self._wrap = _modulus(pres.ring, level, component)
         self.q = self.modulus_poly.degree()
-        self._reduced = None  # reduced relation entries: lists per coordinate, and one array
+        self._reduced = None  # the reduced relation entries (``_entries``)
         self._echelon = None  # the echelon column operation mod p and its keys
         self._echelon_at = {}  # modulus -> the echelon relations and their places
 
@@ -218,20 +223,11 @@ class FinLevelModule:
 
     # -- expanded matrices --------------------------------------------------
 
-    def reduced_entry(self, i, j) -> list:
-        """Relation entry (i, j) modulo the expansion modulus, as integer coordinate planes.
-
-        Plane s lists coordinate s of each coefficient, constant term first,
-        without trailing zero coefficients.  On first use the entries of
-        degree >= q are divided, all of them in one ``_remainders``.
-        """
-        return self._reduce_entries()[0][i][j]
-
     def _entries(self):
-        """Every reduced relation entry mod p^N: an array of shape (d, g, c, q)."""
-        return self._reduce_entries()[1]
+        """Every reduced relation entry mod p^N: an array of shape (d, g, c, q).
 
-    def _reduce_entries(self):
+        On first use the entries of degree >= q are divided, all in one ``_remainders``.
+        """
         if self._reduced is not None:
             return self._reduced
         d, m, q = self.ring.unramified_degree, self.ring.modulus, self.q
@@ -242,12 +238,7 @@ class FinLevelModule:
         for k, f in enumerate(entries):
             for s in range(d):
                 Y[d * k + s, :len(f)] = [a.coords[s] for a in f]
-        Y = self._remainders(Y, m).reshape(len(entries), d, q)
-        nonzero = (Y != 0).any(axis=1)
-        tops = np.where(nonzero.any(axis=1), q - nonzero[:, ::-1].argmax(axis=1), 0)
-        planes = [entry[:, :top].tolist() for entry, top in zip(Y, tops.tolist())]
-        self._reduced = ([planes[i * c:(i + 1) * c] for i in range(g)],
-                         Y.reshape(g, c, d, q).transpose(2, 0, 1, 3))
+        self._reduced = self._remainders(Y, m).reshape(g, c, d, q).transpose(2, 0, 1, 3)
         return self._reduced
 
     def reduce_columns(self, columns, m=None):
@@ -591,6 +582,7 @@ def _echelon(A, ring):
     E = np.zeros((d, c, c, q), dtype=np.int64)
     E[0, np.arange(c), np.arange(c), 0] = 1
     keys, inverse, owner = [None] * c, [None] * c, {}
+    residue_field = CoefficientRing(p, d, 1)  # O/p
     todo = list(range(c))[::-1]
     while todo:
         b = todo.pop()
@@ -603,7 +595,7 @@ def _echelon(A, ring):
             lead = B[:, b, key]
             a = owner.get(key % g)
             if a is None or keys[a] > key:
-                inverse[b] = _residue_inverse(lead.tolist(), p, nu)
+                inverse[b] = residue_field._inv_coords(lead.tolist())
                 if d == 2:
                     B[:, b] = _o_scale(inverse[b], B[:, b], nu) % p
                     E[:, :, b] = _o_scale(inverse[b], E[:, :, b], nu) % p
@@ -617,14 +609,6 @@ def _echelon(A, ring):
             B[:, b, s * g:] = (B[:, b, s * g:] - _o_scale(ratio, B[:, a, :(q - s) * g], nu)) % p
             E[:, :, b, s:] = (E[:, :, b, s:] - _o_scale(ratio, E[:, :, a, :q - s], nu)) % p
     return E, keys
-
-
-def _residue_inverse(x, p, nu):
-    """The inverse in O/p of a unit given by its coordinates: its conjugate over its norm."""
-    if len(x) == 1:
-        return [pow(x[0], -1, p)]
-    norm = pow((x[0] ** 2 - nu * x[1] ** 2) % p, -1, p)
-    return [x[0] * norm % p, -x[1] * norm % p]
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +691,10 @@ class _LevelSource:
     The columns are reduced into the expansion's basis once, here, as the
     coordinate planes that ``reduce_columns`` returns.  With ``echelon`` the
     kernel's matrix is the echelon-ordered expansion, with the columns in
-    its row order; ``coordinate_rows`` keeps the block order.  The
-    deep-entry test scans the relation coefficients as given, never the
-    echelon ones, and every coordinate of the reduced columns.
+    its row order; ``coordinate_rows`` keeps the block order.  ``scan``
+    hands the deep-entry test the reduced relation entries as given
+    (``FinLevelModule._entries``), never the echelon ones, and the reduced
+    columns.
     """
 
     def __init__(self, fin: FinLevelModule, extra_columns, echelon=False):
@@ -732,13 +717,8 @@ class _LevelSource:
     def coordinate_rows(self):
         return self.fin.matrix_coords(extra_columns=self.columns)
 
-    def coords(self):
-        fin = self.fin
-        for i in range(fin.presentation.generators):
-            for j in range(fin.presentation.num_relations):
-                for plane in fin.reduced_entry(i, j):
-                    yield from plane
-        yield from self.columns.ravel().tolist()
+    def scan(self):
+        return self.fin._entries(), self.columns
 
 
 def phi_component_ranks(M: ModulePresentation, n: int, extra_columns=(),
@@ -1006,16 +986,23 @@ def presentation_from_json(doc: dict) -> ModulePresentation:
                                                            "unramified_degree"),
                                precision_exponent=_json_int(doc.get("precision", 24), "precision"))
         generators = _json_int(doc["generators"], "generators")
-        rows = []
-        for row in doc.get("relations", []):
-            rows.append([IwasawaPoly(ring, [[_json_int(s, "relation coefficient") for s in coeff]
-                                            for coeff in entry])
-                         for entry in row])
+        rows = [[IwasawaPoly(ring, [[_json_int(s, "relation coefficient")
+                                     for s in _json_list(coeff, "coefficient")]
+                                    for coeff in _json_list(entry, "relation entry")])
+                 for entry in _json_list(row, "relation row")]
+                for row in _json_list(doc.get("relations", []), "relations")]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed presentation JSON: {exc}") from exc
     cap = doc.get("level_cap")
     return ModulePresentation(ring, generators, rows,
                               None if cap is None else _json_int(cap, "level_cap"))
+
+
+def _json_list(value, name):
+    """A field the schema gives as a JSON array: never a string, an object or a number."""
+    if isinstance(value, list):
+        return value
+    raise ValidationError(f"malformed presentation JSON: {name} {value!r} is not an array")
 
 
 def _json_int(value, name):

@@ -5,13 +5,15 @@ succeeds and the divisor valuations come out sorted.
 
 Every reduction takes one route, ``reduce(source, ring, track, target)``.  A
 source hides the matrix format: it gives the shape, the matrix mod p^W
-(``matrix_int64``), the full-precision coordinate rows and the coordinates
-the deep-entry test scans.  ``smith_normal_form`` wraps coordinate rows;
+(``matrix_int64``), the full-precision coordinate rows and, from ``scan``,
+the integer arrays mod p^N whose nonzero entries the deep-entry test reads.
+``smith_normal_form`` wraps coordinate rows, which it scans as planes;
 ``presentations`` wraps a level expansion together with its quotient
 columns.  Untracked, that source hands the kernel the expansion of
 column-equivalent relations in T-adic echelon order, which has the same
 Smith form, with its layer-0 unit pivots and the rows each column spans
-(``layer0``), while the deep-entry test scans the relation entries as given.
+(``layer0``), while its scan gives the relation entries as given and the
+quotient columns.
 Over the quadratic ring the kernel reduces the regular representation
 (``regular_representation``): each entry a + b x becomes the 2 x 2 block
 [[a, nu b], [b, a]], and its Smith exponents over Z_p are the O-exponents,
@@ -34,8 +36,8 @@ at an answer exact at p^target, by default the ring's precision p^N:
 * A larger matrix over Z_p first runs the kernel at the reduced working
   precision p^W, W = min(target, int64 cap), with or without the row
   transform.  Exponents below W - 2 equal the full-precision answer.  An
-  exponent at or above that threshold, or a nonzero source coordinate that
-  deep (``has_deep_entries``), makes the result suspicious, and a
+  exponent at or above that threshold, or a nonzero entry that deep in the
+  source's scan (``has_deep_entries``), makes the result suspicious, and a
   suspicious result is redone by the kernel at p^target.  A deep invariant
   behind entries that all look shallow (a unit block with determinant p^k,
   k >= W) passes that test unnoticed and counts as free rank.
@@ -196,12 +198,12 @@ class _PythonTransform(BlockTransform):
         return self.Uinv[:, :, ks].transpose(0, 2, 1)
 
 
-def has_deep_entries(coords, p, threshold) -> bool:
-    """True if some nonzero coordinate in ``coords`` is divisible by p^threshold."""
+def has_deep_entries(arrays, p, threshold) -> bool:
+    """True if a nonzero entry of the ``arrays`` is divisible by p^threshold: one remainder each."""
     if threshold <= 0:
         return True
     pt = p**threshold
-    return any(c and c % pt == 0 for c in coords)
+    return any(((A != 0) & (residues(A, pt) == 0)).any() for A in arrays)
 
 
 def smith_normal_form(rows, ring: CoefficientRing,
@@ -236,8 +238,8 @@ class _RowSource:
     def coordinate_rows(self):
         return self.rows
 
-    def coords(self):
-        return (c for row in self.rows for entry in row for c in entry)
+    def scan(self):
+        return (to_planes(self.rows, self.ring.unramified_degree, self.ring.modulus),)
 
 
 def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None) -> SmithResult:
@@ -247,8 +249,8 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
     p^W, the regular representation over the quadratic ring), ``layer0(W)``
     (None, or the known unit pivots and column supports of that matrix,
     which the kernel's layer 0 takes: ``_kernels._unit_layer``),
-    ``coordinate_rows()`` (full-precision coordinate tuples) and ``coords()``
-    (the coordinates the deep-entry test scans).
+    ``coordinate_rows()`` (full-precision coordinate tuples) and ``scan()``
+    (integer arrays mod p^N whose nonzero entries the deep-entry test reads).
     ``track`` asks for the row transform U (``reduce_block``) and U^-1
     (``generator_columns``).  ``target`` defaults to the ring's precision N.
     """
@@ -266,7 +268,7 @@ def reduce(source, ring: CoefficientRing, track: bool, target: int | None = None
         exponents, transform = _kernels.snf_int64(source.matrix_int64(W), p, p**W, track,
                                                   layer0=source.layer0(W))
         suspicious = W < target and (any(e >= W - 2 for e in exponents)
-                                     or has_deep_entries(source.coords(), p, W - 2))
+                                     or has_deep_entries(source.scan(), p, W - 2))
         if not suspicious:
             return SmithResult(ring, "int64", W, R, C, exponents, transform)
     exponents, transform = _kernels.snf_int64(source.matrix_int64(target), p, p**target, track,

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import finemw
 from finemw.cli import main
 from finemw.padics import CoefficientRing
-from finemw.polynomials import IwasawaPoly, cyclotomic
+from finemw.polynomials import IwasawaPoly, cyclotomic, degree_budget
 from finemw.presentations import (
     ModulePresentation,
     cyclic_module,
@@ -154,6 +158,33 @@ def test_classify_exit_4_at_a_large_prime_before_any_reduction(capsys, tmp_path,
     assert "rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("excess, code", [(1, 4), (0, 0)])
+def test_classify_bounds_the_degree_of_relation_entries(excess, code, tmp_path):
+    # Lambda/(1 + T^D) at p = 7 is zero.  D = budget + 1 is refused before
+    # any level is expanded; D = budget still divides into every level.  A
+    # child process keeps the refused case's time and memory its own.
+    degree = degree_budget(7) + excess
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"p": 7, "generators": 1,
+                                "relations": [[[["1"]] + [["0"]] * (degree - 1) + [["1"]]]]}))
+    src = os.path.dirname(os.path.dirname(finemw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH")) if path))
+    start = time.perf_counter()
+    child = subprocess.run([sys.executable, "-m", "finemw.cli", "classify", "--file", str(path),
+                            "--n-max", "3"], capture_output=True, text=True, env=env, timeout=300)
+    elapsed = time.perf_counter() - start
+    assert child.returncode == code, child.stderr
+    if code:
+        assert child.stdout == ""
+        assert f"relation entry of degree {degree} > budget {degree - 1}" in child.stderr
+        assert elapsed < 30
+    else:
+        doc = json.loads(child.stdout)
+        assert doc["evidence"]["ranks"] == [0, 0, 0, 0]
+        assert doc["type"]["free_rank"] == 0
+
+
 def test_classify_exit_2_on_negative_level_cap(capsys, tmp_path):
     path = tmp_path / "cap.json"
     path.write_text(json.dumps({"p": 5, "generators": 1, "relations": [[[["0"], ["1"]]]],
@@ -247,6 +278,65 @@ def test_classify_exit_2_on_inexact_integer_field(field, text, capsys, tmp_path)
     bad.write_text(text)
     assert main(["classify", "--file", str(bad)]) == 2
     assert f"JSON: {field} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, doc", [
+    # each would otherwise be iterated as if it were the array: Lambda/(7),
+    # 1 + 2T, 1 + 2x over O and the constant 3
+    ("relations", {"p": 5, "generators": 1, "relations": "7"}),
+    ("relation row", {"p": 5, "generators": 1, "relations": ["7"]}),
+    ("relation entry", {"p": 5, "generators": 1, "relations": [["12"]]}),
+    ("coefficient", {"p": 5, "unramified_degree": 2, "generators": 1, "relations": [[["12"]]]}),
+    ("coefficient", {"p": 5, "generators": 1, "relations": [[[{"3": 0}]]]}),
+])
+def test_classify_exit_2_on_a_non_array_field(field, doc, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["classify", "--file", str(bad)]) == 2
+    assert f"JSON: {field} " in capsys.readouterr().err
+
+
+def test_classify_exit_2_on_a_directory(capsys, tmp_path):
+    assert main(["classify", "--file", str(tmp_path)]) == 2
+    assert f"presentation file {tmp_path}: " in capsys.readouterr().err
+
+
+def test_classify_exit_2_on_a_file_that_is_not_utf8(capsys, tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"p": 5, "generators": 1, "relations": [], "note": "\xe9"}')
+    assert main(["classify", "--file", str(latin)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def _predict(*args, config=()):
+    return main([*config, "predict", "--setting", "cm_split_cyc", "--p", "5", "--rank-kind", "Z",
+                 *args])
+
+
+@pytest.mark.parametrize("text", ["level,rank\n0,2\n1,a\n", "level,rank\n0,2\n1,\n",
+                                  "level,rank\n0,2\n1\n"])
+def test_predict_exit_2_on_a_rank_csv_cell_that_is_no_integer(text, capsys, tmp_path):
+    csv_path = tmp_path / "ranks.csv"
+    csv_path.write_text(text)
+    assert _predict("--ranks-csv", str(csv_path)) == 2
+    assert "rank CSV rank" in capsys.readouterr().err
+
+
+def test_predict_exit_2_on_a_missing_rank_csv(capsys, tmp_path):
+    assert _predict("--ranks-csv", str(tmp_path / "absent.csv")) == 2
+    assert f"rank CSV {tmp_path / 'absent.csv'}: " in capsys.readouterr().err
+
+
+def test_predict_exit_2_on_a_non_integer_rank(capsys):
+    assert _predict("--ranks", "1,a") == 2
+    assert "rank 'a' is not an integer" in capsys.readouterr().err
+
+
+def test_predict_exit_2_on_a_non_integer_config_rank(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"ranks": ["x"]}))
+    assert _predict(config=("--config", str(cfg))) == 2
+    assert "rank 'x' is not an integer" in capsys.readouterr().err
 
 
 def test_verify_warning_file_skips_with_reason(capsys, schema, warning_file):

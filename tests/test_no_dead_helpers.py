@@ -1,37 +1,81 @@
 """No function or method in ``src/finemw`` goes unreferenced.
 
-A name counts as used when it appears as a word somewhere in ``src/finemw``,
-``perfbench/`` or README.md besides its own definitions: a call, an
-attribute binding, a docstring that documents it.  Tests do not count, so a
-helper kept only for a test belongs in ``tests/oracles.py``.
+A name counts as used only where code names it, besides its own
+definitions, in ``src/finemw`` or ``perfbench/``: a name, an attribute, an
+import, or a string constant such as perfbench's ``BINDINGS``, read in
+dotted parts.  Docstrings and comments do not count, so a stale mention
+keeps nothing alive; README.md counts as words, since it documents the
+API.  Tests do not count either, so a helper kept only for a test belongs
+in ``tests/oracles.py``.
 """
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "finemw"
 
 
-def _texts():
-    files = [path for path in sorted(PACKAGE.rglob("*")) + sorted((ROOT / "perfbench").rglob("*"))
-             if path.is_file() and path.suffix in (".py", ".json")]
-    return [path.read_text() for path in files + [ROOT / "README.md"]]
+def code_names(source):
+    """Every name the code of a module's source refers to, docstrings and comments aside."""
+    tree = ast.parse(source)
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                  and isinstance(node.value.value, str)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            names.update(node.value.split("."))
+    return names
 
 
-def dead_helpers():
-    """Non-dunder functions and methods of the package named nowhere but at their definitions."""
-    definitions = Counter()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    node.name.startswith("__") and node.name.endswith("__")):
-                definitions[node.name] += 1
-    words = Counter(word for text in _texts() for word in re.findall(r"\w+", text))
-    return sorted(name for name, count in definitions.items() if words[name] <= count)
+def dead_helpers(package_sources, other_sources=(), documents=()):
+    """Non-dunder functions and methods of the package sources that nothing refers to."""
+    defined = {node.name for source in package_sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    used = set().union(*(code_names(source) for source in [*package_sources, *other_sources]))
+    used.update(word for text in documents for word in re.findall(r"\w+", text))
+    return sorted(defined - used)
 
 
 def test_every_helper_is_referenced():
-    assert dead_helpers() == []
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert dead_helpers(package, bench, [(ROOT / "README.md").read_text()]) == []
+
+
+def test_a_docstring_or_a_comment_keeps_no_helper_alive():
+    source = '''
+"""Module docstring naming stale."""
+
+
+def stale():
+    """Only docstrings name stale."""
+
+
+def used():
+    # a comment naming stale
+    return helper()
+
+
+def helper():
+    return "see stale in this message"
+
+
+def bound():
+    pass
+
+
+BINDINGS = (("module", "bound"),)
+'''
+    assert dead_helpers([source]) == ["stale", "used"]
+    assert dead_helpers([source], documents=["call used()"]) == ["stale"]

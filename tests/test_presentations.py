@@ -667,22 +667,33 @@ def test_reduced_entry_matches_weierstrass_remainder(p):
             d = ring.unramified_degree
             entries = [IwasawaPoly(ring, [c[:d] for c in f]) for f in coords]
             fin = FinLevelModule(ModulePresentation(ring, 1, [entries]), level, component)
+            reduced = fin._entries()
+            assert reduced.shape == (d, 1, len(polys), q)
+            assert reduced.dtype == residue_dtype(ring.modulus)
             for j, rem in enumerate(remainders):
                 expect = IwasawaPoly(ring, [a.coords[:d] for a in rem.coefficients])
-                planes = fin.reduced_entry(0, j)
-                assert planes == [[a.coords[s] for a in expect.coefficients] for s in range(d)]
-                # trimmed in one step: equal lengths, a nonzero last coefficient,
-                # and the untrimmed array is the planes padded with zeros
-                assert len({len(plane) for plane in planes}) == 1
-                assert not planes[0] or any(plane[-1] for plane in planes)
-                assert fin._entries()[:, 0, j].tolist() == [plane + [0] * (q - len(plane))
-                                                            for plane in planes]
+                # every coefficient in full, zeros included: the remainder padded to q
+                coeffs = [a.coords for a in expect.coefficients]
+                assert reduced[:, 0, j].tolist() == [
+                    [a[s] for a in coeffs] + [0] * (q - len(coeffs)) for s in range(d)]
+
+
+def _nonzero_coordinates(arrays):
+    return sorted(x for A in arrays for x in A.ravel().tolist() if x)
+
+
+def _generator_verdict(coords, p, threshold):
+    """The deep-entry test as a scan of single coordinates, the referee of the array scan."""
+    pt = p**threshold
+    return threshold <= 0 or any(c and c % pt == 0 for c in coords)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_level_source_scans_the_reduced_entry_coordinates(degree):
-    # the deep-entry test scans the reduced relation entries and the quotient
-    # columns: the coordinates of the weierstrass remainders, zeros included
+    # the deep-entry test scans the reduced relation entries as given, in
+    # either order of the kernel's matrix, and the quotient columns: the
+    # nonzero coordinates of the weierstrass remainders and of the reduced
+    # columns.  It never counts a zero, so that multiset is its whole input.
     ring = CoefficientRing(5, degree, 24)
     rng = random.Random(37 + degree)
 
@@ -694,7 +705,6 @@ def test_level_source_scans_the_reduced_entry_coordinates(degree):
                                      [poly(30), IwasawaPoly(ring, []), poly(99, 5**12)]])
     fin = FinLevelModule(M, 2)
     cols = [[tuple(rng.randrange(ring.modulus) for _ in range(degree)) for _ in range(fin.nrows)]]
-    source = _LevelSource(fin, cols)
     expect = []
     for row in M.relations:
         for f in row:
@@ -702,8 +712,60 @@ def test_level_source_scans_the_reduced_entry_coordinates(degree):
                 f = weierstrass_divide(f, fin.modulus_poly)[1]
             expect += [c for a in f.coefficients for c in a.coords]
     expect += fin.reduce_columns(cols).ravel().tolist()
-    assert sorted(source.coords()) == sorted(expect)
-    assert has_deep_entries(source.coords(), 5, 11)
+    expect = sorted(c for c in expect if c)
+    assert _generator_verdict(expect, 5, 11)
+    for echelon in (False, True):
+        scan = _LevelSource(fin, cols, echelon=echelon).scan()
+        assert scan[0] is fin._entries()
+        assert _nonzero_coordinates(scan) == expect
+        assert has_deep_entries(scan, 5, 11)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_deep_entry_scan_decides_as_the_coordinate_scan(p):
+    # a deep coordinate only in a quotient column, only in the remainder of an
+    # entry of degree >= q (its coefficients as given look shallow), or in a
+    # smith_normal_form matrix; and a source without one.  At 7^24 the
+    # scanned arrays hold Python integers.
+    ring = CoefficientRing(p, 1, 24)
+    assert (residue_dtype(ring.modulus) == object) == (p == 7)
+    t = int64_precision_cap(p) - 2
+    deep = 3 * p**t
+    T_ = IwasawaPoly.variable(ring)
+    unit = IwasawaPoly.constant(ring, 2) + T_
+    for level in (1, 2):
+        modulus = FinLevelModule(free_module(ring, 1), level).modulus_poly
+        shallow = ModulePresentation(ring, 2, [[unit, T_ * 3], [T_, unit]])
+        hidden = IwasawaPoly.constant(ring, deep) * T_ + unit * modulus
+        assert not _generator_verdict([c for a in hidden.coefficients for c in a.coords], p, t)
+        wrapped = ModulePresentation(ring, 2, [[unit, hidden], [T_, unit]])
+        for M, column_entry, verdict in ((shallow, 1, False), (shallow, deep, True),
+                                         (wrapped, 1, True)):
+            fin = FinLevelModule(M, level)
+            column = [column_entry] + [0] * (fin.nrows - 1)
+            source = _LevelSource(fin, [column])
+            coords = []
+            for row in M.relations:
+                for f in row:
+                    f = weierstrass_divide(f, fin.modulus_poly)[1] if f.degree() >= fin.q else f
+                    coords += [a.coords[0] for a in f.coefficients]
+            coords += column
+            assert _generator_verdict(coords, p, t) == verdict
+            assert has_deep_entries(source.scan(), p, t) == verdict
+    # a raw matrix: only its one deep entry, among units and zeros, flags it
+    rng = random.Random(p)
+    for entry, verdict in ((deep, True), (p**(t - 1), False), (p**24, False)):
+        mat = [[rng.randrange(1, ring.modulus) * rng.choice((0, 1)) for _ in range(5)]
+               for _ in range(4)]
+        mat = [[x + 1 if x and x % p == 0 else x for x in row] for row in mat]
+        mat[2][3] = entry  # p^24 is zero in the ring
+        rows, R, C = snf._normalize_rows(mat, ring)
+        source = snf._RowSource(rows, R, C, ring)
+        coords = [c for row in rows for e in row for c in e]
+        assert _generator_verdict(coords, p, t) == verdict
+        assert has_deep_entries(source.scan(), p, t) == verdict
+        assert (source.scan()[0].dtype == object) == (p == 7)
+    assert has_deep_entries((), p, 0)
 
 
 @pytest.mark.parametrize("p", [5, 7])
