@@ -12,13 +12,10 @@ matrix over the quadratic ring arrives as its regular representation over
 Z_p (``snf.regular_representation``).  ``_snf_layered`` works one
 valuation layer at a time.
 ``_panel_factor`` finds the unit pivots mod p of each 64-column panel that
-no source names, its rank profile, by left-looking elimination that takes a
-run of columns per step: columns whose residuals' first nonzero rows
-strictly increase pivot on those rows at once, since no pivot of the run
-touches a later run column.
-It also gives the inverse mod p of the pivot block, which ``_inv_mod`` lifts
-by Newton steps in plain float64 while that is exact, and the trailing
-block takes one exact product per panel.  A level expansion is
+no source names, its rank profile, by left-looking elimination one column
+at a time.  It also gives the inverse mod p of the pivot block, which
+``_inv_mod`` lifts by Newton steps in plain float64 while that is exact,
+and the trailing block takes one exact product per panel.  A level expansion is
 block-Toeplitz, so its panels present the same pivot blocks again and
 again: each reduction keeps the inverses it has taken (``_Inverses``), keyed
 by the exact content of the block mod p and at the layer's modulus, and
@@ -36,8 +33,10 @@ on the rows its columns span and updates only the columns whose rows meet
 its pivot rows, the next powers of the band and the wrapping ones.  The
 search takes what is left.  Gathers copy row segments (a row index with a
 column slice) in chunks, never whole rows.
-Products run in float64 BLAS on digit splits (``_exact_split``): one operand
-in base-2^h digits and the other whole where that is exact (two products for
+Products run in float64 BLAS on schemes that ``_exact_split`` chooses for
+every modulus, p itself included: one product reduced in float64 while
+every partial sum stays below 2^52 (``_FloatSplit``), else one operand in
+base-2^h digits and the other whole where that is exact (two products for
 p = 5, 7 at the reduced working precision p^W), else both operands in
 base-p^a digits, summed in int64 up to 5^26 and 7^21; beyond (7^24) the
 scaled digit groups still sum in int64 and only their total is scaled and
@@ -54,7 +53,6 @@ widening before the remainder.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import functools
 import glob
@@ -127,6 +125,37 @@ def _single_blas_thread():
                 put.restype = None
                 put(1)
                 return
+
+
+class _FloatSplit:
+    """Exact products mod m in one float64 BLAS product, then ``_reduce``.
+
+    Exact while inner (m - 1)^2 + m < 2^52: every partial sum of X0 - L K
+    stays below 2^52 in magnitude, where ``_reduce`` is exact too (the
+    delayed reduction of FFLAS-FFPACK).  Operands are residues, float64
+    ones taken without a copy; the result is int64, as for the other splits.
+    """
+
+    products = 1
+
+    def __init__(self, m, inner):
+        if inner * (m - 1) ** 2 + m >= 1 << 52:
+            raise OverflowError(f"no exact float64 product mod {m} with inner dimension {inner}")
+        self.m = m
+
+    def digits(self, K):
+        """K itself, as float64: K when it is float64 already."""
+        return [K.astype(np.float64, copy=False)]
+
+    def mul_sub(self, L, digits, X0=None):
+        """Exact (X0 - L @ K) % m, K given by its ``digits``; X0 defaults to 0."""
+        Y = L.astype(np.float64, copy=False) @ digits[0]
+        if X0 is None:
+            np.negative(Y, out=Y)
+        else:
+            np.subtract(X0, Y, out=Y)
+        _reduce(Y, self.m)
+        return Y.astype(np.int64)
 
 
 def _split_bits(m, inner):
@@ -292,11 +321,14 @@ def _exact_split(m, inner, p):
     """The exact product scheme mod m = p^w with the fewest BLAS products.
 
     Products have inner dimension <= inner and operands with entries in
-    [0, m).  Ties go to the one-sided bit split; when neither split applies
-    the products run on Python integers.
+    [0, m).  Every exact product of the kernel takes its scheme from here,
+    the mod-p products of the panels and their inverses included.  Ties go
+    to the plain float64 product, then to the one-sided bit split; when no
+    split applies the products run on Python integers.
     """
     splits = []
-    for make in (lambda: _BitSplit(m, inner), lambda: _PadicSplit(p, m, inner)):
+    for make in (lambda: _FloatSplit(m, inner), lambda: _BitSplit(m, inner),
+                 lambda: _PadicSplit(p, m, inner)):
         try:
             splits.append(make())
         except OverflowError:
@@ -313,56 +345,20 @@ def _mulmod(L, K, m, p):
 
 
 def _reduce(Y, p):
-    """Y %= p in place, for integers of magnitude below 2^52.
+    """Y %= p in place, for float64 integers of magnitude below 2^52.
 
-    For float64 arrays x - p floor(x / p) is exact there (the quotient is
-    rounded by less than half its distance to the next integer) and several
-    times faster than the int64 remainder.
+    x - p floor(x / p) is exact there (the quotient is rounded by less than
+    half its distance to the next integer) and several times faster than
+    the int64 remainder.
     """
-    if Y.dtype == np.float64:
-        q = Y / p
-        np.floor(q, out=q)
-        q *= p
-        Y -= q
-    else:
-        Y %= p
+    q = Y / p
+    np.floor(q, out=q)
+    q *= p
+    Y -= q
 
 
-def _residue_ops(p, inner):
-    """(dtype, mul, submul) for exact residue arithmetic mod p, inner dimension <= inner.
-
-    mul(A, B) is (A @ B) mod p and submul(X0, A, B) is (X0 - A @ B) mod p,
-    for operands with entries in [0, p).  They run in float64 BLAS while
-    every partial sum stays below 2^52, where ``_reduce`` is exact too, and
-    otherwise in int64 through exact split products: for p = 2^31 - 1
-    already two products of residues overflow int64.
-    """
-    if inner * (p - 1) ** 2 + p < 1 << 52:
-        def submul(X0, A, B):
-            Y = A @ B
-            np.subtract(X0, Y, out=Y)
-            _reduce(Y, p)
-            return Y
-
-        def mul(A, B):
-            Y = A @ B
-            _reduce(Y, p)
-            return Y
-
-        return np.float64, mul, submul
-    split = _exact_split(p, inner, p)
-
-    def submul(X0, A, B):
-        return split.mul_sub(A, split.digits(B), X0=X0)
-
-    def mul(A, B):
-        return -split.mul_sub(A, split.digits(B)) % p
-
-    return np.int64, mul, submul
-
-
-def _unit_triangular_inverse(T, p, mul, submul):
-    """Inverse mod p of a unit triangular T, upper or lower.
+def _unit_triangular_inverse(T, p):
+    """Inverse mod p of a unit triangular T, upper or lower, as int64 residues.
 
     With A and B the diagonal halves of T and C its corner, T^-1 has the
     diagonal halves A^-1 and B^-1 and the corner -A^-1 C B^-1 (upper) or
@@ -373,54 +369,34 @@ def _unit_triangular_inverse(T, p, mul, submul):
     as X - X Q with Q = -N^span, and the next Q is -Q Q.  The doubling stops
     at the first zero power and a zero corner takes no product, so a
     diagonal T costs one product.  Halving first takes a quarter of the
-    multiplications of doubling on T itself.
+    multiplications of doubling on T itself.  Products are exact split
+    products mod p (``_exact_split``).
     """
+    T = T.astype(np.int64, copy=False)
     s = T.shape[0]
     h = s - s // 2
-    eye = np.eye(h, dtype=T.dtype)
+    split = _exact_split(p, h, p)
+    eye = np.eye(h, dtype=np.int64)
     N = np.stack((T[:h, :h], eye))
     N[1, :s - h, :s - h] = T[h:, h:]
-    N = eye - N
-    _reduce(N, p)
+    N = (eye - N) % p
     X = eye + N
     Q = N
     span = 2  # X is the sum of N^k for k < span
     while span < h:
-        Q = submul(0, Q, Q)  # -N^span
+        Q = split.mul_sub(Q, split.digits(Q))  # -N^span
         if not Q.any():
             break
-        X = submul(X, X, Q)
+        X = split.mul_sub(X, split.digits(Q), X0=X)
         span *= 2
     Ainv, Binv = X[0], X[1, :s - h, :s - h]
-    out = np.zeros_like(T)
+    out = np.zeros((s, s), dtype=np.int64)
     out[:h, :h] = Ainv
     out[h:, h:] = Binv
     if T[:h, h:].any():
-        out[:h, h:] = submul(0, mul(Ainv, T[:h, h:]), Binv)
+        out[:h, h:] = split.mul_sub(_mulmod(Ainv, T[:h, h:], p, p), split.digits(Binv))
     if T[h:, :h].any():
-        out[h:, :h] = submul(0, mul(Binv, T[h:, :h]), Ainv)
-    return out
-
-
-def _unit_inverses(d, p):
-    """Inverses mod p of the units d, residues in [0, p) of ``_residue_ops``'s dtype.
-
-    float64 residues, whose products of two stay exact under ``_reduce``,
-    take d^(p-2) by vectorised squaring; int64 ones (primes where a product
-    of two residues passes 2^52) take ``pow`` one by one.
-    """
-    if d.dtype != np.float64:
-        return np.array([pow(int(x), -1, p) for x in d.tolist()], dtype=d.dtype)
-    out = np.ones_like(d)
-    e = p - 2
-    while e:
-        if e & 1:
-            out *= d
-            _reduce(out, p)
-        e >>= 1
-        if e:
-            d = d * d
-            _reduce(d, p)
+        out[h:, :h] = split.mul_sub(_mulmod(Binv, T[h:, :h], p, p), split.digits(Ainv))
     return out
 
 
@@ -437,7 +413,7 @@ class _Inverses:
     ``BUDGET`` bytes of keys and inverses, dropping the oldest first.
     """
 
-    BUDGET = 1 << 20  # 28 blocks of 64 x 64 mod p: uint8 keys, float64 inverses
+    BUDGET = 1 << 20  # 28 blocks of 64 x 64 mod p: uint8 keys, int64 inverses
 
     def __init__(self):
         self.store = {}
@@ -460,103 +436,60 @@ class _Inverses:
         return X
 
 
-def _panel_factor(P, p, inverses=None):
+def _panel_factor(P, p, inverses):
     """Rank profile mod p of the panel P and the inverse mod p of its pivot block.
 
     P is an integer panel; only its residues mod p matter.  Left-looking
-    elimination, one run of columns per step.
-    With t pivots found and j the first column not yet handled, one product
-    forms the residual C = P[:, j:hi] - L[:, :t] U[:t, j:hi] of a window of
-    columns, and f_c is the lowest nonzero row of column c of C.  The run is
-    the longest prefix of C's nonzero columns whose f_c strictly increase,
-    and every run column pivots at its own f_c: row f_a lies above the first
-    nonzero row of each later run column c, so pivot a leaves c as it is
-    (U[a, c] = C[f_a, c] = 0).
-    L takes the run's columns of C as they are.  U's run rows are 1 on their
-    own pivot (written into V below) and zero elsewhere on the run, and over
-    the later columns they are M^-1 D^-1 X, with X the run rows' residual, D
-    their pivots and M = D^-1 L[f, run] unit lower triangular: the rows of
-    column-by-column elimination, scaled to 1 on the pivot.  The column that
-    breaks the run starts the next step.  A window ends where the lowest
-    nonzero rows of P's own columns stop increasing, so a banded panel takes
-    a whole run per step and a dense one a column; the window sets only the
-    width of C, never a pivot.
+    elimination, one column at a time: with t pivots found, one product
+    forms the residual c = P[:, j] - L[:, :t] U[:t, j] of column j, and its
+    lowest nonzero row i becomes pivot t.  L[:, t] is c, and U[t] is the
+    residual P[i] - L[i, :t] U[:t] of row i scaled to 1 on the pivot, zero
+    left of column j.  Products are exact split products mod p
+    (``_exact_split``); L and U, their operands, hold float64 residues.
 
     Returns parallel lists (rows, cols) of the unit pivots, and Ginv, the
     inverse mod p of the pivot block G = P[rows][:, cols] (None without
-    pivots).  They are those of column-by-column elimination with the lowest
-    eligible row: both give the rank profile matrix of P mod p (the rank of
-    P[:i, :j] counts the pivots inside it), which is unique.  Pivot rows have
-    a zero residual after their pivot, so G = L[rows] V, L[rows] lower
+    pivots).  They give the rank profile matrix of P mod p (the rank of
+    P[:i, :j] counts the pivots inside it), which is unique.  Pivot rows
+    have a zero residual after their pivot, so G = L[rows] V, L[rows] lower
     triangular with the pivots on its diagonal and V = U[:, cols] unit upper
-    triangular, and Ginv = V^-1 L[rows]^-1 (``_lower_inverse``).  With
-    ``inverses`` (an ``_Inverses``) a block G mod p met before in the
-    reduction takes its stored Ginv; the block is keyed as uint8 residues
+    triangular, and Ginv = V^-1 L[rows]^-1 (``_lower_inverse``).  A block G
+    mod p met before in the reduction takes its stored Ginv from
+    ``inverses`` (an ``_Inverses``); the block is keyed as uint8 residues
     for p < 256 (``_mod_p_key``).
     """
     R, w = P.shape
-    dtype, mul, submul = _residue_ops(p, w)
-    P = np.asfortranarray((P % p).astype(dtype))
-    nonzero = P != 0
-    lead = np.flatnonzero(nonzero.any(axis=0))
-    if not lead.size:
-        return [], [], None
-    top = nonzero.argmax(axis=0)[lead]
-    ends = lead[1:][top[1:] <= top[:-1]].tolist() + [w]  # where windows end
-    ids = np.arange(w)
-    L = np.empty((R, w), dtype=dtype, order="F")
-    U = np.zeros((w, w), dtype=dtype)
+    split = _exact_split(p, w, p)
+    P = np.asfortranarray((P % p).astype(np.int64))
+    L = np.empty((R, w), order="F")  # the product operands, in float64
+    U = np.zeros((w, w))
     rows, cols = [], []
-    j = t = 0
-    while j < w and t < R:  # with R pivots every residual is zero
-        hi = ends[bisect.bisect_right(ends, j)]
-        C = submul(P[:, j:hi], L[:, :t], U[:t, j:hi]) if t else P[:, j:hi]
-        first = (C != 0).argmax(axis=0)
-        pivot = C[first, ids[:hi - j]]
-        live = pivot.nonzero()[0].tolist()
-        if not live:
-            j = hi
+    for j in np.flatnonzero(P.any(axis=0)).tolist():  # a zero column has a zero residual
+        t = len(rows)
+        if t == R:  # every residual is zero
+            break
+        c = split.mul_sub(L[:, :t], split.digits(U[:t, j]), X0=P[:, j])
+        i = int((c != 0).argmax())
+        if not c[i]:
             continue
-        r = len(live)
-        if r > 1:
-            f = first[live]
-            stop = (f[1:] <= f[:-1]).nonzero()[0]
-            if stop.size:
-                r = int(stop[0]) + 1
-        run = live[:r]
-        first, pivot = first.tolist(), pivot.tolist()
-        i = [first[c] for c in run]
-        inv = [pow(int(pivot[c]), -1, p) for c in run]
-        L[:, t:t + r] = C[:, _ids(run)]
-        nxt = j + live[r] if r < len(live) else hi
-        if nxt < w:
-            ri = _ids(i)
-            X = submul(P[ri, nxt:], L[ri, :t], U[:t, nxt:]) if t else P[ri, nxt:]
-            Y = U[t:t + r, nxt:]
-            np.multiply(X.T, inv, out=Y.T)  # D^-1 X
-            _reduce(Y, p)
-            if r > 1:
-                M = (L[ri, t:t + r].T * inv).T
-                _reduce(M, p)
-                Y[:] = mul(_unit_triangular_inverse(M, p, mul, submul), Y)
-        rows += i
-        cols += [j + c for c in run]
-        t += r
-        j = nxt
+        L[:, t] = c
+        x = split.mul_sub(L[i, :t], split.digits(U[:t, j:]), X0=P[i, j:])
+        U[t, j:] = x * pow(int(c[i]), -1, p) % p
+        rows.append(i)
+        cols.append(j)
+    if not rows:
+        return rows, cols, None
 
     def invert():
-        V = U[:t, cols]
-        V[ids[:t], ids[:t]] = 1
-        Linv = _lower_inverse(L[rows, :t], p).astype(dtype, copy=False)
-        return mul(_unit_triangular_inverse(V, p, mul, submul), Linv)
+        t = len(rows)
+        return _mulmod(_unit_triangular_inverse(U[:t, cols], p), _lower_inverse(L[rows, :t], p),
+                       p, p)
 
-    if inverses is None:
-        return rows, cols, invert()
     return rows, cols, inverses.get(p, _mod_p_key(P[np.ix_(rows, cols)], p), invert)
 
 
 def _mod_p_key(G, p):
-    """G mod p as ``_Inverses`` keys it: uint8 residues, an eighth of float64, for p < 256."""
+    """G mod p as ``_Inverses`` keys it: uint8 residues, an eighth of int64, for p < 256."""
     return G.astype(np.uint8) if p < 256 else G
 
 
@@ -569,7 +502,7 @@ def _inv_mod(G, Ginv, p, m):
         E = (I - G X) / k mod step,   X <- X + k (X E mod step).
 
     The steps run as plain float64 products while every intermediate stays
-    below 2^52, where ``_reduce`` is exact (the rule of ``_residue_ops``), up
+    below 2^52, where ``_reduce`` is exact (the rule of ``_FloatSplit``), up
     to the precision ``reach``; G is reduced mod reach once, as Gr.  When
     Gr X is exact, E is (I - Gr X) / k.  Otherwise Gr = G_lo + k G_hi with
     G_lo < k and G_hi < reach / k, and E = (I - G_lo X) / k - G_hi X, where
@@ -800,18 +733,12 @@ def _unit_layer(X, p, m, split, inverses, transform=None, known=None):
 def _lower_inverse(G, p):
     """The inverse mod p of G, residues mod p lower triangular with a unit diagonal.
 
-    One ``_unit_triangular_inverse`` of D^-1 G times D^-1, D the diagonal,
-    whose inverses ``_unit_inverses`` takes at once; residues of
-    ``_residue_ops``'s dtype.
+    One ``_unit_triangular_inverse`` of D^-1 G times D^-1, D the diagonal;
+    int64 residues.
     """
-    dtype, mul, submul = _residue_ops(p, G.shape[0])
-    G = G.astype(dtype)
-    dinv = _unit_inverses(np.diagonal(G), p)
-    Gbar = dinv[:, None] * G
-    _reduce(Gbar, p)
-    X = _unit_triangular_inverse(Gbar, p, mul, submul) * dinv
-    _reduce(X, p)
-    return X
+    G = G.astype(np.int64)
+    dinv = np.array([pow(d, -1, p) for d in np.diagonal(G).tolist()], dtype=np.int64)
+    return _unit_triangular_inverse(dinv[:, None] * G % p, p) * dinv % p
 
 
 def _widen(top, bottom, cols, r, Y):

@@ -38,7 +38,7 @@ from .predictors import (
     question_report,
     resolve_setting,
 )
-from .presentations import presentation_from_json
+from .presentations import parse_integer, presentation_from_json
 from .structure import TowerSpec, analyze, verify_finite_quotients, verify_rank_identity
 
 SCHEMA_VERSION = "1"
@@ -195,13 +195,19 @@ def _read_ranks(args, config):
 
 
 def _integer(value, name):
-    """A JSON integer or an integer string: never a float, a bool or an empty cell."""
+    """An integer from a comma list, a CSV cell or a config (``parse_integer``).
+
+    Spaces around a string are allowed; an empty or missing cell is refused.
+    """
+    return parse_integer(value.strip() if isinstance(value, str) else value, name)
+
+
+def _option_integer(text):
+    """An integer option (``_integer``); argparse exits 2 on a refusal."""
     try:
-        if type(value) is int or isinstance(value, str):
-            return int(value)
-    except ValueError:
-        pass
-    raise ValidationError(f"{name} {value!r} is not an integer")
+        return _integer(text, "value")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_predict(args) -> int:
@@ -346,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--setting", required=True,
                     help="one of: " + ", ".join(sorted(t.value for t in SettingTag))
                     + ", or cm_split_anticyc with --root-number")
-    pr.add_argument("--p", type=int)
+    pr.add_argument("--p", type=_option_integer)
     pr.add_argument("--ranks", help="comma-separated ranks for levels 0..n")
     pr.add_argument("--ranks-csv", help="CSV file with header 'level,rank'")
     pr.add_argument("--rank-kind", choices=["Z", "O"])
@@ -360,29 +366,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     cl = sub.add_parser("classify", help="presentation file -> elementary type")
     cl.add_argument("--file", required=True)
-    cl.add_argument("--n-max", type=int, dest="n_max")
+    cl.add_argument("--n-max", type=_option_integer, dest="n_max")
     cl.add_argument("--format", choices=["json", "text"], default="json")
     cl.add_argument("--out")
     cl.set_defaults(func=cmd_classify)
 
     ve = sub.add_parser("verify", help="run structure verifiers on a presentation")
     ve.add_argument("--file", required=True)
-    ve.add_argument("--n-max", type=int, dest="n_max")
-    ve.add_argument("--seed", type=int, default=0)
+    ve.add_argument("--n-max", type=_option_integer, dest="n_max")
+    ve.add_argument("--seed", type=_option_integer, default=0)
     ve.add_argument("--format", choices=["json", "text"], default="json")
     ve.add_argument("--out")
     ve.set_defaults(func=cmd_verify)
 
     orc = sub.add_parser("oracle", help="round-trip classification suite")
-    orc.add_argument("--p", type=int, required=True)
-    orc.add_argument("--instances", type=int, required=True)
-    orc.add_argument("--n-max", type=int, dest="n_max")
-    orc.add_argument("--seed", type=int, default=0)
-    orc.add_argument("--steps", type=int, default=24)
-    orc.add_argument("--precision", type=int, default=24)
-    orc.add_argument("--jobs", type=int)
+    orc.add_argument("--p", type=_option_integer, required=True)
+    orc.add_argument("--instances", type=_option_integer, required=True)
+    orc.add_argument("--n-max", type=_option_integer, dest="n_max")
+    orc.add_argument("--seed", type=_option_integer, default=0)
+    orc.add_argument("--steps", type=_option_integer, default=24)
+    orc.add_argument("--precision", type=_option_integer, default=24)
+    orc.add_argument("--jobs", type=_option_integer)
     orc.add_argument("--checks", choices=["classify", "full"], default="classify")
-    orc.add_argument("--degree", type=int, choices=[1, 2], default=1,
+    orc.add_argument("--degree", type=_option_integer, choices=[1, 2], default=1,
                      help="unramified degree of the coefficient ring (2: classify checks only)")
     orc.add_argument("--records", action="store_true", help="include per-instance records")
     orc.add_argument("--format", choices=["json", "text"], default="json")

@@ -10,20 +10,21 @@ basis, so they are kept implicit.
 
 Every reduction modulo omega_n or Phi_j is one exact product with a power
 table (``_remainders``): with T^(q+k) = sum_i R[k, i] T^i, the remainder of
-y is y[:q] + y[q:] R.  Both moduli have rational-integer coefficients, so
-each coordinate of an O-polynomial divides on its own, and one product
-divides every relation entry of a level (``FinLevelModule._entries``, one
-array mod p^N that the expansions read and the deep-entry test scans), every
-generator segment of every ambient column (``reduce_columns``), the
-wrapping columns of every multiplication matrix (``_wrapped_columns``), or
-every T-shifted vector of a block (``t_apply``).  Ambient vectors are
-coordinate planes, an array of shape (d, K, L) (``_kernels.to_planes``),
-which ``reduce_columns`` and ``t_apply`` take and return, and which
-``transition_check`` reduces and tests for torsion all at once.  One
-builder, ``FinLevelModule._expansion``, writes the expanded matrix mod m as
-one preallocated array per coordinate; ``matrix_int64`` reads it at the
-reduction's modulus and ``matrix_coords`` zips the coordinates into tuples
-at p^N.
+y is y[:q] + y[q:] R.  A longer y is folded from the top, max(q, 64)
+coefficients at a time, so no table passes that many rows.  Both moduli have
+rational-integer coefficients, so each coordinate of an O-polynomial divides
+on its own, and one product divides every relation entry of a level
+(``FinLevelModule._entries``, one array mod p^N that the expansions read and
+the deep-entry test scans), every generator segment of every ambient column
+(``reduce_columns``), the wrapping columns of every multiplication matrix
+(``_wrapped_columns``), or every T-shifted vector of a block (``t_apply``).
+Ambient vectors are coordinate planes, an array of shape (d, K, L)
+(``_kernels.to_planes``), which ``reduce_columns`` and ``t_apply`` take and
+return, and which ``transition_check`` reduces and tests for torsion all at
+once.  One builder, ``FinLevelModule._expansion``, writes the expanded
+matrix mod m as one preallocated array per coordinate; ``matrix_int64``
+reads it at the reduction's modulus and ``matrix_coords`` zips the
+coordinates into tuples at p^N.
 
 Block order puts each relation's q columns side by side.  An untracked
 reduction instead takes relations with the same span over Z_p[T]/omega_n,
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import snf
-from ._kernels import _exact_split, _single_blas_thread, residue_dtype, to_planes
+from ._kernels import PANEL, _exact_split, _single_blas_thread, residue_dtype, to_planes
 from .errors import ResourceLimitError, ValidationError
 from .padics import CoefficientRing
 from .polynomials import IwasawaPoly, cyclotomic, degree_budget, hard_max_level, omega, phi_degree
@@ -272,16 +273,26 @@ class FinLevelModule:
     def _remainders(self, Y, m):
         """The rows of Y, polynomials mod m of at least q coefficients, reduced mod the modulus.
 
-        With T^(q+k) = sum_i R[k, i] T^i the remainder of a row y is
-        y[:q] + y[q:] R, one exact split product for all rows together.
+        With T^(q+k) = sum_i R[k, i] T^i, the coefficients [s, o) of a row y
+        fold onto [s - q, s) as y[s-q:s] + y[s:o] R[:o-s], since
+        T^(s+k) = T^(s-q) T^(q+k) for s >= q: one exact split product for
+        all rows together.  They are folded from the top, at most
+        b = max(q, PANEL) at a time, so no power table has more than b rows;
+        a row of at most q + b coefficients takes one fold.
         """
-        q = self.q
-        if Y.shape[1] == q:
+        q, o = self.q, Y.shape[1]
+        if o == q:
             return Y
         _single_blas_thread()  # thin products, as in the Smith kernel
-        split, digits = _power_table(tuple(w % m for w in self._wrap), m,
-                                     Y.shape[1] - q, self.ring.prime)
-        return split.mul_sub(Y[:, q:], digits, X0=Y[:, :q])
+        rows = min(max(q, PANEL), o - q)
+        split, digits = _power_table(tuple(w % m for w in self._wrap), m, rows, self.ring.prime)
+        if o - q > rows:
+            Y = Y.copy()  # every fold but the last writes into it
+        while o - q > rows:
+            s = o - rows
+            Y[:, s - q:s] = split.mul_sub(Y[:, s:o], digits, X0=Y[:, s - q:s])
+            o = s
+        return split.mul_sub(Y[:, q:o], [d[:o - q] for d in digits], X0=Y[:, :q])
 
     def matrix_int64(self, working_exponent, extra_columns=(), echelon=False):
         """Relation block plus optional columns as a Z_p-matrix mod p^W.
@@ -1005,10 +1016,19 @@ def _json_list(value, name):
     raise ValidationError(f"malformed presentation JSON: {name} {value!r} is not an array")
 
 
-def _json_int(value, name):
-    """An integer field: a JSON integer or a base-10 integer string, never a float or a bool."""
+def parse_integer(value, name):
+    """An integer from outside the program: a JSON integer or a string of ASCII digits.
+
+    The string may carry a sign.  Never a float or a bool, nor what ``int``
+    takes besides: underscores (1_3), non-ASCII digits, surrounding spaces.
+    """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
         return int(value)
-    raise ValidationError(f"malformed presentation JSON: {name} {value!r} is not an integer")
+    raise ValidationError(f"{name} {value!r} is not an integer")
+
+
+def _json_int(value, name):
+    """An integer field of presentation JSON (``parse_integer``)."""
+    return parse_integer(value, f"malformed presentation JSON: {name}")

@@ -185,6 +185,30 @@ def test_classify_bounds_the_degree_of_relation_entries(excess, code, tmp_path):
         assert doc["type"]["free_rank"] == 0
 
 
+def test_an_entry_at_the_degree_budget_folds_through_short_power_tables(
+        monkeypatch, capsys, tmp_path):
+    # Lambda/(1 + T^9604) at p = 7 is zero, and its report is that of
+    # Lambda/(1); dividing the entry asks for no power table longer than
+    # max(q, 64) rows at any level (it asked for about 9300 rows, 488 MB)
+    tables = []
+    power_table = finemw.presentations._power_table
+
+    def recorded(wrap, m, rows, p):
+        tables.append((len(wrap), rows))
+        return power_table(wrap, m, rows, p)
+
+    monkeypatch.setattr(finemw.presentations, "_power_table", recorded)
+    reports = []
+    for entry in ([["1"]] + [["0"]] * (degree_budget(7) - 1) + [["1"]], [["1"]]):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"p": 7, "generators": 1, "relations": [[entry]]}))
+        assert main(["classify", "--file", str(path), "--n-max", "3"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert {q for q, _ in tables} == {1, 7, 49, 343}
+    assert all(rows <= max(q, 64) for q, rows in tables)
+
+
 def test_classify_exit_2_on_negative_level_cap(capsys, tmp_path):
     path = tmp_path / "cap.json"
     path.write_text(json.dumps({"p": 5, "generators": 1, "relations": [[[["0"], ["1"]]]],
@@ -314,7 +338,9 @@ def _predict(*args, config=()):
 
 
 @pytest.mark.parametrize("text", ["level,rank\n0,2\n1,a\n", "level,rank\n0,2\n1,\n",
-                                  "level,rank\n0,2\n1\n"])
+                                  "level,rank\n0,2\n1\n",
+                                  # int() alone reads both as 2
+                                  "level,rank\n0,2\n1,0_2\n", "level,rank\n0,2\n1,\u0662\n"])
 def test_predict_exit_2_on_a_rank_csv_cell_that_is_no_integer(text, capsys, tmp_path):
     csv_path = tmp_path / "ranks.csv"
     csv_path.write_text(text)
@@ -330,6 +356,24 @@ def test_predict_exit_2_on_a_missing_rank_csv(capsys, tmp_path):
 def test_predict_exit_2_on_a_non_integer_rank(capsys):
     assert _predict("--ranks", "1,a") == 2
     assert "rank 'a' is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ranks, code", [("1,1_3,\u0665\u0663", 2), (" 1 , 5 ", 0)])
+def test_predict_reads_ranks_by_the_presentation_integer_rule(ranks, code, capsys):
+    # int() alone reads 1_3 as 13 and Arabic-Indic digits as 53; spaces
+    # around an item stay allowed
+    assert _predict("--ranks", ranks) == code
+    if code:
+        assert "rank '1_3' is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["٥", "0_5"])
+def test_an_integer_option_takes_the_same_rule(p, capsys):
+    # argparse's type=int read both as 5
+    with pytest.raises(SystemExit) as exited:
+        _predict("--ranks", "1,5", "--p", p)
+    assert exited.value.code == 2
+    assert f"argument --p: value {p!r} is not an integer" in capsys.readouterr().err
 
 
 def test_predict_exit_2_on_a_non_integer_config_rank(capsys, tmp_path):
@@ -523,7 +567,7 @@ def test_parser_is_built_once_and_survives_a_refused_call(capsys):
     with pytest.raises(SystemExit) as refused:
         main(["classify", "--file", "x.json", "--n-max", "three"])
     assert refused.value.code == 2
-    assert "invalid int value: 'three'" in capsys.readouterr().err
+    assert "argument --n-max: value 'three' is not an integer" in capsys.readouterr().err
     code, out = run_cli(["predict", "--setting", "cm_split_cyc", "--ranks", "1,5",
                          "--p", "5", "--rank-kind", "Z"], capsys)
     assert code == 0 and json.loads(out)["growth"] == [1, 1]

@@ -1,4 +1,4 @@
-"""No function or method in ``src/finemw`` goes unreferenced.
+"""No function or method in ``src/finemw`` goes unreferenced, nor any module-level import.
 
 A name counts as used only where code names it, besides its own
 definitions, in ``src/finemw`` or ``perfbench/``: a name, an attribute, an
@@ -15,6 +15,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "finemw"
+# (module, name) of the imports that only perfbench's BINDINGS resolve there
+RE_EXPORTS = {("snf", "snf_int64"), ("presentations", "weierstrass_divide")}
 
 
 def code_names(source):
@@ -45,6 +47,16 @@ def dead_helpers(package_sources, other_sources=(), documents=()):
     used = set().union(*(code_names(source) for source in [*package_sources, *other_sources]))
     used.update(word for text in documents for word in re.findall(r"\w+", text))
     return sorted(defined - used)
+
+
+def dead_imports(source):
+    """Names that a module's top-level imports bind and the rest of its code never names."""
+    tree = ast.parse(source)
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    bound = {alias.asname or alias.name.split(".")[0] for node in imports for alias in node.names}
+    tree.body = [node for node in tree.body if node not in imports]
+    return sorted(bound - code_names(ast.unparse(tree)))
 
 
 def test_every_helper_is_referenced():
@@ -79,3 +91,31 @@ BINDINGS = (("module", "bound"),)
 '''
     assert dead_helpers([source]) == ["stale", "used"]
     assert dead_helpers([source], documents=["call used()"]) == ["stale"]
+
+
+def test_every_module_level_import_is_named():
+    # __init__ imports the public API in order to re-export it
+    found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "__init__" for name in dead_imports(path.read_text())}
+    assert sorted(found - RE_EXPORTS) == []
+
+
+def test_an_import_that_only_a_docstring_names_is_reported():
+    source = '''
+"""Module docstring naming bisect."""
+
+from __future__ import annotations
+
+import bisect
+import os.path
+import numpy as np
+from json import dumps, loads
+
+__all__ = ["loads"]
+
+
+def run(x):
+    """Calls bisect."""
+    return np.asarray(os.path.join(x, dumps(x)))
+'''
+    assert dead_imports(source) == ["bisect"]

@@ -11,8 +11,8 @@ from finemw.polynomials import IwasawaPoly
 from finemw.presentations import FinLevelModule, ModulePresentation, _LevelSource
 from finemw import _kernels, snf
 from finemw.snf import _normalize_rows, _run_python, smith_normal_form
-from finemw._kernels import (PANEL, _BitSplit, _ObjectSplit, _PadicSplit, _exact_split, _inv_mod,
-                             _mulmod, _panel_factor, _residue_ops, _split_bits,
+from finemw._kernels import (PANEL, _BitSplit, _FloatSplit, _Inverses, _ObjectSplit, _PadicSplit,
+                             _exact_split, _inv_mod, _mulmod, _panel_factor, _split_bits,
                              _unit_triangular_inverse, int64_precision_cap, residue_dtype,
                              snf_int64)
 from oracles import (column_rank_profile_mod_p, integer_smith_p_exponents, inverse_mod_p,
@@ -182,6 +182,27 @@ def test_exact_split_product_worst_case(p, W):
     assert (_mulmod(L, K, m, p) == (L.astype(object) @ K.astype(object)) % m).all()
     with pytest.raises(OverflowError):  # no digit width keeps this inner dimension exact
         _split_bits(m, 2**23)
+
+
+@pytest.mark.parametrize("p, w, scheme", [
+    (5, 1, _FloatSplit), (7, 1, _FloatSplit), (2**31 - 1, 1, _BitSplit),  # the panels mod p
+    (5, 9, _FloatSplit), (7, 8, _FloatSplit),  # PANEL (m - 1)^2 + m < 2^52
+    (5, 10, _PadicSplit), (7, 9, _BitSplit),  # one and two products past it
+])
+def test_one_chooser_takes_every_product_scheme(p, w, scheme):
+    """``_exact_split`` chooses the mod-p products of the panels as every
+    other; operands m - 1 at the panel width give the largest partial sums."""
+    m = p**w
+    split = _exact_split(m, PANEL, p)
+    assert type(split) is scheme
+    dtype = residue_dtype(m)
+    L = np.full((3, PANEL), m - 1, dtype=dtype)
+    K = np.full((PANEL, 5), m - 1, dtype=dtype)
+    X0 = np.full((3, 5), m - 1, dtype=dtype)
+    exact = (L.astype(object) @ K.astype(object)) % m
+    assert (split.mul_sub(L, split.digits(K)) == -exact % m).all()
+    assert (split.mul_sub(L, split.digits(K), X0=X0) == (X0.astype(object) - exact) % m).all()
+    assert (_mulmod(L, K, m, p) == exact).all()
 
 
 # (p, largest w with exact int64 products mod p^w at the panel width)
@@ -364,7 +385,7 @@ def test_panel_factor_rank_profile_and_pivot_block_inverse(p):
     count its rank."""
     rng = np.random.default_rng(p % 1000)
     for P in _panel_cases(p, rng):
-        rows, cols, Ginv = _panel_factor(P.copy(), p)
+        rows, cols, Ginv = _panel_factor(P.copy(), p, _Inverses())
         assert list(zip(rows, cols)) == rank_profile_mod_p(P.tolist(), p)
         assert cols == column_rank_profile_mod_p(P.tolist(), p)
         assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
@@ -380,18 +401,26 @@ def test_panel_factor_rank_profile_and_pivot_block_inverse(p):
 
 
 @pytest.mark.parametrize("p", [5, 7, 2**31 - 1])
-def test_unit_triangular_inverse_matches_python_ints(p):
-    """Against Gauss-Jordan on Python ints, on float64 residues (p = 5, 7)
-    and on int64 split products (2^31 - 1); a diagonal T costs one product."""
-    dtype, mul, submul = _residue_ops(p, PANEL)
+def test_unit_triangular_inverse_matches_python_ints(p, monkeypatch):
+    """Against Gauss-Jordan on Python ints, on one float64 product per step
+    (p = 5, 7) and on int64 split products (2^31 - 1); every product goes
+    through the split, and a diagonal T costs one product."""
     products = []
+    exact_split = _kernels._exact_split
 
-    def counted(op):
-        def run(*args):
-            products.append(op)
-            return op(*args)
-        return run
+    class Counted:
+        def __init__(self, split):
+            self.split = split
 
+        def digits(self, K):
+            return self.split.digits(K)
+
+        def mul_sub(self, *args, **kwargs):
+            products.append(type(self.split))
+            return self.split.mul_sub(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_exact_split",
+                        lambda m, inner, prime: Counted(exact_split(m, inner, prime)))
     rng = random.Random(p)
     s = PANEL
     chain = [[int(i == j) + (j == i + 1) * rng.randrange(1, p) for j in range(s)]
@@ -402,22 +431,23 @@ def test_unit_triangular_inverse_matches_python_ints(p):
              chain, full, odd]
     for T in cases + [[list(c) for c in zip(*T)] for T in cases[3:]]:
         products.clear()
-        X = _unit_triangular_inverse(np.array(T, dtype=dtype), p, counted(mul), counted(submul))
-        assert X.dtype == dtype and X.astype(np.int64).tolist() == inverse_mod_p(T, p)
+        X = _unit_triangular_inverse(np.array(T, dtype=np.int64), p)
+        assert X.dtype == np.int64 and X.tolist() == inverse_mod_p(T, p)
+        assert set(products) <= {_FloatSplit if p < 2**31 - 1 else _BitSplit}
         if T == cases[1]:
             assert len(products) == 1
 
 
 def test_pivot_block_inverse_lifts_to_the_working_precision():
-    # _panel_factor gives the inverse mod p as float64; past int64 it must
-    # reach Python integers through int64, not as Python floats
+    # past int64 the inverse mod p must reach Python integers through
+    # int64, not as Python floats
     rng = np.random.default_rng(3)
     for p, w in ((7, 11), (7, 24), (5, 27)):
         m = p**w
         P = np.array([[int(x) * m // 2**62 for x in row]
                       for row in rng.integers(0, 2**62, size=(80, PANEL))],
                      dtype=residue_dtype(m))
-        rows, cols, Ginv = _panel_factor(P, p)
+        rows, cols, Ginv = _panel_factor(P, p, _Inverses())
         G = P[np.ix_(rows, cols)]
         X = _inv_mod(G, Ginv, p, m)
         assert X.dtype == residue_dtype(m) and all(type(x) is int for x in X.ravel().tolist())
@@ -1211,8 +1241,8 @@ def test_kernel_and_transform_at_the_int32_boundary(p, w, dtype):
 
 def test_mod_p_blocks_key_on_uint8_residues_below_256(monkeypatch):
     """A 64 x 64 block mod p < 256 keys on 4 KB of uint8 residues, an eighth
-    of its float64 bytes, and the budget counts the smaller key: room for
-    two such blocks with their float64 inverses keeps two, where float64 keys
+    of its int64 bytes, and the budget counts the smaller key: room for
+    two such blocks with their int64 inverses keeps two, where int64 keys
     would keep one.  Both ways of factoring a panel key alike."""
     block = PANEL * PANEL
     monkeypatch.setattr(_kernels._Inverses, "BUDGET", 2 * (block + 8 * block))
@@ -1232,7 +1262,7 @@ def test_mod_p_blocks_key_on_uint8_residues_below_256(monkeypatch):
     assert again is not first[0][2] and (again == first[0][2]).all()
     wide = _kernels._Inverses()
     _panel_factor(panels[0], 257, wide)
-    assert [(key[1], len(key[-1])) for key in wide.store] == [("<f8", 8 * block)]
+    assert [(key[1], len(key[-1])) for key in wide.store] == [("<i8", 8 * block)]
 
 
 @pytest.mark.parametrize("p, w", [(7, 11), (5, 24), (7, 24), (2**31 - 1, 2)])
