@@ -445,7 +445,9 @@ def _panel_factor(P, p, inverses):
     lowest nonzero row i becomes pivot t.  L[:, t] is c, and U[t] is the
     residual P[i] - L[i, :t] U[:t] of row i scaled to 1 on the pivot, zero
     left of column j.  Products are exact split products mod p
-    (``_exact_split``); L and U, their operands, hold float64 residues.
+    (``_exact_split``); L and U, their operands, hold float64 residues (int64
+    for p > 2^53, where float64 drops digits), and the pivot row is scaled
+    by ``_scale_mod``.
 
     Returns parallel lists (rows, cols) of the unit pivots, and Ginv, the
     inverse mod p of the pivot block G = P[rows][:, cols] (None without
@@ -461,8 +463,9 @@ def _panel_factor(P, p, inverses):
     R, w = P.shape
     split = _exact_split(p, w, p)
     P = np.asfortranarray((P % p).astype(np.int64))
-    L = np.empty((R, w), order="F")  # the product operands, in float64
-    U = np.zeros((w, w))
+    operand = np.float64 if p <= _EXACT else np.int64  # L and U, the product operands
+    L = np.empty((R, w), dtype=operand, order="F")
+    U = np.zeros((w, w), dtype=operand)
     rows, cols = [], []
     for j in np.flatnonzero(P.any(axis=0)).tolist():  # a zero column has a zero residual
         t = len(rows)
@@ -474,7 +477,7 @@ def _panel_factor(P, p, inverses):
             continue
         L[:, t] = c
         x = split.mul_sub(L[i, :t], split.digits(U[:t, j:]), X0=P[i, j:])
-        U[t, j:] = x * pow(int(c[i]), -1, p) % p
+        U[t, j:] = _scale_mod(x, pow(int(c[i]), -1, p), p)
         rows.append(i)
         cols.append(j)
     if not rows:
@@ -519,11 +522,12 @@ def _inv_mod(G, Ginv, p, m):
     the int64 remainder overflows.
     """
     s = G.shape[0]
-    X = Ginv.astype(np.float64)
+    X = Ginv.astype(np.int64)
     k = reach = p
     while reach < m and s * reach * (reach + 1) < 1 << 52:
         reach = min(reach * reach, m)
     if reach > p:
+        X = X.astype(np.float64)
         Gr = residues(G, reach).astype(np.float64)
         eye = np.eye(s)
         while k < reach:
@@ -545,7 +549,7 @@ def _inv_mod(G, Ginv, p, m):
             Z *= k
             X += Z
             k = k2
-    X = X.astype(np.int64)
+        X = X.astype(np.int64)
     eye = np.eye(s, dtype=np.int64)
     while k < m:
         k = min(k * k, m)
@@ -738,7 +742,15 @@ def _lower_inverse(G, p):
     """
     G = G.astype(np.int64)
     dinv = np.array([pow(d, -1, p) for d in np.diagonal(G).tolist()], dtype=np.int64)
-    return _unit_triangular_inverse(dinv[:, None] * G % p, p) * dinv % p
+    return _scale_mod(_unit_triangular_inverse(_scale_mod(G, dinv[:, None], p), p), dinv, p)
+
+
+def _scale_mod(X, d, p):
+    """X d mod p for residues X and d mod p, as int64: widened to Python integers
+    first once (p - 1)^2 passes int64."""
+    if (p - 1) ** 2 < 1 << 63:
+        return X.astype(np.int64, copy=False) * d % p
+    return (X.astype(object) * np.asarray(d, dtype=object) % p).astype(np.int64)
 
 
 def _widen(top, bottom, cols, r, Y):

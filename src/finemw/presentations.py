@@ -40,7 +40,9 @@ module is the cokernel of the g x (c + k) matrix of the relations and the k
 quotient columns over O_j = Z_p[T]/Phi_j, a discrete valuation ring with
 uniformizer T (p at j = 0), and ``component_ranks_against`` counts its
 Smith invariants by elimination over O_j (``_dvr_pivots``), whose products
-are the same split products with the table of Phi_j.
+are the same split products with the table of Phi_j.  A component predicted
+of full rank is eliminated first mod p^w, at one product per multiplication;
+a pivot in every row there certifies it.
 """
 
 from __future__ import annotations
@@ -734,7 +736,7 @@ class _LevelSource:
 
 def phi_component_ranks(M: ModulePresentation, n: int, extra_columns=(),
                         precision_cap: int | None = None,
-                        base_free_rank: int | None = None) -> list:
+                        base_free_rank: int | None = None, predicted=None) -> list:
     """Ranks of the Phi_j-isotypic pieces of the rationalized coinvariants.
 
     c_j is the rank of ker(Phi_j(T)) on the free part of M_{Gamma_n}, or of
@@ -746,10 +748,12 @@ def phi_component_ranks(M: ModulePresentation, n: int, extra_columns=(),
     (``component_ranks_against``).  The components must sum to the free rank
     of the coinvariants, or to ``base_free_rank`` when given (the
     unquotiented free rank checks that the columns did not move the rank);
-    a mismatch signals a precision failure and raises.
+    a mismatch signals a precision failure and raises.  ``predicted``
+    c_0..c_n only routes the work: a component predicted 0 is settled at
+    one-product precision when it proves full rank there.
     """
     ranks = component_ranks_against(M, n, extra_columns=extra_columns,
-                                    precision_cap=precision_cap)
+                                    precision_cap=precision_cap, predicted=predicted)
     if base_free_rank is None:
         base_free_rank = coinvariants(M, n, extra_columns,
                                       precision_cap=precision_cap).free_rank
@@ -765,7 +769,7 @@ def check_component_sum(ranks, free_rank: int, n: int):
 
 
 def component_ranks_against(M: ModulePresentation, n: int, extra_columns=(),
-                            precision_cap=None) -> list:
+                            precision_cap=None, predicted=None) -> list:
     """Component ranks c_0..c_n, optionally of a quotient by ambient columns.
 
     Modulo Phi_j the module is the cokernel of the g x (c + k) matrix of the
@@ -775,22 +779,45 @@ def component_ranks_against(M: ModulePresentation, n: int, extra_columns=(),
     c_j = q (g - r); t is N, or ``precision_cap`` when given.  Over O the
     elimination runs on the regular representation over O_j, which has
     every invariant twice, so r is halved.
+
+    ``predicted`` (c_0..c_n, or None) only routes the work.  A component
+    predicted 0 is first eliminated at p^w, the largest w <= t at which a
+    product mod p^w is one BLAS product (``_one_product_precision``).  The
+    invariants below T^(q w) are those of the matrix mod p^w = unit T^(q w),
+    so when every row pivots there, every invariant lies below q w <= q t
+    and c_j = 0 exactly; otherwise the component runs again at p^t.
     """
     ring, g = M.ring, M.generators
-    t = _target_exponent(ring, precision_cap)
-    m = ring.prime**t
+    p, t = ring.prime, _target_exponent(ring, precision_cap)
     _single_blas_thread()  # thin products, as in the Smith kernel
-    columns = to_planes(extra_columns, ring.unramified_degree, m) if len(extra_columns) else ()
+    columns = to_planes(extra_columns, ring.unramified_degree, p**t) if len(extra_columns) else ()
     ranks = []
     for j in range(n + 1):
         fin = FinLevelModule(M, n, component=j)
-        r = _dvr_pivots(fin.component_matrix(columns, m), _component_ring(ring.prime, j, t))
+        w = t if predicted is None or predicted[j] else _one_product_precision(p, fin.q)
+        r = None
+        if 0 < w < t:
+            X = fin.component_matrix(columns, p**w)
+            r = _dvr_pivots(X, _component_ring(p, j, w))
+            if r < X.shape[0]:
+                r = None  # rows left: an invariant may lie past T^(q w)
+        if r is None:
+            r = _dvr_pivots(fin.component_matrix(columns, p**t), _component_ring(p, j, t))
         if ring.unramified_degree == 2:
             if r % 2:
                 raise ArithmeticError(f"realified component rank {r} is odd")
             r //= 2
         ranks.append(fin.q * (g - r))
     return ranks
+
+
+@functools.lru_cache(maxsize=None)
+def _one_product_precision(p, q):
+    """The largest w at which ``_exact_split`` multiplies mod p^w in one product, inner q."""
+    w = 0
+    while _exact_split(p ** (w + 1), q, p).products == 1:
+        w += 1
+    return w
 
 
 def _dvr_pivots(X, oj) -> int:

@@ -122,11 +122,16 @@ class StructureAnalysis:
 
         M/Phi_j M, a g-row matrix over Z_p[T]/Phi_j, does not depend on the
         level n >= j, so one call at n_max serves every level: level n reads
-        the prefix c_0..c_n.
+        the prefix c_0..c_n.  The free-rank jumps of the levels predict
+        them (c_0 = r_0, c_j = r_j - r_(j-1)); that only routes the work, and
+        each component predicted 0 is settled at one-product precision when
+        it proves full rank there.
         """
         if self._phi_ranks is None:
-            self._phi_ranks = presentations.component_ranks_against(self.presentation,
-                                                                     self.n_max)
+            r = self.ranks
+            predicted = [r[0]] + [r[j] - r[j - 1] for j in range(1, len(r))]
+            self._phi_ranks = presentations.component_ranks_against(
+                self.presentation, self.n_max, predicted=predicted)
         return self._phi_ranks
 
     @property
@@ -475,9 +480,9 @@ def verify_finite_quotients(tower: TowerSpec, n_max: int | None = None,
         if count:
             if not all(structure.smith.is_torsion_block(cols)):
                 raise HypothesisError(f"level {n}: selected submodule generator is not torsion")
-            comp = phi_component_ranks(
+            comp = phi_component_ranks(  # a finite quotient keeps the component ranks
                 M, n, cols, precision_cap=structure.smith.junk_free_precision,
-                base_free_rank=structure.free_rank)
+                base_free_rank=structure.free_rank, predicted=analysis.phi_ranks())
         else:
             comp = analysis.phi_ranks()[:n + 1]
             check_component_sum(comp, structure.free_rank, n)

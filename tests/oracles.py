@@ -382,3 +382,40 @@ def component_ranks_zp(M, n, extra_columns=(), precision=None):
         divisors = smith_exponents_mod_prime_power(rows, ring.prime, t)
         ranks.append((len(rows) - len(divisors)) // ring.unramified_degree)
     return ranks
+
+
+def finite_level_order(M, n):
+    """log_p |M/omega_n M| of a square presentation whose level n is finite.
+
+    The sum over j <= n of v_{pi_j}(det A mod Phi_j), pi_j = zeta_{p^j} - 1
+    (pi_0 = p): M/omega_n M is the cokernel of A over Z_p[T]/omega_n, whose
+    order is the norm of det A, and Z_p[T]/omega_n ⊗ Q_p is the product of
+    the totally ramified Q_p(zeta_{p^j}), j <= n, each with N(pi_j) = p up to
+    a unit.  det A comes from the Leibniz expansion over ``IwasawaPoly``
+    (g <= 4), its remainder mod Phi_j from ``weierstrass_divide``, and the
+    remainder sum a_i T^i, i < q = phi(p^j), has valuation min_i q v_p(a_i) + i.
+    Degree-1 coefficient rings only.
+    """
+    from finemw.polynomials import IwasawaPoly, cyclotomic, phi_degree, weierstrass_divide
+
+    ring, g, p = M.ring, M.generators, M.ring.prime
+    assert ring.unramified_degree == 1 and g == M.num_relations and g <= 4
+    det = poly_matrix_det(M.relations, lambda a, b: a * b, lambda a, b: a + b,
+                          lambda a, b: a - b, IwasawaPoly(ring, []),
+                          IwasawaPoly.constant(ring, 1))
+    order = 0
+    for j in range(n + 1):
+        q = phi_degree(p, j)
+        rem = [c.coords[0] for c in weierstrass_divide(det, cyclotomic(ring, j))[1].coefficients]
+        terms = [q * _p_valuation(a, p) + i for i, a in enumerate(rem) if a]
+        assert terms, f"det A vanishes mod Phi_{j}: level {n} is not finite"
+        order += min(terms)
+    return order
+
+
+def _p_valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v

@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finemw import _kernels, snf
+from finemw import _kernels, presentations, snf
 from finemw._kernels import int64_precision_cap, residue_dtype, to_vectors
 from finemw.errors import ResourceLimitError, ValidationError
 from finemw.oracle import build_elementary, obfuscate, sample_recipe
@@ -18,6 +21,7 @@ from finemw.presentations import (
     _component_ring,
     _echelon,
     _level_smith,
+    _one_product_precision,
     check_level_budget,
     coinvariants,
     component_ranks_against,
@@ -637,6 +641,147 @@ def test_component_ranks_match_the_zp_referee(degree):
                     component_ranks_zp(M, n, to_vectors(cols), cap)
                 quotients += 1
     assert quotients >= 6
+
+
+def _criterion_1_draws(ring, draws):
+    """Corpus draws disguised as the criterion-1 round trip disguises them, each
+    with a flag: True for the torsion draws that criterion 3 verifies."""
+    for i in draws:
+        seed = 2024 * 1_000_003 + i
+        recipe = sample_recipe(seed, ring.prime, 3)
+        torsion = not (recipe.free_rank or recipe.mu_summands or recipe.extra_factors)
+        yield obfuscate(build_elementary(recipe, ring), seed=seed ^ 0x5EED, steps=24), torsion
+
+
+@pytest.mark.parametrize("p, degree", [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_routed_component_ranks_are_exact(p, degree):
+    # every component tried first at one-product precision, and as the
+    # level ranks route them: the full-rank certificate keeps the ranks of a
+    # run forced to p^t and of the Z_p referee, with and without the
+    # quotient columns verify draws and caps (levels <= 1 over O at p = 7,
+    # where the Python engine's tracked reductions and the referee are slow)
+    ring = CoefficientRing(p, degree, 24)
+    small = [(M, True) for M in _small_modules(ring)]
+    refereed = quotients = 0
+    for k, (M, torsion) in enumerate(small + list(_criterion_1_draws(ring, range(3)))):
+        analysis = analyze(M, 2)
+        for n in range(2 if (p, degree) == (7, 2) else 3):
+            cases = [((), None), ((), 12)]
+            for selector in ("full-torsion", "random-subgroup") if torsion else ():
+                structure = analysis.tracked(n)
+                try:
+                    cols = _selector_columns(structure, selector, 3, n)
+                except ValidationError:  # exponents near the precision: verify refuses too
+                    continue
+                if cols.shape[1] and structure.smith.junk_free_precision >= 4:
+                    cases.append((cols, structure.smith.junk_free_precision))
+                    quotients += 1
+            for cols, cap in cases:
+                forced = component_ranks_against(M, n, cols, cap)
+                for predicted in ([0] * (n + 1), analysis.phi_ranks()[:n + 1]):
+                    assert component_ranks_against(M, n, cols, cap, predicted=predicted) == forced
+                if k < len(small) or n < 2:
+                    vectors = to_vectors(cols) if len(cols) else ()
+                    assert forced == component_ranks_zp(M, n, vectors, cap)
+                    refereed += 1
+    assert quotients >= 8 and refereed >= 40
+
+
+ONE_PRODUCT_PRECISIONS = {5: [11, 10, 10, 9], 7: [9, 8, 8, 7]}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_one_product_precision_is_the_float_split_limit(p):
+    # w_j: the largest w with one float64 product mod p^w at inner dimension phi(p^j)
+    w = ONE_PRODUCT_PRECISIONS[p]
+    assert [_one_product_precision(p, phi_degree(p, j)) for j in range(4)] == w
+    for j in range(4):
+        q = phi_degree(p, j)
+        assert isinstance(_kernels._exact_split(p ** w[j], q, p), _kernels._FloatSplit)
+        assert _kernels._exact_split(p ** (w[j] + 1), q, p).products > 1
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_full_rank_certificate_falls_back_at_its_boundary(p, shift, monkeypatch):
+    # Lambda/(p^k) + Lambda/T, k = w_0 - 1, w_0, w_0 + 1, every component
+    # tried first at p^(w_j): the invariant p^k, of valuation q k over O_j,
+    # lies below the precision q w_j when k < w_j, and the component is
+    # settled there; otherwise a row is left and it runs again at p^24.
+    # Phi_0 = T leaves a row at any precision
+    w = ONE_PRODUCT_PRECISIONS[p]
+    k = w[0] + shift
+    ring = CoefficientRing(p, 1, 24)
+    one, zero = IwasawaPoly.constant(ring, 1), IwasawaPoly(ring, [])
+    M = ModulePresentation(ring, 3, [[one, one, zero],
+                                     [one, IwasawaPoly.constant(ring, 1 + p**k), zero],
+                                     [zero, zero, IwasawaPoly.variable(ring)]])
+    runs = []
+    dvr_pivots = presentations._dvr_pivots
+
+    def counted(X, oj):
+        runs.append((oj.q, oj.t))
+        return dvr_pivots(X, oj)
+
+    monkeypatch.setattr(presentations, "_dvr_pivots", counted)
+    assert component_ranks_against(M, 3, predicted=[0] * 4) == [1, 0, 0, 0]
+    expect = [(1, w[0]), (1, 24)]
+    for j in range(1, 4):
+        q = phi_degree(p, j)
+        expect += [(q, w[j])] + ([(q, 24)] if k >= w[j] else [])
+    assert runs == expect
+    assert component_ranks_against(M, 3) == [1, 0, 0, 0]
+    assert component_ranks_against(M, 3, predicted=analyze(M, 3).phi_ranks()) == [1, 0, 0, 0]
+
+
+def test_verify_runs_no_component_predicted_full_rank_at_full_precision(monkeypatch, tmp_path,
+                                                                         capsys):
+    # one verify of each benchmark verify_p5 module: a component the level
+    # ranks (or, for a quotient, the unquotiented ranks) predict of full
+    # rank is settled at one-product precision, never run at p^t, and a
+    # component predicted deficient runs once, at p^t
+    import finemw
+    from finemw.cli import main
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["verify_p5"]
+    modules, _ = workloads.generate(finemw, workload, 0, tmp_path)
+
+    calls = []
+    ranks_against, dvr_pivots = presentations.component_ranks_against, presentations._dvr_pivots
+
+    def recorded_ranks_against(M, n, extra_columns=(), precision_cap=None, predicted=None):
+        calls.append((n, min(24, precision_cap or 24), predicted, []))
+        return ranks_against(M, n, extra_columns, precision_cap, predicted)
+
+    def recorded_dvr_pivots(X, oj):
+        calls[-1][3].append((oj.q, oj.t))
+        return dvr_pivots(X, oj)
+
+    monkeypatch.setattr(presentations, "component_ranks_against", recorded_ranks_against)
+    monkeypatch.setattr(presentations, "_dvr_pivots", recorded_dvr_pivots)
+    w = ONE_PRODUCT_PRECISIONS[5]
+    cheap = deficient = 0
+    for module in modules:
+        calls.clear()
+        assert main(workloads.argv_for(workload, module.path)) == 0
+        capsys.readouterr()
+        assert calls
+        for n, t, predicted, runs in calls:
+            assert predicted is not None
+            for j in range(n + 1):
+                q = phi_degree(5, j)
+                if predicted[j]:
+                    assert [r for r in runs if r[0] == q] == [(q, t)]
+                    deficient += 1
+                else:
+                    assert [r for r in runs if r[0] == q] == [(q, min(w[j], t))]
+                    cheap += w[j] < t
+    assert cheap and deficient
 
 
 @pytest.mark.parametrize("p", [5, 7])

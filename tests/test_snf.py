@@ -290,6 +290,23 @@ def test_object_products_for_primes_without_float64_digits():
         _check_transform(mat, p, exponents, transform.reduce_vector, transform.generator_column)
 
 
+@pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+def test_primes_past_the_int64_square(p):
+    # (p - 1)^2 passes 2^63, so the pivot-row and diagonal scalings mod p
+    # widen before they multiply; past 2^53 the panel operands are int64,
+    # float64 having dropped their low digits
+    ring = CoefficientRing(p, 1, 3)
+    rng = random.Random(p)
+    for _ in range(10):
+        A = [[rng.randrange(p**3) for _ in range(4)] for _ in range(6)]
+        B = [[rng.randrange(p**3) for _ in range(6)] for _ in range(4)]
+        mat = [[sum(a * b for a, b in zip(row, col)) % p**3 for col in zip(*B)] for row in A]
+        mat[0] = [x * p % p**3 for x in mat[0]]
+        expected = smith_exponents_mod_prime_power(mat, p, 3)
+        res = smith_normal_form(mat, ring)
+        assert (res.exponents, res.free_rank) == (expected, 6 - len(expected))
+
+
 def _full_precision_cases(rng, p, w):
     b = PANEL
     for R, C in ((9, b - 1), (12, b + 1), (8, 2 * b + 1), (b + 1, 10), (b + 1, b + 1)):

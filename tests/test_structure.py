@@ -207,9 +207,9 @@ def test_verify_reduces_each_distinct_matrix_once(name, torsion_levels, int64_tr
                            with_transforms))
         return level_smith(fin, extra_columns, with_transforms, **kwargs)
 
-    def counted_ranks_against(M, n, extra_columns=(), precision_cap=None):
+    def counted_ranks_against(M, n, extra_columns=(), precision_cap=None, **kwargs):
         components.append((n, len(tuple(extra_columns))))
-        return ranks_against(M, n, extra_columns, precision_cap)
+        return ranks_against(M, n, extra_columns, precision_cap, **kwargs)
 
     def counted_snf_int64(A, p, m, track, **kwargs):
         kernel_calls.append(track)
