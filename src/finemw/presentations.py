@@ -879,6 +879,7 @@ class _ComponentRing:
         q, m = phi_degree(p, j), p**t
         wrap = _modulus(CoefficientRing(p, 1, t), None, j)[1]
         self.p, self.q, self.t, self.m = p, q, t, m
+        self.powers = np.array([p**k for k in range(t + 1)], dtype=np.int64 if m < 1 << 63 else object)
         self.split = _exact_split(m, q, p)
         if q == 1:
             return
@@ -898,23 +899,13 @@ class _ComponentRing:
     def valuations(self, X):
         """The valuation of every entry of X, an array of shape (..., q); q t for zero.
 
-        An entry whose coefficients are divisible by p^e but not all by
-        p^(e+1) has valuation q e + (the first index of a coefficient that
-        p^(e+1) does not divide).
+        The valuation of sum a_i T^i is the least q v_p(a_i) + i, and
+        gcd(a_i, p^t) = p^(v_p(a_i)), p^t for a zero coefficient, whose
+        index in the powers of p is v_p(a_i).
         """
-        p, q = self.p, self.q
-        Z = X.reshape(-1, q)
-        V = np.full(Z.shape[0], q * self.t, dtype=np.int64)
-        ids = np.flatnonzero((Z != 0).any(axis=1))
-        Z = Z[ids]
-        base = 0
-        while ids.size:
-            unit = Z % p != 0
-            found = unit.any(axis=1)
-            V[ids[found]] = base + unit[found].argmax(axis=1)
-            ids, Z = ids[~found], Z[~found] // p
-            base += q
-        return V.reshape(X.shape[:-1])
+        q = self.q
+        E = np.searchsorted(self.powers, np.gcd(X, self.powers[-1]))
+        return np.minimum(E * q + np.arange(q), q * self.t).min(axis=-1)
 
     def divide(self, X, v):
         """X / (p^a T^b) for X of valuation >= v = q a + b, b < q.
